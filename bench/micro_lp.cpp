@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -75,40 +74,12 @@ void BM_SlaveLpAllEdgesAbilene(benchmark::State& state) {
 BENCHMARK(BM_SlaveLpAllEdgesAbilene)->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-void BM_OptuDecompVsMonolithic(benchmark::State& state) {
-  // Fresh-template cold OPTU on GEANT: arg 1 runs the block-angular
-  // pre-solve + crossover before the monolithic simplex, arg 0 the
-  // plain cold phase-1 path (COYOTE_LP_DECOMP=0). Answers are
-  // cross-checked against each other through a shared reference.
-  const Graph g = topo::makeZoo("Geant");
-  const auto dags = core::augmentedDagsShared(g);
-  const tm::TrafficMatrix d = tm::gravityMatrix(g, 1.0);
-  const double reference = routing::optimalUtilization(g, *dags, d);
-  setenv("COYOTE_LP_DECOMP", state.range(0) != 0 ? "1" : "0", 1);
-  for (auto _ : state) {
-    routing::OptuEngine engine(g, dags);
-    const double u = engine.utilization(d);
-    if (std::abs(u - reference) > 1e-9 * (1.0 + reference)) {
-      state.SkipWithError("decomposed answer diverged from monolithic");
-      break;
-    }
-    benchmark::DoNotOptimize(u);
-  }
-  unsetenv("COYOTE_LP_DECOMP");
-  state.SetLabel(state.range(0) != 0 ? "decomposed" : "monolithic");
-}
-BENCHMARK(BM_OptuDecompVsMonolithic)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DualVsPrimalWarmChain(benchmark::State& state) {
+void BM_DualWarmChain(benchmark::State& state) {
   // Warm bound-mutation chain on GEANT (the failure-sweep shape): one
   // resident engine re-solves the same demand while single edges fail
   // and restore, each toggle a bounds mutation that leaves the retained
-  // basis dual-feasible but primal-infeasible. Arg 1 lets the dual
-  // simplex repair it; arg 0 forces the composite primal phase 1
-  // (COYOTE_LP_DUAL=0). Every answer is cross-checked cold.
+  // basis dual-feasible but primal-infeasible for the dual simplex to
+  // repair. Every answer is cross-checked against a reference chain.
   const Graph g = topo::makeZoo("Geant");
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix d = tm::gravityMatrix(g, 1.0);
@@ -132,7 +103,6 @@ void BM_DualVsPrimalWarmChain(benchmark::State& state) {
       }
     }
   }
-  setenv("COYOTE_LP_DUAL", state.range(0) != 0 ? "1" : "0", 1);
   routing::OptuEngine engine(g, dags);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -145,10 +115,8 @@ void BM_DualVsPrimalWarmChain(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(u);
   }
-  unsetenv("COYOTE_LP_DUAL");
-  state.SetLabel(state.range(0) != 0 ? "dual" : "primal-only");
 }
-BENCHMARK(BM_DualVsPrimalWarmChain)->Arg(0)->Arg(1);
+BENCHMARK(BM_DualWarmChain);
 
 }  // namespace
 

@@ -25,7 +25,6 @@
 #include "sim/fluid.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
-#include "util/env.hpp"
 #include "util/mem.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
@@ -1043,25 +1042,6 @@ KindOutput runKind(const Scenario& s, const RunOptions& opt, bool print) {
   return {};  // unreachable
 }
 
-// Matches the trailing line of the pre-registry bench binaries: the
-// margin-sweep binaries echoed the COYOTE_FULL flag, the rest did not,
-// and fig12 printed no elapsed line at all.
-void printElapsed(const Scenario& s, const RunOptions& opt, double seconds) {
-  switch (s.kind) {
-    case ScenarioKind::kPrototype:
-      return;
-    case ScenarioKind::kSchemes:
-    case ScenarioKind::kTable:
-    case ScenarioKind::kStretch:
-      std::printf("# elapsed: %.1fs (COYOTE_FULL=%d)\n", seconds,
-                  opt.full ? 1 : 0);
-      return;
-    default:
-      std::printf("# elapsed: %.1fs\n", seconds);
-      return;
-  }
-}
-
 }  // namespace
 
 double ScenarioResult::minSeconds() const {
@@ -1113,7 +1093,7 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
     const double elapsed = timer.elapsedSeconds();
     lp_delta = lp::statsSnapshot() - lp_before;
     last_elapsed = elapsed;
-    if (print) printElapsed(s, opt_, elapsed);
+    if (print) std::printf("# elapsed: %.1fs\n", elapsed);
     if (rep >= warmup) result.seconds.push_back(elapsed);
   }
   result.ok = output.ok;
@@ -1269,20 +1249,6 @@ int ExperimentRunner::runAll(
     }
   }
   return failures;
-}
-
-int runScenarioShim(const std::string& id) {
-  const Scenario* s = ScenarioRegistry::global().find(id);
-  if (s == nullptr) {
-    std::fprintf(stderr, "unknown scenario: %s\n", id.c_str());
-    return 1;
-  }
-  RunOptions opt;
-  opt.full = util::envFlag("COYOTE_FULL");
-  opt.exact = util::envFlag("COYOTE_EXACT");
-  opt.json_dir = util::envString("COYOTE_JSON_DIR");
-  const ExperimentRunner runner(opt);
-  return runner.runAll({s}) == 0 ? 0 : 1;
 }
 
 }  // namespace coyote::exp

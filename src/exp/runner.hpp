@@ -1,8 +1,7 @@
-// Executes scenarios from the ScenarioRegistry: streams the same text rows
-// the per-figure bench binaries always printed, times repetitions, and
-// emits one self-describing BENCH_<scenario>.json per scenario (the format
-// bench_compare and the CI perf gate consume; schema documented in
-// EXPERIMENTS.md).
+// Executes scenarios from the ScenarioRegistry: streams each scenario's
+// text rows, times repetitions, and emits one self-describing
+// BENCH_<scenario>.json per scenario (the format bench_compare and the CI
+// perf gate consume; schema documented in EXPERIMENTS.md).
 #pragma once
 
 #include <string>
@@ -55,11 +54,6 @@ class ExperimentRunner {
  private:
   RunOptions opt_;
 };
-
-/// Entry point for the thin per-figure bench shims: options come from the
-/// environment (COYOTE_FULL, COYOTE_EXACT, COYOTE_JSON_DIR) and the rows
-/// print exactly as the pre-registry binaries did. Returns an exit code.
-int runScenarioShim(const std::string& id);
 
 /// `git describe --always --dirty`, or "unknown" outside a work tree.
 [[nodiscard]] std::string gitDescribe();

@@ -2,12 +2,11 @@
 //
 // A Scenario names one experiment -- topology x base-demand model x margin
 // grid x pool/optimizer options x measurement kind -- and the global
-// ScenarioRegistry holds every figure/table of the paper plus the
-// combinations the per-figure binaries never reached (all Zoo topologies
-// under gravity/bimodal/uniform base demands, synthetic topologies from
-// topo::generator). The ExperimentRunner (runner.hpp) executes scenarios;
-// the per-figure bench binaries are thin shims over it, so `bench_fig06...`
-// and `coyote_experiments --run fig06` produce identical rows.
+// ScenarioRegistry holds every figure/table of the paper plus further
+// combinations (all Zoo topologies under gravity/bimodal/uniform base
+// demands, synthetic topologies from topo::generator). The
+// ExperimentRunner (runner.hpp) executes scenarios; `coyote_experiments
+// <id>` is the one command-line entry point.
 #pragma once
 
 #include <cstdint>
@@ -145,7 +144,7 @@ struct Scenario {
   /// kScaling: the size ladder, smallest rung first. Each rung runs the
   /// full scheme set at fixed_margin and reports nodes/edges/ratios plus
   /// optimize-time, peak-RSS and lp-pivot curves. `topology` mirrors the
-  /// smallest rung so single-topology consumers (tests, shims) stay cheap.
+  /// smallest rung so single-topology consumers (tests) stay cheap.
   std::vector<TopologySpec> ladder;
 
   core::LocalSearchOptions local_search;  ///< kLocalSearch

@@ -1,8 +1,8 @@
 // The scheme margin sweep at the heart of the paper's evaluation
-// (Figs. 6-9, Table I), factored out of the per-figure bench binaries so
-// the scenario registry (scenario.hpp) and the experiment runner
-// (runner.hpp) can drive it uniformly. Since the te::Scheme redesign the
-// sweep is generic over a scheme list (default: the paper's four, from
+// (Figs. 6-9, Table I), factored out so the scenario registry
+// (scenario.hpp) and the experiment runner (runner.hpp) can drive it
+// uniformly. Since the te::Scheme redesign the sweep is generic over a
+// scheme list (default: the paper's four, from
 // te::SchemeRegistry::builtin()).
 //
 // Every sweep prints/records the same rows the paper reports, normalized --

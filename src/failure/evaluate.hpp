@@ -20,10 +20,10 @@
 // OPTU_f re-solves ride routing::OptuEngine::setFailedEdges: a failure is
 // a bounds mutation on a retained simplex session, not an LP rebuild, so
 // sweeping hundreds of failure variants reuses warm bases (the pivot-count
-// payoff is surfaced in the BENCH lp_* telemetry; COYOTE_LP_COLD=1
-// disables it for A/B measurement). Failures are fanned out over
-// util::ThreadPool in fixed-size chunks -- each chunk one engine with its
-// own warm chain -- so results are bit-identical for any COYOTE_THREADS.
+// payoff is surfaced in the BENCH lp_* telemetry). Failures are fanned
+// out over util::ThreadPool in fixed-size chunks -- each chunk one engine
+// with its own warm chain -- so results are bit-identical for any
+// COYOTE_THREADS.
 #pragma once
 
 #include <memory>

@@ -13,8 +13,7 @@
 //    by the ratio test (nonbasic variables rest at either bound and may
 //    bound-flip), not by materializing extra rows;
 //  * devex reference-framework pricing with candidate-list partial pricing
-//    (Dantzig full scans remain behind COYOTE_LP_PRICING=dantzig; Bland's
-//    rule is the anti-cycling fallback for both);
+//    (Bland's rule is the anti-cycling fallback);
 //  * a Harris-style two-pass ratio test with a bounded tolerance-expansion
 //    degeneracy perturbation, and a piecewise-linear long-step variant for
 //    the composite phase 1;
@@ -108,39 +107,22 @@ class LpProblem {
   std::vector<double> rhs_;
 };
 
-/// Entering-variable pricing rule. Devex (reference-framework weights with
-/// candidate-list partial pricing) is the default; Dantzig (full most-
-/// negative-reduced-cost scans, the pre-devex behavior) remains as an
-/// escape hatch. Bland's rule is the anti-cycling fallback for both.
-enum class Pricing { kDevex, kDantzig };
-
-/// Pricing selected by the COYOTE_LP_PRICING env knob ("devex" | "dantzig");
-/// devex when unset or unrecognized.
-[[nodiscard]] Pricing defaultPricing();
-
-/// Dual-simplex availability from the COYOTE_LP_DUAL env knob: enabled
-/// unless set to "0". When enabled, solve() runs the bounded-variable dual
-/// simplex instead of the composite primal phase 1 whenever the retained
-/// warm basis is primal-infeasible but still dual-feasible -- the common
-/// state after setRhs/setBounds mutation chains on an optimal basis.
-[[nodiscard]] bool defaultDualSimplex();
-
+/// Solver tolerances and limits. Pricing is always devex, and solve() on a
+/// warm basis that is primal-infeasible but still dual-feasible -- the
+/// common state after setRhs/setBounds mutation chains on an optimal
+/// basis -- always runs the bounded-variable dual simplex before the
+/// composite primal phase 1 (see docs/lp-engine.md).
 struct SimplexOptions {
   int max_iterations = 200000;
   /// Refactorize the LU basis factorization after this many Forrest-Tomlin
   /// updates (it also refactorizes early when the stored fill outgrows the
   /// fresh factorization by a fixed factor).
   int refactor_every = 128;
-  /// Switch to Bland's rule after this many non-improving pivots.
+  /// Switch to Bland's rule after this many non-improving pivots (0: at
+  /// the first degenerate pivot).
   int stall_limit = 2000;
   double feas_tol = 1e-7;
   double opt_tol = 1e-8;
-  /// Entering rule; defaults from the COYOTE_LP_PRICING env knob.
-  Pricing pricing = defaultPricing();
-  /// Allow the dual simplex on warm primal-infeasible / dual-feasible
-  /// bases; defaults from the COYOTE_LP_DUAL env knob (see
-  /// defaultDualSimplex). The escape hatch for A/B measurement.
-  bool dual_simplex = defaultDualSimplex();
 };
 
 /// A simplex basis: one status entry per column (structural variables
@@ -180,7 +162,6 @@ struct LpResult {
   Status status = Status::kIterLimit;
   double objective = 0.0;
   std::vector<double> x;  ///< primal solution in original variable space
-  int iterations = 0;     ///< == stats.iterations (kept for old callers)
   Basis basis;            ///< final basis (valid when status == kOptimal)
   SolveStats stats;
 

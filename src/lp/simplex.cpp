@@ -5,7 +5,6 @@
 #include "lp/basis.hpp"
 #include "lp/lp.hpp"
 #include "lp/stats.hpp"
-#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace coyote::lp {
@@ -19,15 +18,6 @@ std::string toString(Status s) {
   }
   ensure(false, "lp::toString: invalid Status value");
   return {};  // unreachable
-}
-
-Pricing defaultPricing() {
-  return util::envString("COYOTE_LP_PRICING") == "dantzig" ? Pricing::kDantzig
-                                                           : Pricing::kDevex;
-}
-
-bool defaultDualSimplex() {
-  return util::envString("COYOTE_LP_DUAL", "1") != "0";
 }
 
 int LpProblem::addVar(double obj, double lb, double ub, std::string name) {
@@ -214,7 +204,6 @@ class SimplexSolver::Impl {
     const util::Timer timer;
     LpResult res;
     res.status = run(res.stats);
-    res.iterations = res.stats.iterations;
     res.basis = basis_status_;
     if (res.status == Status::kOptimal) {
       res.x.assign(n_, 0.0);
@@ -1103,7 +1092,7 @@ class SimplexSolver::Impl {
     // dual-feasible on many problems but far from optimal, and phase 1 +
     // devex is the better route there). The primal loop below always runs
     // afterwards and owns the final verdict.
-    if (warm_ && opt_.dual_simplex) {
+    if (warm_) {
       const DualVerdict dv = runDual(st, eps);
       if (dv == DualVerdict::kInfeasible) return Status::kInfeasible;
       if (dv == DualVerdict::kIterLimit) return Status::kIterLimit;
@@ -1135,7 +1124,7 @@ class SimplexSolver::Impl {
         cand_.clear();  // reduced costs flipped
         y_valid = false;
       }
-      if (bland || opt_.pricing != Pricing::kDevex) y_valid = false;
+      if (bland) y_valid = false;
 
       // y = B^{-T} c_B for the phase's cost vector. Phase-1 costs are +-1
       // on violated basics and 0 elsewhere -- in particular 0 on every
@@ -1163,8 +1152,7 @@ class SimplexSolver::Impl {
       }
       const std::vector<double>& cost = cost_;
 
-      // Pricing: devex candidate list (or Dantzig full scan under the
-      // COYOTE_LP_PRICING escape hatch); Bland when anti-cycling.
+      // Pricing: devex candidate list; Bland when anti-cycling.
       int enter = -1;
       double enter_dir = 0.0;
       double enter_viol = 0.0;
@@ -1180,20 +1168,6 @@ class SimplexSolver::Impl {
             enter_dir = d;
             enter_viol = v;
             break;
-          }
-        }
-      } else if (opt_.pricing == Pricing::kDantzig) {
-        double best_viol = opt_.opt_tol;
-        for (int col = 0; col < n_ + m_; ++col) {
-          if (status(col) == Basis::kBasic || isFixed(col)) continue;
-          double d = 0.0;
-          const double v = violation(
-              col, reducedCost(col, y, cost, phase1), &d);
-          if (v > best_viol) {
-            best_viol = v;
-            enter = col;
-            enter_dir = d;
-            enter_viol = v;
           }
         }
       } else {
@@ -1261,7 +1235,7 @@ class SimplexSolver::Impl {
         xval_[enter] = boundValue(enter);
       } else {
         const int leaving_col = basis_[ro.leave];
-        const bool devex = !bland && opt_.pricing == Pricing::kDevex;
+        const bool devex = !bland;
         const double ap = alpha[ro.leave];
         bool have_rho = false;
         if (devex && !phase1 && std::abs(ap) > 1e-7) {

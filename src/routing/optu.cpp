@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "lp/stats.hpp"
-#include "util/env.hpp"
 
 namespace coyote::routing {
 
@@ -247,10 +246,6 @@ void OptuEngine::setFailedEdges(const std::vector<EdgeId>& edges) {
 // merely prices out the remaining gap to the exact LP optimum.
 // ---------------------------------------------------------------------------
 
-bool OptuEngine::decompEnabled() {
-  return util::envString("COYOTE_LP_DECOMP", "1") != "0";
-}
-
 lp::Basis OptuEngine::decomposeSeed(const Template& t,
                                     const tm::TrafficMatrix& d,
                                     util::ThreadPool* tp) const {
@@ -438,7 +433,7 @@ lp::Basis OptuEngine::decomposeSeed(const Template& t,
 const lp::Basis& OptuEngine::ensureSeed(Template& t,
                                         const tm::TrafficMatrix& d,
                                         util::ThreadPool* tp) {
-  if (!t.tried_seed && decompEnabled() && !coldOverride()) {
+  if (!t.tried_seed) {
     t.tried_seed = true;
     t.seed = decomposeSeed(t, d, tp);
   }
@@ -448,10 +443,14 @@ const lp::Basis& OptuEngine::ensureSeed(Template& t,
 double OptuEngine::utilization(const tm::TrafficMatrix& d) {
   const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
+  Template& t = serialFor(active, d);
+  return solveAlpha(*t.serial, t);
+}
+
+OptuEngine::Template& OptuEngine::serialFor(const std::vector<char>& active,
+                                            const tm::TrafficMatrix& d) {
   Template& t = templateFor(active);
-  if (coldOverride()) {
-    t.serial->setBasis({});
-  } else if (!t.warmed) {
+  if (!t.warmed) {
     // First solve on this template: seed the session from the
     // decomposition crossover basis instead of an all-logical cold start.
     // (Serial entries may run inside pool workers, so blocks solve
@@ -461,10 +460,8 @@ double OptuEngine::utilization(const tm::TrafficMatrix& d) {
     t.warmed = true;
   }
   applyDemand(*t.serial, t, d);
-  return solveAlpha(*t.serial, t);
+  return t;
 }
-
-bool OptuEngine::coldOverride() { return util::envFlag("COYOTE_LP_COLD"); }
 
 std::vector<double> OptuEngine::utilizationBatch(
     const std::vector<tm::TrafficMatrix>& pool, util::ThreadPool& tp) {
@@ -488,7 +485,6 @@ std::vector<double> OptuEngine::utilizationBatch(
     const lp::Basis* seed = nullptr;  ///< decomposition crossover basis
     std::vector<std::size_t> indices;
   };
-  const std::size_t chunk_size = coldOverride() ? 1 : kBatchChunk;
   std::vector<Chunk> chunks;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -499,11 +495,12 @@ std::vector<double> OptuEngine::utilizationBatch(
       // pool) builds the crossover basis every chunk clone starts from --
       // chunk clones otherwise pay a cold all-logical solve each batch.
       const lp::Basis& seed = ensureSeed(t, pool[members.front()], &tp);
-      for (std::size_t at = 0; at < members.size(); at += chunk_size) {
+      for (std::size_t at = 0; at < members.size(); at += kBatchChunk) {
         Chunk c;
         c.tpl = &t;
         c.seed = seed.empty() ? nullptr : &t.seed;
-        const std::size_t end = std::min(members.size(), at + chunk_size);
+        const std::size_t end =
+            std::min<std::size_t>(members.size(), at + kBatchChunk);
         c.indices.assign(members.begin() + at, members.begin() + end);
         chunks.push_back(std::move(c));
       }
@@ -526,15 +523,7 @@ std::pair<double, std::vector<std::vector<double>>>
 OptuEngine::utilizationWithFlows(const tm::TrafficMatrix& d) {
   const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
-  Template& t = templateFor(active);
-  if (coldOverride()) {
-    t.serial->setBasis({});
-  } else if (!t.warmed) {
-    const lp::Basis& seed = ensureSeed(t, d, nullptr);
-    if (!seed.empty()) t.serial->setBasis(seed);
-    t.warmed = true;
-  }
-  applyDemand(*t.serial, t, d);
+  Template& t = serialFor(active, d);
   const lp::LpResult res = t.serial->solve();
   if (res.status != lp::Status::kOptimal) {
     throw std::runtime_error("OPTU LP not optimal: " +

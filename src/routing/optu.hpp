@@ -99,16 +99,6 @@ class OptuEngine {
   /// block/crossover bookkeeping costs more than a cold monolithic solve.
   static constexpr int kDecompMinRows = 64;
 
-  /// True when COYOTE_LP_COLD=1: every solve cold-starts (chunk size 1,
-  /// serial sessions reset). A debugging/measurement knob -- the lp_pivots
-  /// delta between a cold and a default run is the warm-start payoff.
-  [[nodiscard]] static bool coldOverride();
-
-  /// Block-decomposition pre-solve availability: enabled unless
-  /// COYOTE_LP_DECOMP=0. The escape hatch for A/B measurement, mirroring
-  /// COYOTE_LP_COLD / COYOTE_LP_DUAL.
-  [[nodiscard]] static bool decompEnabled();
-
  private:
   struct Template;  // constraint matrix + var/row maps for one signature
 
@@ -116,6 +106,11 @@ class OptuEngine {
       const tm::TrafficMatrix& d) const;
   /// Returns the cached template for the signature, building it on demand.
   Template& templateFor(const std::vector<char>& active);
+  /// templateFor plus the serial session prepared for d: seeded from the
+  /// decomposition on the template's first solve, rhs pointed at d.
+  /// Caller holds mutex_.
+  Template& serialFor(const std::vector<char>& active,
+                      const tm::TrafficMatrix& d);
   /// Applies the current failed-edge set to a template (skeleton + session).
   void applyFailures(Template& t) const;
   /// Points the session's conservation rhs at d (validates routability).

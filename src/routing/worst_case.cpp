@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "routing/optu.hpp"
 #include "routing/propagation.hpp"
 #include "util/thread_pool.hpp"
 
@@ -78,10 +77,8 @@ class WorstCaseOracle::Impl {
     // O(|E| |V|^2) memory); the winner -- reduced in edge order so ties
     // resolve to the lowest edge id -- is re-solved from its stored
     // basis for its demand matrix.
-    const std::size_t chunk_size =
-        OptuEngine::coldOverride() ? 1 : kEdgeChunk;
     const std::size_t chunks =
-        (static_cast<std::size_t>(m) + chunk_size - 1) / chunk_size;
+        (static_cast<std::size_t>(m) + kEdgeChunk - 1) / kEdgeChunk;
     if (sessions_.size() != chunks) {
       sessions_.clear();
       for (std::size_t c = 0; c < chunks; ++c) {
@@ -95,9 +92,8 @@ class WorstCaseOracle::Impl {
     std::vector<double> ratio(static_cast<std::size_t>(m), 0.0);
     util::ThreadPool::global().parallelFor(chunks, [&](std::size_t c) {
       Session& session = *sessions_[c];
-      if (OptuEngine::coldOverride()) session.solver.setBasis({});
-      const EdgeId begin = static_cast<EdgeId>(c * chunk_size);
-      const EdgeId end = std::min<EdgeId>(m, begin + chunk_size);
+      const EdgeId begin = static_cast<EdgeId>(c * kEdgeChunk);
+      const EdgeId end = std::min<EdgeId>(m, begin + kEdgeChunk);
       for (EdgeId e = begin; e < end; ++e) {
         ratio[e] = solveEdge(session, coef, e);
       }
@@ -146,7 +142,7 @@ class WorstCaseOracle::Impl {
   }
 
  private:
-  /// Cold solve of one edge's LP with the demand matrix extracted
+  /// Solve of one edge's LP with the demand matrix extracted
   /// (`coef` is reused from the caller's scan -- it costs O(|V|^2) flow
   /// propagations to build).
   WorstCaseResult resolveEdge(const LoadCoefficients& coef, EdgeId edge) {
@@ -156,8 +152,7 @@ class WorstCaseOracle::Impl {
     // The scan (if any) just solved this edge and stored its optimal
     // basis; re-solving from it recovers the full demand vector in a
     // handful of pivots instead of a cold phase-1 solve.
-    if (opt_.dual_simplex && !OptuEngine::coldOverride() &&
-        static_cast<std::size_t>(edge) < edge_basis_.size() &&
+    if (static_cast<std::size_t>(edge) < edge_basis_.size() &&
         !edge_basis_[edge].empty()) {
       session.solver.setBasis(edge_basis_[edge]);
     }
@@ -335,19 +330,14 @@ class WorstCaseOracle::Impl {
     // away, while the neighboring edge's basis prices a fully different
     // objective. Each edge belongs to exactly one chunk, so the slot is
     // touched by a single pool worker and the scan stays bit-identical
-    // for any thread count.
-    // Stored-basis warm entry rides the dual-simplex machinery (after a
-    // setFailedEdges rhs mutation the memoized basis is typically primal-
-    // infeasible and re-enters through the dual), so the same option --
-    // and therefore the COYOTE_LP_DUAL escape hatch -- gates both.
-    const bool memo_on = opt_.dual_simplex && !OptuEngine::coldOverride();
+    // for any thread count. After a setFailedEdges rhs mutation the
+    // memoized basis is typically primal-infeasible and re-enters through
+    // the dual simplex.
     lp::Basis& memo = edge_basis_[target];
-    if (memo_on && !memo.empty()) {
-      session.solver.setBasis(memo);
-    }
+    if (!memo.empty()) session.solver.setBasis(memo);
     const lp::LpResult res = session.solver.solve();
     if (res.status != lp::Status::kOptimal) return 0.0;
-    if (memo_on) memo = session.solver.basis();
+    memo = session.solver.basis();
     return res.objective;
   }
 

@@ -46,7 +46,7 @@ struct TraceOptions {
 /// A pure link-flap trace: `flaps` times, fail one physical link and
 /// restore it (cycling through the lowest-id links). Every event is a
 /// state change hitting the resident engine's warm chain -- the workload
-/// the warm-vs-COYOTE_LP_COLD pivot comparison replays.
+/// the warm-vs-cold pivot comparison replays.
 [[nodiscard]] std::vector<std::string> linkFlapTrace(const Graph& g,
                                                      int flaps);
 

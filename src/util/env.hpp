@@ -1,13 +1,12 @@
-// Environment-variable knobs, shared by benches, tools and tests.
+// Environment-variable parsing, shared by tools and tests.
 //
-// Every runtime surface of the repo reads the same small set of COYOTE_*
-// variables (COYOTE_FULL, COYOTE_EXACT, COYOTE_THREADS, ...); these helpers
-// are the single parsing point so the semantics ("set and not '0'") cannot
-// drift between binaries.
+// The repo reads a small set of COYOTE_* variables: COYOTE_FULL and
+// COYOTE_EXACT in tools/ and tests, and COYOTE_THREADS in the thread pool
+// (the one read inside the library). These helpers are the single parsing
+// point so the semantics ("set and not '0'") cannot drift between binaries.
 #pragma once
 
 #include <cstdlib>
-#include <string>
 
 namespace coyote::util {
 
@@ -24,13 +23,6 @@ namespace coyote::util {
   char* end = nullptr;
   const long parsed = std::strtol(v, &end, 10);
   return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-/// String value of `name`, or `fallback` when unset.
-[[nodiscard]] inline std::string envString(const char* name,
-                                           const std::string& fallback = {}) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
 }
 
 }  // namespace coyote::util

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "core/coyote.hpp"
@@ -411,37 +410,34 @@ TEST(FailureEvaluator, WarmStartedResolvesBeatColdOnes) {
   const FailureEvaluator eval(g, dags, base, quickOptions());
   const auto fails = singleLinkFailures(g);
 
-  const lp::StatsSnapshot before_warm = lp::statsSnapshot();
+  const lp::StatsSnapshot before = lp::statsSnapshot();
   const FailureSweepResult warm = eval.evaluate(fails);
-  const lp::StatsSnapshot warm_delta = lp::statsSnapshot() - before_warm;
+  const lp::StatsSnapshot warm_delta = lp::statsSnapshot() - before;
 
-  ASSERT_EQ(::setenv("COYOTE_LP_COLD", "1", 1), 0);
-  const lp::StatsSnapshot before_cold = lp::statsSnapshot();
-  const FailureSweepResult cold = eval.evaluate(fails);
-  const lp::StatsSnapshot cold_delta = lp::statsSnapshot() - before_cold;
-  ::unsetenv("COYOTE_LP_COLD");
-
-  // Same verdicts (up to LP vertex choice the ratios agree closely)...
-  ASSERT_EQ(warm.evaluated, cold.evaluated);
-  for (std::size_t i = 0; i < warm.outcomes.size(); ++i) {
-    for (std::size_t s = 0; s < warm.outcomes[i].ratio.size(); ++s) {
-      if (warm.outcomes[i].routable[s]) {
-        EXPECT_NEAR(warm.outcomes[i].ratio[s], cold.outcomes[i].ratio[s],
-                    1e-7 * (1.0 + cold.outcomes[i].ratio[s]));
+  // Same verdicts as a reference that reuses no basis across failures:
+  // each failure alone in its own evaluate() call, which builds a fresh
+  // OPTU engine for it (the intact routings are the evaluator's fixed
+  // state, so nothing else differs)...
+  ASSERT_EQ(warm.outcomes.size(), fails.size());
+  for (std::size_t i = 0; i < fails.size(); ++i) {
+    const FailureSweepResult alone = eval.evaluate({fails[i]});
+    const FailureOutcome& ref = alone.outcomes.front();
+    ASSERT_EQ(warm.outcomes[i].evaluated, ref.evaluated) << ref.label;
+    for (std::size_t s = 0; s < ref.ratio.size(); ++s) {
+      if (ref.routable[s]) {
+        EXPECT_NEAR(warm.outcomes[i].ratio[s], ref.ratio[s],
+                    1e-7 * (1.0 + ref.ratio[s]))
+            << ref.label << " scheme " << s;
       }
     }
   }
-  // ...but the warm sweep reuses bases and pays far fewer pivots. The
-  // warm run may report *more* solve() calls than the cold one -- the
-  // decomposition pre-solve's per-destination block LPs are counted too
-  // (COYOTE_LP_COLD disables the pre-solve along with warm chaining) --
-  // so the comparison is on total pivots, where the block solves are
-  // also included. The acceptance bar for the GEANT bench sweep is 1.5x;
-  // the 3x3 grid already clears it.
-  EXPECT_GE(warm_delta.solves, cold_delta.solves);
-  EXPECT_LT(warm_delta.iterations * 3, cold_delta.iterations * 2)
-      << "warm pivots " << warm_delta.iterations << " vs cold "
-      << cold_delta.iterations;
+  // ...but the warm sweep reuses bases and pays far fewer pivots than an
+  // all-cold sweep. The ceiling is the all-cold sweep's pivot count over
+  // 1.5 (the acceptance bar for the GEANT bench sweep), measured with gcc
+  // 12 in Release before the cold switch was removed: 4,718 warm vs
+  // 19,226 cold pivots, so 19,226 / 1.5 = 12,817.
+  EXPECT_LT(warm_delta.iterations, 12817)
+      << "warm pivots " << warm_delta.iterations;
 }
 
 // ---------------------------------------------------------------------------

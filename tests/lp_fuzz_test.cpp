@@ -256,23 +256,36 @@ TEST(LpFuzz, DegenerateWarmChainsAgreeWithColdOracle) {
 TEST(LpFuzz, DualSimplexRhsBoundChainsAgreeWithAlwaysBlandOracle) {
   // The dual simplex's home turf, differentially fuzzed: warm sessions
   // driven through rhs/bound-only mutation chains (the OPTU re-solve and
-  // setFailedEdges shapes) with opt.dual_simplex forced on, every step
-  // re-checked against the dense always-Bland oracle. The chains must
-  // also actually exercise the dual path (dual_pivots > 0 process-wide)
-  // and cover status flips in both directions -- in particular chains
-  // where a mutation makes the LP infeasible and a later one restores an
-  // optimum, the transition the dual-ray verdict and the primal phase-1
-  // backstop hand off across.
+  // setFailedEdges shapes), every step re-checked against the dense
+  // always-Bland oracle. Two seeded corpora with different mutation mixes.
+  // The chains must also actually exercise the dual path (dual_pivots > 0
+  // process-wide) and cover status flips in both directions -- in
+  // particular chains where a mutation makes the LP infeasible and a later
+  // one restores an optimum, the transition the dual-ray verdict and the
+  // primal phase-1 backstop hand off across.
+  const auto check = [](lp::SimplexSolver& session, const DenseLp& dense,
+                        const std::string& context) {
+    const RefResult ref = lp_reference::solve(dense);
+    const lp::LpResult warm = session.solve();
+    EXPECT_NE(warm.status, lp::Status::kIterLimit) << context;
+    EXPECT_EQ(lp::toString(warm.status), lp::toString(ref.status))
+        << context;
+    if (ref.optimal() && warm.optimal()) {
+      EXPECT_NEAR(warm.objective, ref.objective,
+                  kObjTol * (1.0 + std::fabs(ref.objective)))
+          << context;
+    }
+    return warm.status;
+  };
+  const lp::StatsSnapshot before = lp::statsSnapshot();
+
   std::mt19937_64 rng(90210);
   std::uniform_int_distribution<int> pct(0, 99), rhs(-5, 5);
-  lp::SimplexOptions dual_on;
-  dual_on.dual_simplex = true;
-  const lp::StatsSnapshot before = lp::statsSnapshot();
   int infeasible_to_optimal = 0;
   for (int k = 0; k < 60; ++k) {
     DenseLp dense = randomLp(rng);
-    lp::SimplexSolver session(dense.toProblem(), dual_on);
-    lp::LpResult prev = session.solve();
+    lp::SimplexSolver session(dense.toProblem());
+    lp::Status prev = session.solve().status;
     for (int step = 0; step < 8; ++step) {
       std::uniform_int_distribution<int> var(0, dense.numVars() - 1);
       std::uniform_int_distribution<int> row(0, dense.numRows() - 1);
@@ -293,71 +306,45 @@ TEST(LpFuzz, DualSimplexRhsBoundChainsAgreeWithAlwaysBlandOracle) {
         dense.ub[j] = lp::kInfinity;
         session.setBounds(j, 0.0, lp::kInfinity);
       }
-      const RefResult ref = lp_reference::solve(dense);
-      const lp::LpResult warm = session.solve();
-      const std::string context =
-          "dual chain " + std::to_string(k) + " step " + std::to_string(step);
-      ASSERT_NE(warm.status, lp::Status::kIterLimit) << context;
-      EXPECT_EQ(lp::toString(warm.status), lp::toString(ref.status))
-          << context;
-      if (ref.optimal() && warm.optimal()) {
-        EXPECT_NEAR(warm.objective, ref.objective,
-                    kObjTol * (1.0 + std::fabs(ref.objective)))
-            << context;
-      }
-      if (prev.status == lp::Status::kInfeasible && warm.optimal()) {
+      const lp::Status now = check(
+          session, dense,
+          "dual chain " + std::to_string(k) + " step " + std::to_string(step));
+      if (prev == lp::Status::kInfeasible && now == lp::Status::kOptimal) {
         ++infeasible_to_optimal;
       }
-      prev = warm;
+      prev = now;
     }
   }
-  // The corpus is seeded, so these are deterministic floors, not flakes.
-  EXPECT_GT((lp::statsSnapshot() - before).dual_pivots, 0);
-  EXPECT_GE(infeasible_to_optimal, 3);
-}
 
-TEST(LpFuzz, DualOnAndOffSessionsAgreeOnMutationChains) {
-  // Engine-vs-engine: two sessions fed byte-identical rhs/bound chains,
-  // one with the dual entry path, one always-primal. Status and objective
-  // must agree at every step -- the dual path is an optimization, never a
-  // semantic fork.
-  std::mt19937_64 rng(515151);
-  std::uniform_int_distribution<int> pct(0, 99), rhs(-5, 5);
-  lp::SimplexOptions dual_on, dual_off;
-  dual_on.dual_simplex = true;
-  dual_off.dual_simplex = false;
+  // Second corpus: rhs edits and single-variable fail/restore toggles.
+  std::mt19937_64 rng2(515151);
   for (int k = 0; k < 40; ++k) {
-    DenseLp dense = randomLp(rng);
-    lp::SimplexSolver a(dense.toProblem(), dual_on);
-    lp::SimplexSolver b(dense.toProblem(), dual_off);
-    (void)a.solve();
-    (void)b.solve();
+    DenseLp dense = randomLp(rng2);
+    lp::SimplexSolver session(dense.toProblem());
+    (void)session.solve();
     for (int step = 0; step < 6; ++step) {
       std::uniform_int_distribution<int> var(0, dense.numVars() - 1);
       std::uniform_int_distribution<int> row(0, dense.numRows() - 1);
-      if (pct(rng) < 60) {
-        const int i = row(rng);
-        const double v = rhs(rng);
-        a.setRhs(i, v);
-        b.setRhs(i, v);
+      if (pct(rng2) < 60) {
+        const int i = row(rng2);
+        const double v = rhs(rng2);
+        dense.rhs[i] = v;
+        session.setRhs(i, v);
       } else {
-        const int j = var(rng);
-        const double hi = pct(rng) < 50 ? 0.0 : lp::kInfinity;
-        a.setBounds(j, 0.0, hi);
-        b.setBounds(j, 0.0, hi);
+        const int j = var(rng2);
+        const double hi = pct(rng2) < 50 ? 0.0 : lp::kInfinity;
+        dense.lb[j] = 0.0;
+        dense.ub[j] = hi;
+        session.setBounds(j, 0.0, hi);
       }
-      const lp::LpResult ra = a.solve();
-      const lp::LpResult rb = b.solve();
-      const std::string context =
-          "on/off chain " + std::to_string(k) + " step " + std::to_string(step);
-      EXPECT_EQ(lp::toString(ra.status), lp::toString(rb.status)) << context;
-      if (ra.optimal() && rb.optimal()) {
-        EXPECT_NEAR(ra.objective, rb.objective,
-                    kObjTol * (1.0 + std::fabs(rb.objective)))
-            << context;
-      }
+      (void)check(session, dense,
+                  "toggle chain " + std::to_string(k) + " step " +
+                      std::to_string(step));
     }
   }
+  // The corpora are seeded, so these are deterministic floors, not flakes.
+  EXPECT_GT((lp::statsSnapshot() - before).dual_pivots, 0);
+  EXPECT_GE(infeasible_to_optimal, 3);
 }
 
 TEST(LpFuzz, WarmStartMutationChainsAgreeWithColdOracle) {

@@ -3,7 +3,7 @@
 //
 // Deliberately the *opposite* design of src/lp/ (dense instead of sparse,
 // artificial variables instead of composite phase 1, full tableau instead
-// of eta-file factorization, always-Bland instead of Dantzig): the two
+// of eta-file factorization, always-Bland instead of devex): the two
 // implementations share no code paths, so agreement on a fuzzed instance
 // is strong evidence both are right. lp_fuzz_test.cpp drives ~200 seeded
 // random bounded LPs -- including post-failure (zeroed-capacity /

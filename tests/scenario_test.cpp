@@ -1,5 +1,5 @@
-// exp::ScenarioRegistry -- the experiment grid behind coyote_experiments
-// and the per-figure bench shims: id uniqueness, filtering, and that every
+// exp::ScenarioRegistry -- the experiment grid behind coyote_experiments:
+// id uniqueness, filtering, and that every
 // registered scenario actually builds (graph, base matrix, corner pool).
 #include <gtest/gtest.h>
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -282,19 +281,14 @@ TEST(TeService, WarmResidentEngineBeatsColdOnLinkFlaps) {
   };
 
   const lp::StatsSnapshot warm = replay();
-  ASSERT_EQ(::setenv("COYOTE_LP_COLD", "1", 1), 0);
-  const lp::StatsSnapshot cold = replay();
-  ::unsetenv("COYOTE_LP_COLD");
 
-  // Far fewer pivots: each flap re-enters the resident engine as a
-  // bounds mutation on a warm basis (dual-simplex repaired). The warm
-  // run may report more solve() calls -- the OPTU decomposition
-  // pre-solve's block LPs count too (COYOTE_LP_COLD disables the
-  // pre-solve along with warm chaining) -- so the bar is on total
-  // pivots, which include the block solves' work.
-  EXPECT_GE(warm.solves, cold.solves);
-  EXPECT_GE(cold.iterations, warm.iterations * 3 / 2)
-      << "warm pivots " << warm.iterations << " vs cold " << cold.iterations;
+  // Far fewer pivots than an all-cold replay: each flap re-enters the
+  // resident engine as a bounds mutation on a warm basis (dual-simplex
+  // repaired). The ceiling is the all-cold replay's pivot count over 1.5,
+  // measured with gcc 12 in Release before the cold switch was removed:
+  // 5,156 warm vs 19,516 cold pivots, so 19,516 / 1.5 = 13,010. Pivots
+  // include the OPTU decomposition pre-solve's block LPs.
+  EXPECT_LT(warm.iterations, 13010) << "warm pivots " << warm.iterations;
 }
 
 TEST(TeService, WhatIfChunkIsFixed) {
