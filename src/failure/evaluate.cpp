@@ -130,13 +130,11 @@ FailureOutcome FailureEvaluator::evaluateOne(
   }
 
   // The common post-failure ruler: unrestricted OPTU on the surviving
-  // network, one warm re-solve per pool matrix (the failure entered the
-  // engine as a bounds mutation; see OptuEngine::setFailedEdges).
+  // network (the failure entered the engine as a bounds mutation; see
+  // OptuEngine::setFailedEdges), each pool matrix warm-started from the
+  // basis it ended with under the chunk's previous failure.
   engine.setFailedEdges(directedEdges(g_, f));
-  std::vector<double> optu(pool_.size(), 0.0);
-  for (std::size_t j = 0; j < pool_.size(); ++j) {
-    optu[j] = engine.utilization(pool_[j]);
-  }
+  const std::vector<double> optu = engine.utilizationPool(pool_);
 
   for (std::size_t j = 0; j < pool_.size(); ++j) {
     if (optu[j] <= 0.0) continue;  // zero matrix

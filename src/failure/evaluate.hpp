@@ -18,12 +18,13 @@
 // not directly comparable to the intact rows of the same scenario.
 //
 // OPTU_f re-solves ride routing::OptuEngine::setFailedEdges: a failure is
-// a bounds mutation on a retained simplex session, not an LP rebuild, so
-// sweeping hundreds of failure variants reuses warm bases (the pivot-count
-// payoff is surfaced in the BENCH lp_* telemetry). Failures are fanned
-// out over util::ThreadPool in fixed-size chunks -- each chunk one engine
-// with its own warm chain -- so results are bit-identical for any
-// COYOTE_THREADS.
+// a bounds mutation on a retained simplex session, not an LP rebuild, and
+// OptuEngine::utilizationPool re-solves each pool matrix from the basis it
+// ended with under the previous failure, so sweeping hundreds of failure
+// variants reuses warm bases (the pivot-count payoff is surfaced in the
+// BENCH lp_* telemetry). Failures are fanned out over util::ThreadPool in
+// fixed-size chunks -- each chunk one engine with its own warm chain -- so
+// results are bit-identical for any COYOTE_THREADS.
 #pragma once
 
 #include <memory>

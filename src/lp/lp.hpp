@@ -69,8 +69,7 @@ class LpProblem {
   explicit LpProblem(Sense sense = Sense::kMinimize) : sense_(sense) {}
 
   /// Adds a variable, returns its index.
-  int addVar(double obj = 0.0, double lb = 0.0, double ub = kInfinity,
-             std::string name = {});
+  int addVar(double obj = 0.0, double lb = 0.0, double ub = kInfinity);
 
   /// Adds a constraint row. Terms may repeat a variable (coefficients add).
   void addConstraint(std::vector<Term> terms, Rel rel, double rhs);
@@ -95,13 +94,11 @@ class LpProblem {
   [[nodiscard]] Sense sense() const { return sense_; }
   [[nodiscard]] int numVars() const { return static_cast<int>(obj_.size()); }
   [[nodiscard]] int numRows() const { return static_cast<int>(rhs_.size()); }
-  [[nodiscard]] const std::string& varName(int j) const { return names_[j]; }
 
  private:
   friend class SimplexSolver;
   Sense sense_;
   std::vector<double> obj_, lb_, ub_;
-  std::vector<std::string> names_;
   std::vector<std::vector<Term>> rows_;
   std::vector<Rel> rels_;
   std::vector<double> rhs_;
@@ -204,6 +201,8 @@ class SimplexSolver {
   int addRow(std::vector<Term> terms, Rel rel, double rhs);
 
   /// Installs an externally retained basis ({} resets to a cold start).
+  /// Earlier setRhs edits stop counting toward the dual simplex's entry
+  /// gate, so the installed basis is judged by its violated-basic count.
   void setBasis(const Basis& basis);
   [[nodiscard]] const Basis& basis() const;
 

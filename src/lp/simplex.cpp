@@ -20,14 +20,12 @@ std::string toString(Status s) {
   return {};  // unreachable
 }
 
-int LpProblem::addVar(double obj, double lb, double ub, std::string name) {
+int LpProblem::addVar(double obj, double lb, double ub) {
   require(std::isfinite(lb), "variable lower bound must be finite");
   require(ub >= lb, "variable upper bound below lower bound");
   obj_.push_back(obj);
   lb_.push_back(lb);
   ub_.push_back(ub);
-  if (name.empty()) name = "x" + std::to_string(obj_.size() - 1);
-  names_.push_back(std::move(name));
   return numVars() - 1;
 }
 
@@ -181,6 +179,10 @@ class SimplexSolver::Impl {
   }
 
   void setBasis(const Basis& basis) {
+    // The dual entry gate's rhs-edit count says how far the rhs moved away
+    // from the retained basis; an installed basis replaces that history, so
+    // it is judged by its violated-basic count alone.
+    rhs_edits_ = 0;
     if (basis.empty()) {
       resetBasisCold();
       return;
@@ -514,11 +516,18 @@ class SimplexSolver::Impl {
       }
     }
 
-    // 2. Refill with one full sweep, keeping the kCandMax best-scoring
-    // columns for the following iterations (multiple pricing: one scan
-    // amortizes over the candidate list's lifetime, and the entering
-    // quality matches global devex).
+    // 2. One full sweep. Phase 1 takes its argmax (ties: lowest column)
+    // and keeps no list: it never reads one, and the next phase-2
+    // iteration clears cand_.
     const int total = n_ + m_;
+    if (!use_list) {
+      for (int col = 0; col < total; ++col) consider(col, &best_score);
+      return enter;
+    }
+    // Phase 2 refills the list, keeping the kCandMax best-scoring columns
+    // for the following iterations (multiple pricing: one scan amortizes
+    // over the candidate list's lifetime, and the entering quality matches
+    // global devex).
     scan_hits_.clear();
     for (int col = 0; col < total; ++col) {
       const std::int8_t s = status(col);
@@ -1335,8 +1344,9 @@ class SimplexSolver::Impl {
   /// setBasis), so its reduced costs are worth testing for dual
   /// feasibility. Cold/reset bases never take the dual path.
   bool warm_ = false;
-  /// Value-changing setRhs edits since the last solve: the dual entry
-  /// gate reads this to tell localized repairs from whole-rhs swaps.
+  /// Value-changing setRhs edits since the last solve or setBasis: the
+  /// dual entry gate reads this to tell localized repairs from whole-rhs
+  /// swaps.
   int rhs_edits_ = 0;
 };
 

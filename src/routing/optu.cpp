@@ -40,6 +40,9 @@ struct OptuEngine::Template {
   lp::Basis seed;
   bool tried_seed = false;
   bool warmed = false;  ///< serial session has solved (or been seeded)
+  /// [j] the basis pool position j ended with in utilizationPool; empty
+  /// until that position first solves on this template.
+  std::vector<lp::Basis> slot_basis;
 };
 
 OptuEngine::OptuEngine(const Graph& g, std::shared_ptr<const DagSet> dags,
@@ -79,7 +82,7 @@ OptuEngine::Template& OptuEngine::templateFor(const std::vector<char>& active) {
   Template& t = *tpl;
   t.active = active;
   const int n = g_.numNodes();
-  t.alpha = t.problem.addVar(1.0, 0.0, lp::kInfinity, "alpha");
+  t.alpha = t.problem.addVar(1.0, 0.0, lp::kInfinity);
   t.var.assign(n, {});
   t.row.assign(n, {});
   // One pass over the destinations builds everything sparsity-aware:
@@ -516,6 +519,26 @@ std::vector<double> OptuEngine::utilizationBatch(
       out[i] = solveAlpha(solver, *c.tpl);
     }
   });
+  return out;
+}
+
+std::vector<double> OptuEngine::utilizationPool(
+    const std::vector<tm::TrafficMatrix>& pool) {
+  std::vector<double> out(pool.size(), 0.0);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t j = 0; j < pool.size(); ++j) {
+    Template& t = serialFor(activeSignature(pool[j]), pool[j]);
+    // Installed after the rhs edits, so the dual simplex judges the slot's
+    // basis by how many of its basics the new matrix violates: after a
+    // link flap or a demand step usually few, and the dual repairs them
+    // where the previous position's basis would need a long phase 1.
+    if (j < t.slot_basis.size() && !t.slot_basis[j].empty()) {
+      t.serial->setBasis(t.slot_basis[j]);
+    }
+    out[j] = solveAlpha(*t.serial, t);
+    if (t.slot_basis.size() <= j) t.slot_basis.resize(j + 1);
+    t.slot_basis[j] = t.serial->basis();
+  }
   return out;
 }
 

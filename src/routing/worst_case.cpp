@@ -212,7 +212,7 @@ class WorstCaseOracle::Impl {
           }
         }
       }
-      lambda_ = p.addVar(0.0, 0.0, lp::kInfinity, "lambda");
+      lambda_ = p.addVar(0.0, 0.0, lp::kInfinity);
     }
     for (NodeId t = 0; t < n; ++t) {
       const Dag& dag = (*dags_)[t];

@@ -158,14 +158,12 @@ TeService::EvalResult TeService::evaluateLinks(
     out.routable[s] = failure::routesAllDemands(cfgs[s], base_);
   }
 
-  // The common ruler: unrestricted OPTU on the surviving network, one
-  // warm re-solve per pool matrix (the failure entered the engine as a
-  // bounds mutation; {} restores the intact network).
+  // The common ruler: unrestricted OPTU on the surviving network (the
+  // failure entered the engine as a bounds mutation; {} restores the
+  // intact network), each pool matrix warm-started from the basis it
+  // ended with at the engine's previous event.
   engine.setFailedEdges(failure::directedEdges(g_, f));
-  std::vector<double> optu(pool_.size(), 0.0);
-  for (std::size_t j = 0; j < pool_.size(); ++j) {
-    optu[j] = engine.utilization(pool_[j]);
-  }
+  const std::vector<double> optu = engine.utilizationPool(pool_);
   for (std::size_t j = 0; j < pool_.size(); ++j) {
     if (optu[j] <= 0.0) continue;  // zero matrix
     for (int s = 0; s < n; ++s) {

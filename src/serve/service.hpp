@@ -8,7 +8,9 @@
 //
 //  * demand-matrix updates  -- the corner pool is rebuilt around the new
 //    base matrix; the resident routing::OptuEngine re-solves it by rhs
-//    mutation on its retained simplex sessions;
+//    mutation on its retained simplex sessions, each pool position from
+//    the basis it ended with at the previous event
+//    (OptuEngine::utilizationPool);
 //  * link up/down           -- enters the engine via setFailedEdges (a
 //    bounds mutation, the PR-4 machinery), and each scheme reacts per
 //    its te::FailureReaction: kReconverge schemes re-run SPF on the
@@ -194,8 +196,8 @@ class TeService {
   std::optional<tm::DemandBounds> box_;
   std::vector<tm::TrafficMatrix> pool_;  ///< corner pool of the current box
   std::vector<EdgeId> failed_;  ///< failed links (canonical ids, ascending)
-  /// The resident ruler: unrestricted OPTU whose simplex sessions stay
-  /// warm across the whole event stream.
+  /// The resident ruler: unrestricted OPTU whose simplex sessions, and
+  /// one basis per pool position, stay warm across the whole event stream.
   std::unique_ptr<routing::OptuEngine> engine_;
   std::unique_ptr<util::ThreadPool> own_pool_;
   long long seq_ = 0;

@@ -7,9 +7,12 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "core/dag_builder.hpp"
 #include "exp/scenario.hpp"
+#include "failure/degrade.hpp"
+#include "failure/scenario.hpp"
 #include "lp/lp.hpp"
 #include "lp/stats.hpp"
 #include "routing/config.hpp"
@@ -146,6 +149,33 @@ TEST(SimplexSession, ExternalBasisWarmStartsAClone) {
   ASSERT_EQ(rb.status, Status::kOptimal);
   EXPECT_DOUBLE_EQ(rb.objective, ra.objective);
   EXPECT_EQ(rb.stats.iterations, 0);  // already optimal
+}
+
+TEST(SimplexSession, SetBasisResetsTheRhsEditHistory) {
+  // Rewriting every rhs of a solved session vetoes the dual simplex (a
+  // whole new matrix), but a basis installed afterwards is judged by how
+  // many of its basics the new rhs violates. Here the installed basis is
+  // optimal for the neighbouring rhs (12, 7): {y, s2} stays dual feasible
+  // at (12, 5), where only s2 = -1 is violated, so one dual pivot repairs
+  // it and phase 1 never runs.
+  SimplexSolver session(productionPlan());
+  ASSERT_EQ(session.solve().status, Status::kOptimal);
+
+  LpProblem neighbour = productionPlan();
+  neighbour.setConstraintRhs(0, 12.0);
+  neighbour.setConstraintRhs(1, 7.0);
+  const LpResult near = solve(neighbour);
+  ASSERT_EQ(near.status, Status::kOptimal);
+  EXPECT_NEAR(near.objective, 12.0, kTol);
+
+  session.setRhs(0, 12.0);
+  session.setRhs(1, 5.0);
+  session.setBasis(near.basis);
+  const LpResult r = session.solve();
+  ASSERT_EQ(r.status, Status::kOptimal);
+  EXPECT_NEAR(r.objective, 11.5, kTol);  // x = 0.5, y = 2.25
+  EXPECT_EQ(r.stats.phase1_iters, 0);
+  EXPECT_GT(r.stats.dual_pivots, 0);
 }
 
 TEST(SimplexSession, StaleBasisAfterBoundFlipIsRepaired) {
@@ -446,14 +476,17 @@ TEST(WorstCaseOracleTest, UnroutableBoxLowerBoundPinsLambdaToZero) {
 
 // --- OPTU engine: warm-start chains vs independent cold solves. ----------
 
-// OPTU within the DAGs as one plain LP, solved cold by the one-shot
-// lp::solve -- never through OptuEngine, so neither its warm chains nor
-// its decomposition pre-solve can leak into the reference. Variables and
-// rows are created in the engine's order: min alpha over per-destination
-// DAG-edge flows g_t(e), conservation at every non-destination node, and
-// sum_t g_t(e) <= alpha * c(e) on every edge.
-double referenceOptu(const Graph& g, const DagSet& dags,
-                     const tm::TrafficMatrix& d) {
+// OPTU as one plain LP, solved cold by the one-shot lp::solve -- never
+// through OptuEngine, so neither its warm chains nor its decomposition
+// pre-solve can leak into the reference. Variables and rows are created in
+// the engine's order: min alpha over per-destination flows g_t(e) -- on
+// DAG edges, or with `dags` null on every edge not leaving t (the
+// unrestricted OPTU) -- conservation at every non-destination node, and
+// sum_t g_t(e) <= alpha * c(e) on every edge. Flow on an edge marked in
+// `failed` is pinned to zero, as OptuEngine::setFailedEdges pins it.
+double referenceOptu(const Graph& g, const DagSet* dags,
+                     const tm::TrafficMatrix& d,
+                     const std::vector<char>& failed = {}) {
   const int n = g.numNodes();
   LpProblem p(Sense::kMinimize);
   const int alpha = p.addVar(1.0);
@@ -465,8 +498,17 @@ double referenceOptu(const Graph& g, const DagSet& dags,
       active = active || (s != t && d.at(s, t) > 0.0);
     }
     if (!active) continue;
-    for (const EdgeId e : dags[t].edges()) {
-      var[e] = p.addVar(0.0);
+    std::vector<EdgeId> edges;
+    if (dags != nullptr) {
+      edges = (*dags)[t].edges();
+    } else {
+      for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        if (g.edge(e).src != t) edges.push_back(e);
+      }
+    }
+    for (const EdgeId e : edges) {
+      const bool down = !failed.empty() && failed[e];
+      var[e] = p.addVar(0.0, 0.0, down ? 0.0 : kInfinity);
       cap_terms[e].push_back({var[e], 1.0});
     }
     for (NodeId u = 0; u < n; ++u) {
@@ -484,7 +526,7 @@ double referenceOptu(const Graph& g, const DagSet& dags,
       }
       p.addConstraint(std::move(terms), Rel::kEq, d.at(u, t));
     }
-    for (const EdgeId e : dags[t].edges()) var[e] = -1;
+    for (const EdgeId e : edges) var[e] = -1;
   }
   for (EdgeId e = 0; e < g.numEdges(); ++e) {
     if (cap_terms[e].empty()) continue;
@@ -529,7 +571,7 @@ TEST(OptuEngineTest, BatchIsIdenticalForAnyThreadCount) {
   // And the chained solves agree with independent cold solves to LP tol.
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (pool[i].total() <= 0.0) continue;
-    const double cold = referenceOptu(g, *dags, pool[i]);
+    const double cold = referenceOptu(g, dags.get(), pool[i]);
     EXPECT_NEAR(results[0][i], cold, 1e-7 * (1.0 + cold)) << "matrix " << i;
   }
 }
@@ -570,9 +612,75 @@ TEST(OptuEngineTest, DecomposedBatchIsIdenticalForAnyThreadCount) {
   }
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (pool[i].total() <= 0.0) continue;
-    const double cold = referenceOptu(g, *dags, pool[i]);
+    const double cold = referenceOptu(g, dags.get(), pool[i]);
     EXPECT_NEAR(results[0][i], cold, 1e-7 * (1.0 + cold)) << "matrix " << i;
   }
+}
+
+TEST(OptuEngineTest, PoolMemoMatchesReferenceAcrossEventChain) {
+  // utilizationPool re-solves each pool position from the basis that
+  // position ended with on the previous call. Drive the unrestricted Geant
+  // ruler through the serve daemon's event kinds -- fail a link, restore
+  // it, fail a pair, scale the demand, move the margin, shrink and regrow
+  // the pool -- and check every answer against a cold one-shot solve.
+  const Graph g = exp::TopologySpec::zoo("Geant").build();
+  tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+  tm::PoolOptions popt;  // the failure sweeps' pool shape
+  popt.source_hotspots = false;
+  popt.max_hotspots = 8;
+  popt.random_corners = 4;
+  popt.pair_hotspots = 4;
+
+  // The first pair of links whose loss strands no demand; either link
+  // alone then strands none either.
+  const std::vector<EdgeId> links = failure::physicalLinks(g);
+  failure::FailureScenario pair;
+  for (std::size_t a = 0; a < links.size() && pair.links.empty(); ++a) {
+    for (std::size_t b = a + 1; b < links.size() && pair.links.empty(); ++b) {
+      const failure::FailureScenario f{"", {links[a], links[b]}};
+      if (failure::disconnectedPairs(failure::degradedGraph(g, f), base) ==
+          0) {
+        pair = f;
+      }
+    }
+  }
+  ASSERT_FALSE(pair.links.empty());
+  const failure::FailureScenario one{"", {pair.links.front()}};
+  const failure::FailureScenario intact;
+
+  routing::OptuEngine engine(g);
+  std::vector<tm::TrafficMatrix> pool =
+      tm::cornerPool(tm::marginBounds(base, 2.0), popt);
+  const auto check = [&](const failure::FailureScenario& f,
+                         const std::string& step) {
+    engine.setFailedEdges(failure::directedEdges(g, f));
+    const std::vector<double> got = engine.utilizationPool(pool);
+    ASSERT_EQ(got.size(), pool.size()) << step;
+    const std::vector<char> failed = failure::failedEdgeMask(g, f);
+    for (std::size_t j = 0; j < pool.size(); ++j) {
+      const double ref = referenceOptu(g, nullptr, pool[j], failed);
+      EXPECT_NEAR(got[j], ref, 1e-9 * (1.0 + ref))
+          << step << ", matrix " << j;
+    }
+  };
+
+  const StatsSnapshot before = statsSnapshot();
+  check(intact, "intact");
+  check(one, "link down");
+  check(intact, "link up");
+  check(pair, "pair down");
+  base.scale(1.3);
+  pool = tm::cornerPool(tm::marginBounds(base, 2.0), popt);
+  check(pair, "demand x1.3");
+  pool = tm::cornerPool(tm::marginBounds(base, 2.5), popt);
+  check(pair, "margin 2.5");
+  const std::vector<tm::TrafficMatrix> full = pool;
+  pool.erase(pool.begin() + 3, pool.end());
+  check(intact, "pool shrunk");
+  pool = full;
+  check(pair, "pool regrown");
+  // The memoized bases re-entered through the dual simplex.
+  EXPECT_GT((statsSnapshot() - before).dual_pivots, 0);
 }
 
 // --- COYOTE_FULL=1: the engine vs the reference LP on every scenario. ----
@@ -603,7 +711,7 @@ TEST(OptuEngineTest, EngineMatchesReferenceAcrossAllScenarios) {
     const StatsSnapshot before = statsSnapshot();
     const double w1 = engine.utilization(base);
     if ((statsSnapshot() - before).decomp_rounds > 0) ++decomposed;
-    const double c1 = referenceOptu(g, *dags, base);
+    const double c1 = referenceOptu(g, dags.get(), base);
     ASSERT_NEAR(w1, c1, 1e-9 * (1.0 + c1)) << s.id;
 
     // Warm chain: margin-scaled variants, re-solved by rhs mutation
@@ -614,8 +722,8 @@ TEST(OptuEngineTest, EngineMatchesReferenceAcrossAllScenarios) {
     tm::TrafficMatrix perturbed = base;
     perturbed.scale(0.4);
     const double w3 = engine.utilization(perturbed);
-    const double c2 = referenceOptu(g, *dags, scaled);
-    const double c3 = referenceOptu(g, *dags, perturbed);
+    const double c2 = referenceOptu(g, dags.get(), scaled);
+    const double c3 = referenceOptu(g, dags.get(), perturbed);
     ASSERT_NEAR(w2, c2, 1e-7 * (1.0 + c2)) << s.id;
     ASSERT_NEAR(w3, c3, 1e-7 * (1.0 + c3)) << s.id;
     // OPTU is positively homogeneous: the scaled solves cross-check.
