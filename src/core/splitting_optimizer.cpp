@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -83,6 +84,41 @@ std::vector<std::vector<ActiveDemand>> activeColumns(
   return act;
 }
 
+/// One DAG edge as the kernel walks it. Destination t's ratio and gradient
+/// for it sit at the flat index t * m + e.
+struct Arc {
+  EdgeId e;
+  NodeId head;
+};
+
+/// Every destination's DAG flattened once per call. Destination t owns the
+/// nodes node[node_off[t] .. node_off[t+1]): its nodes with out-arcs, in
+/// topological order. Node slot k owns arc[arc_off[k] .. arc_off[k+1]), in
+/// Dag::outEdges order, so every walk below visits arcs in the same order
+/// as the Dag it was compiled from.
+struct CompiledDags {
+  std::vector<std::size_t> node_off;
+  std::vector<NodeId> node;
+  std::vector<std::size_t> arc_off;
+  std::vector<Arc> arc;
+
+  CompiledDags(const Graph& g, const DagSet& dags) {
+    node_off.push_back(0);
+    arc_off.push_back(0);
+    for (NodeId t = 0; t < g.numNodes(); ++t) {
+      const Dag& dag = dags[t];
+      for (const NodeId u : dag.topoOrder()) {
+        const auto& out = dag.outEdges(u);
+        if (out.empty()) continue;  // includes t: no edge leaves the dest
+        node.push_back(u);
+        for (const EdgeId e : out) arc.push_back({e, g.edge(e).dst});
+        arc_off.push_back(arc.size());
+      }
+      node_off.push_back(node.size());
+    }
+  }
+};
+
 }  // namespace
 
 routing::RoutingConfig optimizeSplitting(
@@ -93,17 +129,25 @@ routing::RoutingConfig optimizeSplitting(
   require(pool.size() > 0, "empty demand pool");
   const int n = g.numNodes();
   const int m = g.numEdges();
-  const DagSet& dags = init.dags();
+  const std::size_t P = static_cast<std::size_t>(pool.size());
 
   const auto active = activeColumns(pool);
+  const CompiledDags dags(g, init.dags());
+  std::vector<double> cap(m);
+  for (EdgeId e = 0; e < m; ++e) cap[e] = g.edge(e).capacity;
   Phi phi = fromConfig(g, init);
 
-  // Forward state per (pool matrix, destination): inflow at every node.
-  // Stored flat: flows[i] holds one vector per active destination of i.
-  std::vector<std::vector<std::vector<double>>> inflow(pool.size());
-  for (int i = 0; i < pool.size(); ++i) {
-    inflow[i].assign(active[i].size(), std::vector<double>(n, 0.0));
+  // Forward state per (pool matrix, destination): inflow at every node,
+  // one n-block per active destination, matrix i's blocks from inflow_off[i].
+  std::vector<std::size_t> inflow_off(P + 1, 0);
+  for (std::size_t i = 0; i < P; ++i) {
+    inflow_off[i + 1] = inflow_off[i] + active[i].size() * n;
   }
+  std::vector<double> inflow(inflow_off[P], 0.0);
+  // Row i holds matrix i's link utilizations, then its softmax weights,
+  // then its per-edge gradient weights G.
+  std::vector<double> util(P * m, 0.0);
+  std::vector<char> live(P, 0);
   std::vector<double> grad(static_cast<std::size_t>(n) * m, 0.0);
   std::vector<double> mu(n, 0.0);
 
@@ -115,35 +159,32 @@ routing::RoutingConfig optimizeSplitting(
   for (int iter = 0; iter < opt.iterations; ++iter) {
     ++executed;
     // ---- Forward: per-matrix link loads. Matrices are independent, so
-    // they propagate on the shared thread pool; umax reduces serially
+    // they propagate on the evaluator's thread pool; umax reduces serially
     // afterwards (max is order-insensitive, so this is bit-deterministic).
-    std::vector<std::vector<double>> util(pool.size(),
-                                          std::vector<double>(m, 0.0));
-    util::ThreadPool::global().parallelFor(
-        static_cast<std::size_t>(pool.size()), [&](std::size_t i) {
-          std::vector<double> loads(m, 0.0);
-          for (std::size_t k = 0; k < active[i].size(); ++k) {
-            const ActiveDemand& a = active[i][k];
-            const Dag& dag = dags[a.dest];
-            auto& F = inflow[i][k];
-            std::copy(a.column.begin(), a.column.end(), F.begin());
-            for (const NodeId u : dag.topoOrder()) {
-              if (u == a.dest || F[u] <= 0.0) continue;
-              for (const EdgeId e : dag.outEdges(u)) {
-                const double flow = F[u] * phi.at(a.dest, e);
-                loads[e] += flow;
-                F[g.edge(e).dst] += flow;
-              }
-            }
+    pool.threadPool().parallelFor(P, [&](std::size_t i) {
+      double* load = util.data() + i * m;
+      std::fill(load, load + m, 0.0);
+      for (std::size_t k = 0; k < active[i].size(); ++k) {
+        const ActiveDemand& a = active[i][k];
+        double* F = inflow.data() + inflow_off[i] + k * n;
+        std::copy(a.column.begin(), a.column.end(), F);
+        const NodeId t = a.dest;
+        const double* phi_t = &phi.at(t, 0);
+        for (std::size_t v = dags.node_off[t]; v < dags.node_off[t + 1]; ++v) {
+          const double f = F[dags.node[v]];
+          if (f <= 0.0) continue;
+          for (std::size_t j = dags.arc_off[v]; j < dags.arc_off[v + 1]; ++j) {
+            const Arc& arc = dags.arc[j];
+            const double flow = f * phi_t[arc.e];
+            load[arc.e] += flow;
+            F[arc.head] += flow;
           }
-          for (EdgeId e = 0; e < m; ++e) {
-            util[i][e] = loads[e] / g.edge(e).capacity;
-          }
-        });
+        }
+      }
+      for (EdgeId e = 0; e < m; ++e) load[e] /= cap[e];
+    });
     double umax = 0.0;
-    for (int i = 0; i < pool.size(); ++i) {
-      for (EdgeId e = 0; e < m; ++e) umax = std::max(umax, util[i][e]);
-    }
+    for (const double u : util) umax = std::max(umax, u);
     // A meaningful (relative) improvement resets the patience clock; the
     // `best` snapshot itself still tracks any strict improvement.
     if (umax < best_util - 1e-9 * std::max(1.0, best_util)) {
@@ -163,42 +204,51 @@ routing::RoutingConfig optimizeSplitting(
     const double tau =
         umax * (opt.temperature_start +
                 (opt.temperature_end - opt.temperature_start) * anneal);
+    const double temp = std::max(tau, 1e-9);
     double wsum = 0.0;
-    for (int i = 0; i < pool.size(); ++i) {
+    for (std::size_t i = 0; i < P; ++i) {
+      double* w = util.data() + i * m;
+      bool any = false;
       for (EdgeId e = 0; e < m; ++e) {
-        const double w = std::exp((util[i][e] - umax) / std::max(tau, 1e-9));
-        util[i][e] = (w > 1e-12) ? w : 0.0;  // reuse util[] as weight storage
-        wsum += util[i][e];
+        const double x = std::exp((w[e] - umax) / temp);
+        w[e] = (x > 1e-12) ? x : 0.0;
+        wsum += w[e];
+        any = any || w[e] > 0.0;
       }
+      live[i] = any;
+    }
+    // Gradient weight of edge e under matrix i: dObj/dload_e.
+    for (std::size_t i = 0; i < P; ++i) {
+      if (!live[i]) continue;
+      double* G = util.data() + i * m;
+      for (EdgeId e = 0; e < m; ++e) G[e] /= wsum * cap[e];
     }
 
-    // ---- Backward: adjoint gradient of the weighted utilization.
+    // ---- Backward: adjoint gradient of the weighted utilization. One
+    // reverse sweep per (matrix, destination) settles mu at every node and
+    // adds each arc's gradient term as it goes: a head's mu is final before
+    // any of its tails is visited.
     std::fill(grad.begin(), grad.end(), 0.0);
-    for (int i = 0; i < pool.size(); ++i) {
-      bool any = false;
-      for (EdgeId e = 0; e < m && !any; ++e) any = util[i][e] > 0.0;
-      if (!any) continue;
+    for (std::size_t i = 0; i < P; ++i) {
+      if (!live[i]) continue;
+      const double* G = util.data() + i * m;
       for (std::size_t k = 0; k < active[i].size(); ++k) {
-        const ActiveDemand& a = active[i][k];
-        const Dag& dag = dags[a.dest];
-        const auto& F = inflow[i][k];
+        const NodeId t = active[i][k].dest;
+        const double* phi_t = &phi.at(t, 0);
+        double* grad_t = grad.data() + static_cast<std::size_t>(t) * m;
+        const double* F = inflow.data() + inflow_off[i] + k * n;
         std::fill(mu.begin(), mu.end(), 0.0);
-        const auto& topo = dag.topoOrder();
-        for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-          const NodeId u = *it;
-          if (u == a.dest) continue;
+        for (std::size_t v = dags.node_off[t + 1]; v-- > dags.node_off[t];) {
+          const NodeId u = dags.node[v];
+          const double fu = F[u];
           double acc = 0.0;
-          for (const EdgeId e : dag.outEdges(u)) {
-            const double G = util[i][e] / (wsum * g.edge(e).capacity);
-            acc += phi.at(a.dest, e) * (G + mu[g.edge(e).dst]);
+          for (std::size_t j = dags.arc_off[v]; j < dags.arc_off[v + 1]; ++j) {
+            const Arc& arc = dags.arc[j];
+            const double tail = G[arc.e] + mu[arc.head];
+            acc += phi_t[arc.e] * tail;
+            grad_t[arc.e] += fu * tail;
           }
           mu[u] = acc;
-        }
-        for (const EdgeId e : dag.edges()) {
-          const Edge& ed = g.edge(e);
-          const double G = util[i][e] / (wsum * ed.capacity);
-          grad[static_cast<std::size_t>(a.dest) * m + e] +=
-              F[ed.src] * (G + mu[ed.dst]);
         }
       }
     }
@@ -207,32 +257,30 @@ routing::RoutingConfig optimizeSplitting(
     // Step size decays over the run so late iterations settle onto the
     // (annealed, nearly hard-max) optimum instead of oscillating.
     const double lr = opt.learning_rate * (1.0 - 0.9 * anneal);
+    const bool condense = opt.method == SplitMethod::kGpCondensation;
     for (NodeId t = 0; t < n; ++t) {
-      const Dag& dag = dags[t];
-      for (NodeId u = 0; u < n; ++u) {
-        if (u == t) continue;
-        const auto& out = dag.outEdges(u);
-        if (out.size() < 2) continue;  // single next-hop: ratio pinned to 1
+      double* phi_t = &phi.at(t, 0);
+      const double* grad_t = grad.data() + static_cast<std::size_t>(t) * m;
+      for (std::size_t v = dags.node_off[t]; v < dags.node_off[t + 1]; ++v) {
+        const Arc* first = dags.arc.data() + dags.arc_off[v];
+        const Arc* last = dags.arc.data() + dags.arc_off[v + 1];
+        if (last - first < 2) continue;  // single next-hop: ratio pinned to 1
         double scale = 0.0;
-        for (const EdgeId e : out) {
-          const double gphi = grad[static_cast<std::size_t>(t) * m + e];
-          const double eff = (opt.method == SplitMethod::kGpCondensation)
-                                 ? gphi * phi.at(t, e)
-                                 : gphi;
+        for (const Arc* a = first; a != last; ++a) {
+          const double gphi = grad_t[a->e];
+          const double eff = condense ? gphi * phi_t[a->e] : gphi;
           scale = std::max(scale, std::abs(eff));
         }
         if (scale <= 0.0) continue;
         double sum = 0.0;
-        for (const EdgeId e : out) {
-          const double gphi = grad[static_cast<std::size_t>(t) * m + e];
-          const double eff = (opt.method == SplitMethod::kGpCondensation)
-                                 ? gphi * phi.at(t, e)
-                                 : gphi;
-          double& p = phi.at(t, e);
+        for (const Arc* a = first; a != last; ++a) {
+          const double gphi = grad_t[a->e];
+          const double eff = condense ? gphi * phi_t[a->e] : gphi;
+          double& p = phi_t[a->e];
           p = std::max(1e-12, p * std::exp(-lr * eff / scale));
           sum += p;
         }
-        for (const EdgeId e : out) phi.at(t, e) /= sum;
+        for (const Arc* a = first; a != last; ++a) phi_t[a->e] /= sum;
       }
     }
   }

@@ -24,6 +24,27 @@
 //
 // Both recover the closed-form optimum of the paper's running example
 // (golden-ratio splits; Appendix B) -- enforced by unit tests.
+//
+// Kernel layout. Each call compiles the DAGs once: per destination t, its
+// nodes with out-arcs in topological order, CSR offsets into one arc array
+// that stores, in Dag::outEdges order, each arc's edge id e and head node
+// (ids are checked once, here, not on every inner-loop access); the arc's
+// ratio and gradient sit at the flat index t*m+e, read through destination
+// t's row. Capacities are hoisted into a flat vector. One P x m buffer
+// (P pool matrices) holds each matrix's utilizations, then its softmax
+// weights w, then the gradient weights G(e) = w / (wsum * c(e)), computed
+// once per (matrix, edge) per iteration. The reverse sweep fuses
+// the gradient into the adjoint: per arc, tail = G(e) + mu(v), then
+// mu(u) += phi * tail and grad += F(u) * tail, since a head's mu is final
+// before its tail is visited. The multiplicative update walks the compiled
+// node lists (nodes with >= 2 arcs only). Loops keep the order over
+// matrices, destinations, topological order and out-edges, so every sum
+// accumulates as in the plain loop kept in tests/splitting_reference.hpp,
+// and core_test asserts the results are bit-identical. The forward pass
+// runs matrices in parallel on the evaluator's thread pool; the backward
+// pass stays serial because a parallel-by-destination version measured no
+// faster (dc-fattree benchmark workload, 4 threads on a 4-vCPU machine:
+// 6.04 s serial vs 6.67 s parallel, within noise).
 #pragma once
 
 #include "routing/evaluator.hpp"

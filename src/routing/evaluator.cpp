@@ -30,7 +30,7 @@ bool nearlyEqual(const tm::TrafficMatrix& a, const tm::TrafficMatrix& b) {
 
 }  // namespace
 
-util::ThreadPool& PerformanceEvaluator::pool() const {
+util::ThreadPool& PerformanceEvaluator::threadPool() const {
   return own_pool_ ? *own_pool_ : util::ThreadPool::global();
 }
 
@@ -74,7 +74,7 @@ void PerformanceEvaluator::addPool(const std::vector<tm::TrafficMatrix>& pool) {
   // that fan out over the thread pool (results identical for any thread
   // count). Insertion stays sequential so ordering and deduplication are
   // deterministic.
-  std::vector<double> optu = engine_->utilizationBatch(pool, this->pool());
+  std::vector<double> optu = engine_->utilizationBatch(pool, threadPool());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (optu[i] <= 1e-12) continue;
     tm::TrafficMatrix scaled = pool[i];
@@ -100,7 +100,7 @@ std::pair<int, double> PerformanceEvaluator::worst(
   // index-addressed slots in parallel, then reduce serially in pool order
   // so the argmax (ties included) is identical for any thread count.
   std::vector<double> util(pool_.size(), 0.0);
-  pool().parallelFor(pool_.size(), [&](std::size_t i) {
+  threadPool().parallelFor(pool_.size(), [&](std::size_t i) {
     util[i] = maxLinkUtilization(g_, cfg, pool_[i]);
   });
   int arg = -1;

@@ -76,15 +76,17 @@ class PerformanceEvaluator {
   [[nodiscard]] const Graph& graph() const { return g_; }
   [[nodiscard]] std::shared_ptr<const DagSet> dagsPtr() const { return dags_; }
 
-  /// Caps the threads used by addPool/ratioFor/worst. 0 (the default)
-  /// uses the process-wide util::ThreadPool::global(); any other value
-  /// runs on a private pool of exactly that many threads. Results are
-  /// bit-identical for every setting (reduction order is serial).
+  /// Caps the threads used by addPool/ratioFor/worst and by
+  /// core::optimizeSplitting against this pool. 0 (the default) uses the
+  /// process-wide util::ThreadPool::global(); any other value runs on a
+  /// private pool of exactly that many threads. Results are bit-identical
+  /// for every setting (reduction order is serial).
   void setThreads(unsigned threads);
   [[nodiscard]] unsigned threads() const { return threads_; }
+  /// The pool that setThreads selects.
+  [[nodiscard]] util::ThreadPool& threadPool() const;
 
  private:
-  util::ThreadPool& pool() const;
   /// OPTU of d under the configured normalization; 0 for zero demand.
   double normalizationOf(const tm::TrafficMatrix& d) const;
 

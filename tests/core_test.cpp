@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "core/coyote.hpp"
@@ -10,6 +12,7 @@
 #include "routing/ecmp.hpp"
 #include "routing/propagation.hpp"
 #include "routing/worst_case.hpp"
+#include "splitting_reference.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 
@@ -170,6 +173,125 @@ TEST(SplittingOptimizer, RejectsEmptyPool) {
   EXPECT_THROW((void)optimizeSplitting(
                    g, eval, routing::RoutingConfig::uniform(g, dags), {}),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel bit-identity: optimizeSplitting's compiled-DAG kernel must do the
+// same floating-point operations in the same order as the plain loop kept
+// in splitting_reference.hpp.
+// ---------------------------------------------------------------------------
+
+/// DAG ratios of a and b that differ in any bit.
+int differingRatios(const Graph& g, const routing::RoutingConfig& a,
+                    const routing::RoutingConfig& b) {
+  int differ = 0;
+  for (NodeId t = 0; t < g.numNodes(); ++t) {
+    for (const EdgeId e : a.dags()[t].edges()) {
+      differ += std::bit_cast<std::uint64_t>(a.ratio(t, e)) !=
+                std::bit_cast<std::uint64_t>(b.ratio(t, e));
+    }
+  }
+  return differ;
+}
+
+/// Runs both SplitMethods through the kernel and the reference and expects
+/// bit-equal ratios and equal iteration counts; returns the kernel's
+/// iteration count per method.
+std::vector<int> expectKernelMatchesReference(
+    const Graph& g, const routing::PerformanceEvaluator& eval,
+    const routing::RoutingConfig& init, SplittingOptions opt) {
+  std::vector<int> used_per_method;
+  for (const SplitMethod method :
+       {SplitMethod::kGpCondensation, SplitMethod::kMirrorDescent}) {
+    SCOPED_TRACE(method == SplitMethod::kGpCondensation ? "gp" : "mirror");
+    opt.method = method;
+    int used = -1;
+    int ref_used = -2;
+    const auto cfg = optimizeSplitting(g, eval, init, opt, &used);
+    const auto ref = splitting_reference::referenceOptimizeSplitting(
+        g, eval, init, opt, &ref_used);
+    EXPECT_EQ(used, ref_used);
+    EXPECT_EQ(differingRatios(g, cfg, ref), 0);
+    used_per_method.push_back(used);
+  }
+  return used_per_method;
+}
+
+SplittingOptions kernelOptions() {
+  SplittingOptions opt;
+  opt.iterations = 250;
+  return opt;
+}
+
+TEST(SplittingKernel, BitIdenticalToReferenceOnCornerPools) {
+  for (const char* name : {"Abilene", "Geant"}) {
+    SCOPED_TRACE(name);
+    const Graph g = topo::makeZoo(name);
+    const auto dags = augmentedDagsShared(g);
+    routing::PerformanceEvaluator eval(g, dags);
+    eval.addPool(
+        tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0)));
+    (void)expectKernelMatchesReference(
+        g, eval, routing::RoutingConfig::uniform(g, dags), kernelOptions());
+  }
+}
+
+TEST(SplittingKernel, BitIdenticalToReferenceOnObliviousPools) {
+  for (const char* name : {"Abilene", "Geant"}) {
+    SCOPED_TRACE(name);
+    const Graph g = topo::makeZoo(name);
+    const auto dags = augmentedDagsShared(g);
+    routing::PerformanceEvaluator eval(g, dags);
+    eval.addPool(tm::obliviousPool(g.numNodes()));
+    (void)expectKernelMatchesReference(
+        g, eval, routing::RoutingConfig::uniform(g, dags), kernelOptions());
+  }
+}
+
+TEST(SplittingKernel, BitIdenticalToReferenceOnFatTree) {
+  const Graph g = topo::fatTree(4);
+  const auto dags = augmentedDagsShared(g);
+  routing::PerformanceEvaluator eval(g, dags);
+  tm::GravityOptions gopt;
+  gopt.endpoint_prefix = "edge";
+  eval.addPool(tm::cornerPool(
+      tm::marginBounds(tm::gravityMatrix(g, 1.0, gopt), 2.0)));
+  (void)expectKernelMatchesReference(
+      g, eval, routing::RoutingConfig::uniform(g, dags), kernelOptions());
+}
+
+TEST(SplittingKernel, BitIdenticalToReferenceWhenPatienceStopsEarly) {
+  const Graph g = topo::makeZoo("Abilene");
+  const auto dags = augmentedDagsShared(g);
+  routing::PerformanceEvaluator eval(g, dags);
+  eval.addPool(
+      tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0)));
+  SplittingOptions opt = kernelOptions();
+  const auto warm = optimizeSplitting(
+      g, eval, routing::RoutingConfig::uniform(g, dags), opt);
+  opt.patience = 20;
+  for (const int used : expectKernelMatchesReference(g, eval, warm, opt)) {
+    EXPECT_LT(used, opt.iterations);
+  }
+}
+
+TEST(SplittingKernel, EvaluatorThreadCapKeepsResultsBitIdentical) {
+  const Graph g = topo::makeZoo("Geant");
+  const auto dags = augmentedDagsShared(g);
+  routing::PerformanceEvaluator eval(g, dags);
+  eval.addPool(
+      tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0)));
+  const auto init = routing::RoutingConfig::uniform(g, dags);
+  const SplittingOptions opt = kernelOptions();
+  eval.setThreads(1);
+  const auto serial = optimizeSplitting(g, eval, init, opt);
+  for (const unsigned threads : {2U, 8U}) {
+    SCOPED_TRACE(threads);
+    eval.setThreads(threads);
+    ASSERT_EQ(eval.threadPool().threadCount(), threads);
+    EXPECT_EQ(differingRatios(g, optimizeSplitting(g, eval, init, opt), serial),
+              0);
+  }
 }
 
 // ---------------------------------------------------------------------------
