@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "routing/evaluator.hpp"
@@ -20,6 +21,9 @@ double nearestRank(const std::vector<double>& sorted, double p) {
       std::ceil(p * static_cast<double>(sorted.size())));
   return sorted[std::min(sorted.size(), std::max<std::size_t>(rank, 1)) - 1];
 }
+
+/// Relative slack taken off every OPTU lower bound before pruning with it.
+constexpr double kBoundSlack = 1e-9;
 
 double medianOf(const std::vector<double>& sorted) {
   if (sorted.empty()) return 0.0;
@@ -63,6 +67,7 @@ FailureEvaluator::FailureEvaluator(const Graph& g,
       intact_.emplace_back(std::nullopt);
     } else if (s->marginDependent()) {
       routing::PerformanceEvaluator eval(g_, dags_, opt_.coyote.lp);
+      if (opt_.threads != 0) eval.setThreads(opt_.threads);
       eval.addPool(pool_);
       const te::SchemeContext ctx{g_, dags_, base_, opt_.coyote, &box,
                                   &eval};
@@ -76,6 +81,11 @@ FailureEvaluator::FailureEvaluator(const Graph& g,
   if (opt_.threads != 0) {
     own_pool_ = std::make_unique<util::ThreadPool>(opt_.threads);
   }
+  // Every failed set contains the empty one: the intact pool's OPTU is a
+  // floor for every failure.
+  routing::OptuEngine engine(g_, opt_.coyote.lp);  // unrestricted OPTU
+  intact_optu_ = engine.utilizationBatch(
+      pool_, own_pool_ ? *own_pool_ : util::ThreadPool::global());
 }
 
 const routing::RoutingConfig& FailureEvaluator::intactRouting(
@@ -93,16 +103,45 @@ const routing::RoutingConfig& FailureEvaluator::intactRouting(
                               "' is not in this evaluator's list");
 }
 
-FailureOutcome FailureEvaluator::evaluateOne(
-    const FailureScenario& f, routing::OptuEngine& engine) const {
-  const int n = static_cast<int>(schemes_.size());
+double nodeCutBound(const Graph& g, const tm::TrafficMatrix& d) {
+  const int n = g.numNodes();
+  std::vector<double> cap_out(n, 0.0);
+  std::vector<double> cap_in(n, 0.0);
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    cap_out[g.edge(e).src] += g.edge(e).capacity;
+    cap_in[g.edge(e).dst] += g.edge(e).capacity;
+  }
+  std::vector<double> dem_in(n, 0.0);
+  double bound = 0.0;
+  for (NodeId u = 0; u < n; ++u) {
+    double dem_out = 0.0;
+    for (NodeId t = 0; t < n; ++t) {
+      if (t == u) continue;
+      dem_out += d.at(u, t);
+      dem_in[t] += d.at(u, t);
+    }
+    if (cap_out[u] > 0.0) bound = std::max(bound, dem_out / cap_out[u]);
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    if (cap_in[u] > 0.0) bound = std::max(bound, dem_in[u] / cap_in[u]);
+  }
+  return bound;
+}
+
+FailureOutcome evaluateFailure(const IntactState& state,
+                               const FailureScenario& f,
+                               const std::vector<double>& floor,
+                               routing::OptuEngine& engine) {
+  const int n = static_cast<int>(state.schemes.size());
+  const std::size_t m = state.pool.size();
+  require(floor.empty() || floor.size() == m, "floor/pool size mismatch");
   FailureOutcome out;
   out.label = f.label;
   out.ratio.assign(n, 0.0);
   out.routable.assign(n, 0);
 
-  const Graph degraded = degradedGraph(g_, f);
-  out.disconnected_pairs = disconnectedPairs(degraded, base_);
+  const Graph degraded = degradedGraph(state.g, f);
+  out.disconnected_pairs = disconnectedPairs(degraded, state.base);
   if (out.disconnected_pairs > 0) return out;  // reported, not evaluated
   out.evaluated = true;
 
@@ -111,38 +150,75 @@ FailureOutcome FailureEvaluator::evaluateOne(
   // repaired DAG set is shared by every kRepairDags scheme (and skipped
   // entirely when the selection is all-reconverge).
   bool any_repair = false;
-  for (const te::Scheme* s : schemes_) {
+  for (const te::Scheme* s : state.schemes) {
     any_repair |= s->reaction() == te::FailureReaction::kRepairDags;
   }
   const std::shared_ptr<const DagSet> repaired =
-      any_repair ? repairDags(g_, *dags_, failedEdgeMask(g_, f)) : nullptr;
+      any_repair ? repairDags(state.g, state.dags, failedEdgeMask(state.g, f))
+                 : nullptr;
   std::vector<routing::RoutingConfig> cfgs;
   cfgs.reserve(n);
   for (int s = 0; s < n; ++s) {
-    if (schemes_[s]->reaction() == te::FailureReaction::kReconverge) {
-      cfgs.push_back(schemes_[s]->reconverge(degraded));
+    if (state.schemes[s]->reaction() == te::FailureReaction::kReconverge) {
+      cfgs.push_back(state.schemes[s]->reconverge(degraded));
     } else {
-      cfgs.push_back(repairRouting(g_, *intact_[s], repaired));
+      cfgs.push_back(repairRouting(state.g, *state.intact[s], repaired));
     }
   }
   for (int s = 0; s < n; ++s) {
-    out.routable[s] = routesAllDemands(cfgs[s], base_);
+    out.routable[s] = routesAllDemands(cfgs[s], state.base);
   }
 
-  // The common post-failure ruler: unrestricted OPTU on the surviving
-  // network (the failure entered the engine as a bounds mutation; see
-  // OptuEngine::setFailedEdges), each pool matrix warm-started from the
-  // basis it ended with under the chunk's previous failure.
-  engine.setFailedEdges(directedEdges(g_, f));
-  const std::vector<double> optu = engine.utilizationPool(pool_);
-
-  for (std::size_t j = 0; j < pool_.size(); ++j) {
-    if (optu[j] <= 0.0) continue;  // zero matrix
+  // MxLU of every (slot, routable scheme), each slot's OPTU_f lower bound,
+  // and the resulting upper bound on the slot's worst ratio.
+  std::vector<double> mxlu(m * n, 0.0);
+  std::vector<double> lower(m, 0.0);
+  std::vector<double> upper(m, 0.0);
+  out.bound.assign(m, 0.0);
+  for (std::size_t j = 0; j < m; ++j) {
+    out.bound[j] = nodeCutBound(degraded, state.pool[j]);
+    if (!floor.empty()) out.bound[j] = std::max(out.bound[j], floor[j]);
+    lower[j] = out.bound[j] * (1.0 - kBoundSlack);
     for (int s = 0; s < n; ++s) {
       if (!out.routable[s]) continue;
-      const double mxlu =
-          routing::maxLinkUtilization(degraded, cfgs[s], pool_[j]);
-      out.ratio[s] = std::max(out.ratio[s], mxlu / optu[j]);
+      mxlu[j * n + s] =
+          routing::maxLinkUtilization(degraded, cfgs[s], state.pool[j]);
+      if (lower[j] > 0.0) {
+        upper[j] = std::max(upper[j], mxlu[j * n + s] / lower[j]);
+      }
+    }
+  }
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return upper[a] > upper[b];
+                   });
+
+  // The common post-failure ruler: unrestricted OPTU on the surviving
+  // network (the failure enters the engine as a bounds mutation; see
+  // OptuEngine::setFailedEdges), solved only where a slot can still raise
+  // some scheme's worst ratio.
+  engine.setFailedEdges(directedEdges(state.g, f));
+  for (const std::size_t j : order) {
+    bool needed = false;
+    if (lower[j] > 0.0) {  // else a zero matrix, whose MxLU is 0 too
+      for (int s = 0; s < n; ++s) {
+        needed |=
+            out.routable[s] && mxlu[j * n + s] / lower[j] > out.ratio[s];
+      }
+    }
+    if (!needed) {
+      ++out.slots_skipped;
+      continue;
+    }
+    const double optu = engine.utilizationAt(j, state.pool[j]);
+    ++out.slots_solved;
+    out.bound[j] = optu;
+    for (int s = 0; s < n; ++s) {
+      if (out.routable[s]) {
+        out.ratio[s] = std::max(out.ratio[s], mxlu[j * n + s] / optu);
+      }
     }
   }
   return out;
@@ -165,13 +241,15 @@ FailureSweepResult FailureEvaluator::evaluate(
   const std::size_t chunks =
       (failures.size() + kFailureChunk - 1) / kFailureChunk;
   util::ThreadPool& tp = own_pool_ ? *own_pool_ : util::ThreadPool::global();
+  const IntactState state{g_, *dags_, base_, schemes_, intact_, pool_};
   tp.parallelFor(chunks, [&](std::size_t c) {
     routing::OptuEngine engine(g_, opt_.coyote.lp);  // unrestricted OPTU
     const std::size_t begin = c * kFailureChunk;
     const std::size_t end =
         std::min(failures.size(), begin + kFailureChunk);
     for (std::size_t i = begin; i < end; ++i) {
-      result.outcomes[i] = evaluateOne(failures[i], engine);
+      result.outcomes[i] =
+          evaluateFailure(state, failures[i], intact_optu_, engine);
     }
   });
 
@@ -184,6 +262,8 @@ FailureSweepResult FailureEvaluator::evaluate(
       continue;
     }
     ++result.evaluated;
+    result.slots_solved += out.slots_solved;
+    result.slots_skipped += out.slots_skipped;
     for (int s = 0; s < n; ++s) {
       if (out.routable[s]) {
         ratios[s].push_back(out.ratio[s]);

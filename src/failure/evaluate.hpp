@@ -19,12 +19,30 @@
 //
 // OPTU_f re-solves ride routing::OptuEngine::setFailedEdges: a failure is
 // a bounds mutation on a retained simplex session, not an LP rebuild, and
-// OptuEngine::utilizationPool re-solves each pool matrix from the basis it
-// ended with under the previous failure, so sweeping hundreds of failure
+// OptuEngine::utilizationAt re-solves a pool slot from the basis it ended
+// with the last time that slot was solved, so sweeping hundreds of failure
 // variants reuses warm bases (the pivot-count payoff is surfaced in the
 // BENCH lp_* telemetry). Failures are fanned out over util::ThreadPool in
 // fixed-size chunks -- each chunk one engine with its own warm chain -- so
 // results are bit-identical for any COYOTE_THREADS.
+//
+// Bound and prune (evaluateFailure). Only the maximum over the pool is
+// reported, so most slots' OPTU_f LPs cannot change the answer. Each slot j
+// gets a lower bound L_j on OPTU_f: the larger of its floor (below) and
+// nodeCutBound, shrunk by a 1e-9 relative slack so LP round-off on a floor
+// can never prune the true maximizer. MxLU_s(j) / L_j then bounds scheme
+// s's ratio at slot j from above. Slots are visited by max_s of that
+// bound, largest first (ties by slot index), and a slot's LP runs only if
+// its bound beats the best ratio found so far for some routable scheme. A
+// skipped slot's true ratio is at most the running best, so the maximum is
+// unchanged, and every reported ratio still comes from an LP optimum.
+//
+// The floor rule. An evaluation returns, per slot, the bound it ended
+// with (the exact OPTU_f wherever the slot was solved). Failing more links
+// only raises OPTU, so those bounds are a floor for any later evaluation
+// on the same pool whose failed set contains this one's. FailureEvaluator
+// solves the intact pool once at construction and passes it as every
+// failure's floor.
 #pragma once
 
 #include <memory>
@@ -37,6 +55,7 @@
 #include "failure/degrade.hpp"
 #include "failure/scenario.hpp"
 #include "routing/config.hpp"
+#include "routing/optu.hpp"
 #include "scheme/registry.hpp"
 #include "tm/uncertainty.hpp"
 #include "util/thread_pool.hpp"
@@ -83,6 +102,12 @@ struct FailureOutcome {
   /// though the graph stays connected (kRepairDags schemes only; a
   /// reconverged scheme is always routable on a connected graph).
   std::vector<char> routable;
+  /// Per pool slot, the OPTU_f lower bound the ruler ended with: the exact
+  /// OPTU_f where the slot was solved (see the floor rule above). Empty
+  /// when not evaluated.
+  std::vector<double> bound;
+  int slots_solved = 0;   ///< pool slots whose OPTU_f LP ran
+  int slots_skipped = 0;  ///< pool slots their bound pruned
 };
 
 /// Distribution summary of one scheme's ratios over evaluated failures.
@@ -102,7 +127,40 @@ struct FailureSweepResult {
   /// Per-scheme stats, keyed by scheme key, in the evaluator's scheme
   /// order (the registry keys replace the old fixed Scheme enum).
   std::vector<std::pair<std::string, SchemeFailureStats>> schemes;
+  int slots_solved = 0;   ///< ruler LPs run, summed over evaluated failures
+  int slots_skipped = 0;  ///< ruler LPs pruned by their bound
 };
+
+/// Lower bound on the unrestricted OPTU of d over g (failed links at
+/// capacity 0): the largest, over nodes u, of the demand leaving u over
+/// u's out-capacity and of the demand entering u over u's in-capacity.
+/// Nodes without capacity in that direction contribute nothing; 0 for a
+/// zero matrix.
+[[nodiscard]] double nodeCutBound(const Graph& g, const tm::TrafficMatrix& d);
+
+/// What post-failure evaluations hold fixed across failed sets: the
+/// intact network and base demand, the schemes with their intact routings
+/// (parallel to `schemes`, disengaged for kReconverge schemes), and the
+/// corner pool the ruler maximizes over.
+struct IntactState {
+  const Graph& g;
+  const DagSet& dags;
+  const tm::TrafficMatrix& base;
+  const std::vector<const te::Scheme*>& schemes;
+  const std::vector<std::optional<routing::RoutingConfig>>& intact;
+  const std::vector<tm::TrafficMatrix>& pool;
+};
+
+/// Evaluates the schemes with f's links failed: derives the surviving
+/// network, lets each scheme react per its te::FailureReaction, and bounds
+/// and prunes the ruler (file comment). `floor` is empty or holds one OPTU
+/// lower bound per pool slot from an earlier evaluation on the same pool
+/// whose failed set f's contains. `engine` is an unrestricted OptuEngine
+/// over state.g; it is switched to f's failed set here.
+[[nodiscard]] FailureOutcome evaluateFailure(const IntactState& state,
+                                             const FailureScenario& f,
+                                             const std::vector<double>& floor,
+                                             routing::OptuEngine& engine);
 
 /// Computes the intact schemes once, then sweeps failure sets against
 /// them. One evaluator may run several sweeps (e.g. -fail1 and -srlg).
@@ -130,9 +188,6 @@ class FailureEvaluator {
       const std::string& key) const;
 
  private:
-  [[nodiscard]] FailureOutcome evaluateOne(const FailureScenario& f,
-                                           routing::OptuEngine& engine) const;
-
   const Graph& g_;
   std::shared_ptr<const DagSet> dags_;
   tm::TrafficMatrix base_;
@@ -141,6 +196,8 @@ class FailureEvaluator {
   std::vector<tm::TrafficMatrix> pool_;  ///< raw box corners (unnormalized)
   /// Parallel to schemes_; disengaged for kReconverge schemes.
   std::vector<std::optional<routing::RoutingConfig>> intact_;
+  /// OPTU of every pool slot on the intact network: every failure's floor.
+  std::vector<double> intact_optu_;
   std::unique_ptr<util::ThreadPool> own_pool_;
 };
 

@@ -40,8 +40,8 @@ struct OptuEngine::Template {
   lp::Basis seed;
   bool tried_seed = false;
   bool warmed = false;  ///< serial session has solved (or been seeded)
-  /// [j] the basis pool position j ended with in utilizationPool; empty
-  /// until that position first solves on this template.
+  /// [j] the basis pool slot j ended with in utilizationAt; empty until
+  /// that slot first solves on this template.
   std::vector<lp::Basis> slot_basis;
 };
 
@@ -522,24 +522,22 @@ std::vector<double> OptuEngine::utilizationBatch(
   return out;
 }
 
-std::vector<double> OptuEngine::utilizationPool(
-    const std::vector<tm::TrafficMatrix>& pool) {
-  std::vector<double> out(pool.size(), 0.0);
+double OptuEngine::utilizationAt(std::size_t slot,
+                                 const tm::TrafficMatrix& d) {
+  const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t j = 0; j < pool.size(); ++j) {
-    Template& t = serialFor(activeSignature(pool[j]), pool[j]);
-    // Installed after the rhs edits, so the dual simplex judges the slot's
-    // basis by how many of its basics the new matrix violates: after a
-    // link flap or a demand step usually few, and the dual repairs them
-    // where the previous position's basis would need a long phase 1.
-    if (j < t.slot_basis.size() && !t.slot_basis[j].empty()) {
-      t.serial->setBasis(t.slot_basis[j]);
-    }
-    out[j] = solveAlpha(*t.serial, t);
-    if (t.slot_basis.size() <= j) t.slot_basis.resize(j + 1);
-    t.slot_basis[j] = t.serial->basis();
+  Template& t = serialFor(active, d);
+  // Installed after the rhs edits, so the dual simplex judges the slot's
+  // basis by how many of its basics the new matrix violates: after a
+  // link flap or a demand step usually few, and the dual repairs them
+  // where the previous slot's basis would need a long phase 1.
+  if (slot < t.slot_basis.size() && !t.slot_basis[slot].empty()) {
+    t.serial->setBasis(t.slot_basis[slot]);
   }
-  return out;
+  const double u = solveAlpha(*t.serial, t);
+  if (t.slot_basis.size() <= slot) t.slot_basis.resize(slot + 1);
+  t.slot_basis[slot] = t.serial->basis();
+  return u;
 }
 
 std::pair<double, std::vector<std::vector<double>>>

@@ -66,14 +66,15 @@ class OptuEngine {
   [[nodiscard]] std::vector<double> utilizationBatch(
       const std::vector<tm::TrafficMatrix>& pool, util::ThreadPool& tp);
 
-  /// OPTU of every matrix, in order, for a pool that is re-solved whole
-  /// after each small change (a failure, a demand or margin step). Serial,
-  /// under the engine lock: pool position j warm-starts from the basis
-  /// position j ended with on the previous call (one per template), not
-  /// from position j-1's -- the matrix at one position moves a little
-  /// between calls, while neighbouring positions differ in every rhs.
-  [[nodiscard]] std::vector<double> utilizationPool(
-      const std::vector<tm::TrafficMatrix>& pool);
+  /// OPTU(d) for slot `slot` of a pool that is re-evaluated after each
+  /// small change (a failure, a demand or margin step). Under the engine
+  /// lock, the solve warm-starts from the basis this slot ended with on
+  /// its previous solve (one per template), not from the previous solve's:
+  /// the matrix at one slot moves a little between calls, while
+  /// neighbouring slots differ in every rhs. The caller picks which slots
+  /// to solve and in what order (see failure::evaluateFailure).
+  [[nodiscard]] double utilizationAt(std::size_t slot,
+                                     const tm::TrafficMatrix& d);
 
   /// OPTU(d) plus the optimal aggregate flows: flows[t] maps EdgeId to the
   /// flow toward t (empty vector for inactive destinations).

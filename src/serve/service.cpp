@@ -5,10 +5,8 @@
 #include <utility>
 
 #include "core/dag_builder.hpp"
-#include "failure/degrade.hpp"
 #include "failure/scenario.hpp"
 #include "routing/evaluator.hpp"
-#include "routing/propagation.hpp"
 #include "util/require.hpp"
 
 namespace coyote::serve {
@@ -74,6 +72,7 @@ TeService::~TeService() = default;
 void TeService::rebuildPool() {
   box_.emplace(tm::marginBounds(base_, margin_));
   pool_ = tm::cornerPool(*box_, opt_.pool);
+  floor_.clear();  // bounds on the old pool's matrices
 }
 
 void TeService::computeSchemes(bool warm) {
@@ -101,6 +100,7 @@ void TeService::computeSchemes(bool warm) {
       intact_.emplace_back(std::nullopt);
     } else if (s->marginDependent()) {
       routing::PerformanceEvaluator eval(g_, dags_, opt_.coyote.lp);
+      if (opt_.threads != 0) eval.setThreads(opt_.threads);
       eval.addPool(pool_);
       te::SchemeContext ctx{g_, dags_, base_, copt, &*box_, &eval};
       if (warm) ctx.splitting_iters_saved = &saved;
@@ -123,60 +123,32 @@ std::vector<std::string> TeService::failedLinks() const {
   return out;
 }
 
-TeService::EvalResult TeService::evaluateLinks(
+failure::FailureOutcome TeService::evaluateLinks(
     const std::vector<EdgeId>& links, routing::OptuEngine& engine) const {
-  const int n = static_cast<int>(schemes_.size());
-  EvalResult out;
-  out.ratio.assign(n, 0.0);
-  out.routable.assign(n, 0);
-
   failure::FailureScenario f;
   f.links = links;
-  const Graph degraded = failure::degradedGraph(g_, f);
-  out.disconnected_pairs = failure::disconnectedPairs(degraded, base_);
-  if (out.disconnected_pairs > 0) return out;  // reported, not evaluated
-  out.evaluated = true;
-
-  bool any_repair = false;
-  for (const te::Scheme* s : schemes_) {
-    any_repair |= s->reaction() == te::FailureReaction::kRepairDags;
-  }
-  const std::shared_ptr<const DagSet> repaired =
-      any_repair ? failure::repairDags(g_, *dags_,
-                                       failure::failedEdgeMask(g_, f))
-                 : nullptr;
-  std::vector<routing::RoutingConfig> cfgs;
-  cfgs.reserve(n);
-  for (int s = 0; s < n; ++s) {
-    if (schemes_[s]->reaction() == te::FailureReaction::kReconverge) {
-      cfgs.push_back(schemes_[s]->reconverge(degraded));
-    } else {
-      cfgs.push_back(failure::repairRouting(g_, *intact_[s], repaired));
-    }
-  }
-  for (int s = 0; s < n; ++s) {
-    out.routable[s] = failure::routesAllDemands(cfgs[s], base_);
-  }
-
-  // The common ruler: unrestricted OPTU on the surviving network (the
-  // failure entered the engine as a bounds mutation; {} restores the
-  // intact network), each pool matrix warm-started from the basis it
-  // ended with at the engine's previous event.
-  engine.setFailedEdges(failure::directedEdges(g_, f));
-  const std::vector<double> optu = engine.utilizationPool(pool_);
-  for (std::size_t j = 0; j < pool_.size(); ++j) {
-    if (optu[j] <= 0.0) continue;  // zero matrix
-    for (int s = 0; s < n; ++s) {
-      if (!out.routable[s]) continue;
-      const double mxlu =
-          routing::maxLinkUtilization(degraded, cfgs[s], pool_[j]);
-      out.ratio[s] = std::max(out.ratio[s], mxlu / optu[j]);
-    }
-  }
-  return out;
+  // The floor rule (failure/evaluate.hpp): the last resident evaluation's
+  // bounds hold for any failed set containing its own on the same pool.
+  static const std::vector<double> kNoFloor;
+  const bool floor_holds = std::includes(links.begin(), links.end(),
+                                         floor_failed_.begin(),
+                                         floor_failed_.end());
+  return failure::evaluateFailure(
+      {g_, *dags_, base_, schemes_, intact_, pool_}, f,
+      floor_holds ? floor_ : kNoFloor, engine);
 }
 
-void TeService::addEvalPayload(json::Value& response, const EvalResult& ev,
+failure::FailureOutcome TeService::evaluateResident() {
+  failure::FailureOutcome ev = evaluateLinks(failed_, *engine_);
+  if (ev.evaluated) {
+    floor_ = ev.bound;
+    floor_failed_ = failed_;
+  }
+  return ev;
+}
+
+void TeService::addEvalPayload(json::Value& response,
+                               const failure::FailureOutcome& ev,
                                const std::vector<EdgeId>& links) const {
   response["disconnected_pairs"] = ev.disconnected_pairs;
   response["evaluated"] = ev.evaluated;
@@ -234,7 +206,7 @@ json::Value TeService::handleWhatIf(const json::Value& request, long long seq,
   std::sort(combined.begin(), combined.end());
   combined.erase(std::unique(combined.begin(), combined.end()),
                  combined.end());
-  const EvalResult ev = evaluateLinks(combined, engine);
+  const failure::FailureOutcome ev = evaluateLinks(combined, engine);
   json::Value resp = envelope(seq, request);
   resp["ok"] = true;
   addEvalPayload(resp, ev, combined);
@@ -316,7 +288,7 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     }
     rebuildPool();
     resp["ok"] = true;
-    addEvalPayload(resp, evaluateLinks(failed_, *engine_), failed_);
+    addEvalPayload(resp, evaluateResident(), failed_);
     return resp;
   }
 
@@ -341,7 +313,7 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     resp["ok"] = true;
     resp["link"] = label;
     resp["up"] = restore;
-    addEvalPayload(resp, evaluateLinks(failed_, *engine_), failed_);
+    addEvalPayload(resp, evaluateResident(), failed_);
     return resp;
   }
 
@@ -354,7 +326,7 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     rebuildPool();
     resp["ok"] = true;
     resp["margin"] = margin_;
-    addEvalPayload(resp, evaluateLinks(failed_, *engine_), failed_);
+    addEvalPayload(resp, evaluateResident(), failed_);
     return resp;
   }
 
@@ -365,7 +337,7 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
   if (op == "reoptimize") {
     computeSchemes(/*warm=*/true);
     resp["ok"] = true;
-    addEvalPayload(resp, evaluateLinks(failed_, *engine_), failed_);
+    addEvalPayload(resp, evaluateResident(), failed_);
     return resp;
   }
 

@@ -8,9 +8,9 @@
 //
 //  * demand-matrix updates  -- the corner pool is rebuilt around the new
 //    base matrix; the resident routing::OptuEngine re-solves it by rhs
-//    mutation on its retained simplex sessions, each pool position from
-//    the basis it ended with at the previous event
-//    (OptuEngine::utilizationPool);
+//    mutation on its retained simplex sessions, each pool slot from the
+//    basis it ended with when that slot was last solved
+//    (OptuEngine::utilizationAt);
 //  * link up/down           -- enters the engine via setFailedEdges (a
 //    bounds mutation, the PR-4 machinery), and each scheme reacts per
 //    its te::FailureReaction: kReconverge schemes re-run SPF on the
@@ -30,7 +30,16 @@
 // optimizer -- only happens when the operator requests "reoptimize".
 // Ratios use the *unrestricted* OPTU on the surviving network as the
 // common ruler (the failure-sweep normalization, stricter than the
-// intact sweeps' within-DAG optimum; see failure/evaluate.hpp).
+// intact sweeps' within-DAG optimum), bounded and pruned by
+// failure::evaluateFailure (see failure/evaluate.hpp).
+//
+// The floor rule: the service keeps the per-slot OPTU bounds of its last
+// resident evaluation and passes them as the floor of a later evaluation
+// only while the pool is unchanged and the failed set has only grown
+// (link down, what-if, reoptimize). A demand or margin event rebuilds the
+// pool and drops the floor; a link-up shrinks the failed set, so it
+// evaluates without one. A what-if reads the floor but never records
+// one. The constructor solves nothing for it.
 //
 // Protocol: line-delimited util::json objects, one request per line, one
 // response line per request, in request order.
@@ -66,6 +75,7 @@
 #include <vector>
 
 #include "core/coyote.hpp"
+#include "failure/evaluate.hpp"
 #include "graph/graph.hpp"
 #include "routing/config.hpp"
 #include "routing/optu.hpp"
@@ -154,18 +164,14 @@ class TeService {
   }
 
  private:
-  /// One evaluation verdict (the shape of the failure sweeps').
-  struct EvalResult {
-    int disconnected_pairs = 0;
-    bool evaluated = false;
-    std::vector<double> ratio;    ///< per scheme, schemes_ order
-    std::vector<char> routable;   ///< per scheme
-  };
-
   /// Evaluates the resident configurations with `links` (canonical ids,
-  /// ascending) failed, on the given engine. Read-only and thread-safe.
-  [[nodiscard]] EvalResult evaluateLinks(const std::vector<EdgeId>& links,
-                                         routing::OptuEngine& engine) const;
+  /// ascending) failed, on the given engine, with the recorded floor when
+  /// it holds for `links`. Read-only and thread-safe.
+  [[nodiscard]] failure::FailureOutcome evaluateLinks(
+      const std::vector<EdgeId>& links, routing::OptuEngine& engine) const;
+  /// evaluateLinks(failed_) on the resident engine; records its bounds as
+  /// the floor of later evaluations.
+  [[nodiscard]] failure::FailureOutcome evaluateResident();
   /// (Re)computes every scheme's intact configuration from the current
   /// base matrix / margin (kReconverge schemes keep none). With `warm`
   /// (the "reoptimize" path) each optimizer-backed scheme is seeded from
@@ -182,7 +188,8 @@ class TeService {
   /// Canonical edge id for ["A","B"]; throws std::invalid_argument with
   /// a client-facing message for unknown nodes or non-adjacent pairs.
   [[nodiscard]] EdgeId parseLink(const util::json::Value& link) const;
-  void addEvalPayload(util::json::Value& response, const EvalResult& ev,
+  void addEvalPayload(util::json::Value& response,
+                      const failure::FailureOutcome& ev,
                       const std::vector<EdgeId>& links) const;
 
   Graph g_;
@@ -199,6 +206,10 @@ class TeService {
   /// The resident ruler: unrestricted OPTU whose simplex sessions, and
   /// one basis per pool position, stay warm across the whole event stream.
   std::unique_ptr<routing::OptuEngine> engine_;
+  /// Per-slot OPTU lower bounds of the last resident evaluation, taken
+  /// with floor_failed_ failed; empty once the pool changes.
+  std::vector<double> floor_;
+  std::vector<EdgeId> floor_failed_;
   std::unique_ptr<util::ThreadPool> own_pool_;
   long long seq_ = 0;
   long long reopt_saved_iters_ = 0;  ///< see reoptimizeSavedIters()

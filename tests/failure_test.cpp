@@ -253,6 +253,65 @@ TEST(PostFailureRatio, HandComputedOnRunningExample) {
   EXPECT_NEAR(engine.utilization(d2), 2.0, 1e-9);
 }
 
+/// A graph's single-link failures against the failure sweeps' corner
+/// pool (gravity base, margin 2), with the unrestricted OPTU of every
+/// (failure, slot) as a reference for the bound-and-prune ruler. One
+/// engine per slot solves it, warm across the failures, so the reference
+/// shares neither the ruler's solve order, nor its pruning, nor its
+/// per-slot basis memo.
+struct RulerReference {
+  Graph g;
+  tm::TrafficMatrix base;
+  std::vector<tm::TrafficMatrix> pool;
+  std::vector<FailureScenario> fails;
+  /// [failure][slot]; an empty row for a disconnecting failure.
+  std::vector<std::vector<double>> optu;
+
+  explicit RulerReference(Graph graph)
+      : g(std::move(graph)),
+        base(tm::gravityMatrix(g, 1.0)),
+        pool(tm::cornerPool(tm::marginBounds(base, FailureEvalOptions().margin),
+                            FailureEvalOptions().pool)),
+        fails(singleLinkFailures(g)),
+        optu(fails.size()) {
+    for (std::size_t j = 0; j < pool.size(); ++j) {
+      routing::OptuEngine engine(g);
+      for (std::size_t i = 0; i < fails.size(); ++i) {
+        if (disconnectedPairs(degradedGraph(g, fails[i]), base) > 0) continue;
+        engine.setFailedEdges(directedEdges(g, fails[i]));
+        optu[i].push_back(engine.utilization(pool[j]));
+      }
+    }
+  }
+
+  /// Geant's, built once: its LPs dominate the tests that use it.
+  static const RulerReference& geant() {
+    static const RulerReference ref(topo::makeZoo("Geant"));
+    return ref;
+  }
+};
+
+TEST(NodeCutBound, NeverExceedsOptu) {
+  // The bound the ruler prunes with must never exceed the optimum it
+  // stands in for: every single-link failure x corner-pool matrix.
+  const RulerReference grid(topo::grid(3, 3));
+  for (const RulerReference* ref : {&RulerReference::geant(), &grid}) {
+    int checked = 0;
+    for (std::size_t i = 0; i < ref->fails.size(); ++i) {
+      if (ref->optu[i].empty()) continue;  // disconnecting
+      const Graph degraded = degradedGraph(ref->g, ref->fails[i]);
+      for (std::size_t j = 0; j < ref->pool.size(); ++j) {
+        const double bound = nodeCutBound(degraded, ref->pool[j]);
+        EXPECT_GT(bound, 0.0) << ref->fails[i].label << ", matrix " << j;
+        EXPECT_LE(bound, ref->optu[i][j] * (1.0 + 1e-12))
+            << ref->fails[i].label << ", matrix " << j;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0) << ref->g.numNodes() << " nodes";
+  }
+}
+
 TEST(PostFailureRatio, WorstCaseOracleAgreesUnderFailure) {
   // The exact slave-LP oracle with zeroed capacity rows must agree with a
   // brute-force check: worst demand for the repaired uniform config on the
@@ -432,12 +491,59 @@ TEST(FailureEvaluator, WarmStartedResolvesBeatColdOnes) {
     }
   }
   // ...but the warm sweep reuses bases and pays far fewer pivots than an
-  // all-cold sweep. The ceiling is the all-cold sweep's pivot count over
-  // 1.5 (the acceptance bar for the GEANT bench sweep), measured with gcc
-  // 12 in Release before the cold switch was removed: 4,718 warm vs
-  // 19,226 cold pivots, so 19,226 / 1.5 = 12,817.
-  EXPECT_LT(warm_delta.iterations, 12817)
+  // all-cold sweep: measured with gcc 12 in Release before the cold
+  // switch was removed, 4,718 warm vs 19,226 cold pivots. Solving every
+  // slot from its per-slot memo basis took 5,214; bound and prune
+  // (evaluateFailure) skips most slot LPs and takes 1,389, not counting
+  // the intact-pool floor the constructor solves. 3,000 sits between the
+  // last two.
+  EXPECT_LT(warm_delta.iterations, 3000)
       << "warm pivots " << warm_delta.iterations;
+}
+
+TEST(FailureEvaluator, PrunedRulerMatchesSolvesOfEverySlot) {
+  // Bound and prune may skip a slot's OPTU_f LP only when the slot cannot
+  // raise any scheme's worst ratio: a Geant single-link sweep against the
+  // reference that solves every (failure, slot) LP.
+  const RulerReference& ref = RulerReference::geant();
+  const auto dags = core::augmentedDagsShared(ref.g);
+  FailureEvalOptions opt;
+  opt.coyote.splitting.iterations = 120;
+  const FailureEvaluator eval(ref.g, dags, ref.base, opt);
+  const FailureSweepResult res = eval.evaluate(ref.fails);
+  ASSERT_EQ(static_cast<int>(ref.pool.size()), eval.poolSize());
+
+  int compared = 0;
+  for (std::size_t i = 0; i < ref.fails.size(); ++i) {
+    const FailureOutcome& o = res.outcomes[i];
+    ASSERT_EQ(o.evaluated, !ref.optu[i].empty()) << o.label;
+    if (!o.evaluated) continue;
+    const Graph degraded = degradedGraph(ref.g, ref.fails[i]);
+    const auto repaired =
+        repairDags(ref.g, *dags, failedEdgeMask(ref.g, ref.fails[i]));
+    for (std::size_t s = 0; s < eval.schemes().size(); ++s) {
+      if (!o.routable[s]) continue;
+      const te::Scheme& scheme = *eval.schemes()[s];
+      const routing::RoutingConfig cfg =
+          scheme.reaction() == te::FailureReaction::kReconverge
+              ? scheme.reconverge(degraded)
+              : repairRouting(ref.g, eval.intactRouting(scheme.key()),
+                              repaired);
+      double want = 0.0;
+      for (std::size_t j = 0; j < ref.pool.size(); ++j) {
+        want = std::max(want, routing::maxLinkUtilization(degraded, cfg,
+                                                          ref.pool[j]) /
+                                  ref.optu[i][j]);
+      }
+      EXPECT_NEAR(o.ratio[s], want, 1e-9 * want)
+          << o.label << " scheme " << scheme.key();
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 0);
+  // ...and most slots never reached the LP.
+  EXPECT_GE(3 * res.slots_skipped, res.slots_solved + res.slots_skipped)
+      << res.slots_solved << " solved, " << res.slots_skipped << " skipped";
 }
 
 // ---------------------------------------------------------------------------

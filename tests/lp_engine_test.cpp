@@ -618,11 +618,13 @@ TEST(OptuEngineTest, DecomposedBatchIsIdenticalForAnyThreadCount) {
 }
 
 TEST(OptuEngineTest, PoolMemoMatchesReferenceAcrossEventChain) {
-  // utilizationPool re-solves each pool position from the basis that
-  // position ended with on the previous call. Drive the unrestricted Geant
-  // ruler through the serve daemon's event kinds -- fail a link, restore
-  // it, fail a pair, scale the demand, move the margin, shrink and regrow
-  // the pool -- and check every answer against a cold one-shot solve.
+  // utilizationAt re-solves a pool slot from the basis that slot ended
+  // with when it was last solved. Drive the unrestricted Geant ruler
+  // through the serve daemon's event kinds -- fail a link, restore it,
+  // fail a pair, scale the demand, move the margin, shrink and regrow the
+  // pool -- visiting the slots in pool order, in reverse, or only every
+  // other one (the caller picks, as the bound-and-prune ruler does), and
+  // check every answer against a cold one-shot solve.
   const Graph g = exp::TopologySpec::zoo("Geant").build();
   tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
   tm::PoolOptions popt;  // the failure sweeps' pool shape
@@ -651,34 +653,36 @@ TEST(OptuEngineTest, PoolMemoMatchesReferenceAcrossEventChain) {
   routing::OptuEngine engine(g);
   std::vector<tm::TrafficMatrix> pool =
       tm::cornerPool(tm::marginBounds(base, 2.0), popt);
-  const auto check = [&](const failure::FailureScenario& f,
+  enum class Order { kForward, kReverse, kEven };
+  const auto check = [&](const failure::FailureScenario& f, Order order,
                          const std::string& step) {
     engine.setFailedEdges(failure::directedEdges(g, f));
-    const std::vector<double> got = engine.utilizationPool(pool);
-    ASSERT_EQ(got.size(), pool.size()) << step;
     const std::vector<char> failed = failure::failedEdgeMask(g, f);
-    for (std::size_t j = 0; j < pool.size(); ++j) {
+    const std::size_t m = pool.size();
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t j = order == Order::kReverse ? m - 1 - k : k;
+      if (order == Order::kEven && j % 2 == 1) continue;
+      const double got = engine.utilizationAt(j, pool[j]);
       const double ref = referenceOptu(g, nullptr, pool[j], failed);
-      EXPECT_NEAR(got[j], ref, 1e-9 * (1.0 + ref))
-          << step << ", matrix " << j;
+      EXPECT_NEAR(got, ref, 1e-9 * (1.0 + ref)) << step << ", matrix " << j;
     }
   };
 
   const StatsSnapshot before = statsSnapshot();
-  check(intact, "intact");
-  check(one, "link down");
-  check(intact, "link up");
-  check(pair, "pair down");
+  check(intact, Order::kForward, "intact");
+  check(one, Order::kEven, "link down");
+  check(intact, Order::kReverse, "link up");
+  check(pair, Order::kForward, "pair down");
   base.scale(1.3);
   pool = tm::cornerPool(tm::marginBounds(base, 2.0), popt);
-  check(pair, "demand x1.3");
+  check(pair, Order::kReverse, "demand x1.3");
   pool = tm::cornerPool(tm::marginBounds(base, 2.5), popt);
-  check(pair, "margin 2.5");
+  check(pair, Order::kEven, "margin 2.5");
   const std::vector<tm::TrafficMatrix> full = pool;
   pool.erase(pool.begin() + 3, pool.end());
-  check(intact, "pool shrunk");
+  check(intact, Order::kForward, "pool shrunk");
   pool = full;
-  check(pair, "pool regrown");
+  check(pair, Order::kForward, "pool regrown");
   // The memoized bases re-entered through the dual simplex.
   EXPECT_GT((statsSnapshot() - before).dual_pivots, 0);
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "failure/scenario.hpp"
 #include "lp/stats.hpp"
 #include "serve/trace.hpp"
 #include "tm/traffic_matrix.hpp"
@@ -38,6 +39,47 @@ TeService quickService(const Graph& g, unsigned threads = 0) {
 }
 
 json::Value parsed(const std::string& line) { return json::parse(line); }
+
+/// The first link of g whose loss leaves every scheme of `service` able
+/// to route, as a ["A","B"] member. Probed with what-if queries, which
+/// change no service state.
+std::string survivableLink(TeService& service, const Graph& g) {
+  for (const EdgeId link : failure::physicalLinks(g)) {
+    const std::string pair = R"([")" + g.nodeName(g.edge(link).src) +
+                             R"(",")" + g.nodeName(g.edge(link).dst) + R"("])";
+    const json::Value resp = json::parse(
+        service.handleLine(R"({"op":"what-if","links":[)" + pair + "]}"));
+    if (resp.find("evaluated")->asBool() &&
+        resp.find("unroutable")->asArray().empty()) {
+      return pair;
+    }
+  }
+  throw std::logic_error("no link every scheme survives");
+}
+
+std::string linkEvent(const std::string& link, bool up) {
+  return R"({"op":"link","link":)" + link + R"(,"up":)" +
+         (up ? "true" : "false") + "}";
+}
+
+/// Both responses evaluated, with the same ratio keys, each ratio within
+/// 1e-9 (relative) of the other's.
+void expectSameRatios(const std::string& got, const std::string& want,
+                      const std::string& step) {
+  json::Value a = json::parse(got);
+  json::Value b = json::parse(want);
+  ASSERT_TRUE(a["evaluated"].asBool()) << step << ": " << got;
+  ASSERT_TRUE(b["evaluated"].asBool()) << step << ": " << want;
+  ASSERT_EQ(a["ratios"].asObject().size(), b["ratios"].asObject().size())
+      << step;
+  for (const auto& [key, value] : b["ratios"].asObject()) {
+    const json::Value* other = a["ratios"].find(key);
+    ASSERT_NE(other, nullptr) << step << ": " << key;
+    EXPECT_NEAR(other->asNumber(), value.asNumber(),
+                1e-9 * value.asNumber())
+        << step << ": " << key;
+  }
+}
 
 TEST(TeService, ProtocolRoundTrip) {
   const Graph g = topo::runningExample();
@@ -289,11 +331,51 @@ TEST(TeService, WarmResidentEngineBeatsColdOnLinkFlaps) {
   // 5,156 warm vs 19,516 cold pivots, so 19,516 / 1.5 = 13,010. Pivots
   // include the OPTU decomposition pre-solve's block LPs.
   EXPECT_LT(warm.iterations, 13010) << "warm pivots " << warm.iterations;
-  // The ruler's per-slot memo (OptuEngine::utilizationPool): each pool
-  // matrix re-solves from the basis it ended with at the previous event
+  // The ruler's per-slot memo (OptuEngine::utilizationAt): each pool
+  // matrix re-solves from the basis it ended with when last solved
   // instead of the previous matrix's. Chaining through the previous matrix
-  // took 5,156 pivots, the memo 3,410; 4,300 sits between the two.
-  EXPECT_LT(warm.iterations, 4300) << "warm pivots " << warm.iterations;
+  // took 5,156 pivots, the memo 3,410, and bound and prune on top of the
+  // memo (failure::evaluateFailure) 1,392; 2,400 sits between the last two.
+  EXPECT_LT(warm.iterations, 2400) << "warm pivots " << warm.iterations;
+}
+
+TEST(TeService, LinkFlapsReturnTheFirstEvaluationsRatios) {
+  // The floor rule (failure/evaluate.hpp) on a flapping Geant link: a
+  // link-down takes the previous resident evaluation's bounds as its floor,
+  // a link-up takes none. Pruned either way, every state must report the
+  // ratios of its first evaluation, which had no floor at all.
+  const Graph g = topo::makeZoo("Geant");
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  const std::string link = survivableLink(service, g);
+  const std::string down = linkEvent(link, /*up=*/false);
+  const std::string up = linkEvent(link, /*up=*/true);
+
+  const std::string intact =
+      service.handleLine(R"({"op":"what-if","links":[]})");
+  const std::string first_down = service.handleLine(down);
+  expectSameRatios(service.handleLine(up), intact, "first link-up");
+  expectSameRatios(service.handleLine(down), first_down, "second link-down");
+  expectSameRatios(service.handleLine(up), intact, "second link-up");
+}
+
+TEST(TeService, DemandEventAfterLinkDownMatchesAFreshService) {
+  // A demand event rebuilds the pool, so it must drop the floor the
+  // link-down recorded on the old pool (halving the demand halves every
+  // OPTU, so that floor would overstate the new pool's optima twofold).
+  // A fresh service that sees the same events the other way round reaches
+  // the same state and must report the same ratios.
+  const Graph g = topo::makeZoo("Geant");
+  const std::string halve = R"({"op":"demand","scale":0.5})";
+
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  const std::string down =
+      linkEvent(survivableLink(service, g), /*up=*/false);
+  ASSERT_TRUE(json::parse(service.handleLine(down))["ok"].asBool());
+  const std::string got = service.handleLine(halve);
+
+  TeService fresh(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  ASSERT_TRUE(json::parse(fresh.handleLine(halve))["ok"].asBool());
+  expectSameRatios(got, fresh.handleLine(down), "demand after link-down");
 }
 
 TEST(TeService, WhatIfChunkIsFixed) {
