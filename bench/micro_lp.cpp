@@ -1,6 +1,7 @@
 // Microbenchmarks of the LP substrate: the simplex solver on the LP
 // families the pipeline actually solves (OPTU normalization, base-optimal
-// routing, worst-case slave LP).
+// routing, worst-case slave LP), and the min cut that replaces the LP for
+// single-destination OPTU.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -8,10 +9,13 @@
 #include <vector>
 
 #include "core/dag_builder.hpp"
+#include "lp/stats.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/evaluator.hpp"
 #include "routing/optu.hpp"
 #include "routing/worst_case.hpp"
 #include "tm/traffic_matrix.hpp"
+#include "tm/uncertainty.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 
@@ -41,6 +45,33 @@ void BM_OptuUnrestricted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptuUnrestricted);
+
+void BM_OptuSingleSinkPool(benchmark::State& state) {
+  // The oblivious scheme's normalization on a fat-tree: every matrix of
+  // the destination-concentrated pool has one destination, so addPool
+  // solves each as a min cut and must run no LP.
+  const Graph g = topo::fatTree(8);
+  const auto dags = core::augmentedDagsShared(g);
+  tm::ObliviousPoolOptions opt;
+  opt.source_concentrated = false;
+  opt.uniform = false;
+  opt.random_sparse = 0;
+  const std::vector<tm::TrafficMatrix> pool =
+      tm::obliviousPool(g.numNodes(), opt);
+  for (auto _ : state) {
+    const lp::StatsSnapshot before = lp::statsSnapshot();
+    routing::PerformanceEvaluator eval(g, dags);
+    eval.setThreads(1);
+    eval.addPool(pool);
+    if ((lp::statsSnapshot() - before).solves != 0) {
+      state.SkipWithError("a single-destination normalization ran an LP");
+      break;
+    }
+    benchmark::DoNotOptimize(eval.size());
+  }
+  state.SetLabel("fatTree(8), " + std::to_string(pool.size()) + " matrices");
+}
+BENCHMARK(BM_OptuSingleSinkPool)->Unit(benchmark::kMillisecond);
 
 void BM_BaseOptimalRouting(benchmark::State& state) {
   const Graph g = topo::makeZoo("NSF");

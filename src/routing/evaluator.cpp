@@ -69,11 +69,11 @@ void PerformanceEvaluator::addPool(const std::vector<tm::TrafficMatrix>& pool) {
   for (const auto& d : pool) {
     require(d.numNodes() == g_.numNodes(), "matrix/graph size mismatch");
   }
-  // Solve the normalization LPs in warm-start chains: the engine groups
-  // matrices by LP structure and cuts each group into fixed-size chunks
-  // that fan out over the thread pool (results identical for any thread
-  // count). Insertion stays sequential so ordering and deduplication are
-  // deterministic.
+  // Solve the normalizations in warm-start chains (single-destination
+  // matrices as min cuts): the engine groups matrices by LP structure and
+  // cuts each group into fixed-size chunks that fan out over the thread
+  // pool (results identical for any thread count). Insertion stays
+  // sequential so ordering and deduplication are deterministic.
   std::vector<double> optu = engine_->utilizationBatch(pool, threadPool());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (optu[i] <= 1e-12) continue;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/maxflow.hpp"
 #include "lp/stats.hpp"
 
 namespace coyote::routing {
@@ -443,9 +444,119 @@ const lp::Basis& OptuEngine::ensureSeed(Template& t,
   return t.seed;
 }
 
+// ---------------------------------------------------------------------------
+// Single-destination matrices. When every demand goes to one node t, OPTU is
+// a single-sink flow problem and equals the densest cut:
+//
+//     OPTU = max over X subset of V\{t} of d(X) / c(delta+(X)),
+//
+// where d(X) is the demand from X and delta+(X) the usable edges leaving X
+// (failed and zero-capacity edges count as capacity 0). Newton's
+// (Dinkelbach's) iteration finds it with a few max flows: with
+// lambda = c(delta+(X)) / d(X) for the current cut X, route the supplies
+// lambda * d(s, t) from a super-source. If every supply arc saturates, the
+// demand routes at utilization 1 / lambda, which X matches from below, so
+// X is optimal. Otherwise the residual source side Y is strictly denser
+// (c(delta+(Y)) < lambda * d(Y)) and becomes the next cut.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The only active destination, or -1 when zero or several are active.
+NodeId soleDestination(const std::vector<char>& active) {
+  NodeId sole = -1;
+  for (NodeId t = 0; t < static_cast<NodeId>(active.size()); ++t) {
+    if (!active[t]) continue;
+    if (sole >= 0) return -1;
+    sole = t;
+  }
+  return sole;
+}
+
+}  // namespace
+
+double OptuEngine::singleSinkUtilization(NodeId dest,
+                                         const tm::TrafficMatrix& d) const {
+  const int n = g_.numNodes();
+  // The edges an LP template gives flow variables toward dest, in id order.
+  std::vector<EdgeId> edges;
+  if (dags_ != nullptr) {
+    edges = (*dags_)[dest].edges();  // a Dag keeps its edges sorted
+  } else {
+    for (EdgeId e = 0; e < g_.numEdges(); ++e) {
+      if (g_.edge(e).src != dest) edges.push_back(e);
+    }
+  }
+  std::vector<char> touched(n, 0);
+  std::vector<double> cap(edges.size(), 0.0);
+  for (std::size_t j = 0; j < edges.size(); ++j) {
+    const Edge& ed = g_.edge(edges[j]);
+    touched[ed.src] = touched[ed.dst] = 1;
+    const bool down = !failed_.empty() && failed_[edges[j]];
+    if (!down && ed.capacity > 0.0) cap[j] = ed.capacity;
+  }
+  std::vector<NodeId> sources;
+  for (NodeId u = 0; u < n; ++u) {
+    if (u == dest || d.at(u, dest) <= 0.0) continue;
+    // Same check and message as the LP path (a source without a
+    // conservation row).
+    require(touched[u] != 0, "demand from " + g_.nodeName(u) + " to " +
+                                 g_.nodeName(dest) +
+                                 " cannot be routed (no usable edges)");
+    sources.push_back(u);
+  }
+
+  // d(X) over sources and c(delta+(X)) over edges, both in id order.
+  const auto density = [&](const std::vector<char>& side) {
+    double dem = 0.0;
+    for (const NodeId s : sources) {
+      if (side[s]) dem += d.at(s, dest);
+    }
+    double c = 0.0;
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      const Edge& ed = g_.edge(edges[j]);
+      if (side[ed.src] && !side[ed.dst]) c += cap[j];
+    }
+    return std::make_pair(dem, c);
+  };
+
+  std::vector<char> side(n, 1);
+  side[dest] = 0;
+  auto [dem, c] = density(side);
+  for (;;) {
+    if (c <= 0.0) {
+      // Demand inside X but no capacity out: the LP is infeasible.
+      throw std::runtime_error("OPTU LP not optimal: " +
+                               lp::toString(lp::Status::kInfeasible));
+    }
+    const double lambda = c / dem;
+    Dinic net(n + 1);  // node n = super-source
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      if (cap[j] > 0.0) {
+        net.addArc(g_.edge(edges[j]).src, g_.edge(edges[j]).dst, cap[j]);
+      }
+    }
+    for (const NodeId s : sources) net.addArc(n, s, lambda * d.at(s, dest));
+    net.run(n, dest);
+    std::vector<char> next = net.sourceSide(n);
+    next.resize(n);  // drop the super-source
+    const auto [next_dem, next_c] = density(next);
+    // No supply arc left unsaturated (next_dem == 0), or rounding left one
+    // open without a denser cut behind it: X is optimal.
+    if (next_dem <= 0.0 || (next_c > 0.0 && next_dem / next_c <= dem / c)) {
+      return dem / c;
+    }
+    side = std::move(next);
+    dem = next_dem;
+    c = next_c;
+  }
+}
+
 double OptuEngine::utilization(const tm::TrafficMatrix& d) {
   const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
+  const NodeId sole = soleDestination(active);
+  if (sole >= 0) return singleSinkUtilization(sole, d);
   Template& t = serialFor(active, d);
   return solveAlpha(*t.serial, t);
 }
@@ -483,9 +594,12 @@ std::vector<double> OptuEngine::utilizationBatch(
     it->second.push_back(i);
   }
 
+  // A chunk without a template holds single-destination matrices, each
+  // solved on its own by the min cut.
   struct Chunk {
     const Template* tpl = nullptr;
     const lp::Basis* seed = nullptr;  ///< decomposition crossover basis
+    NodeId sole = -1;                 ///< the destination when tpl is null
     std::vector<std::size_t> indices;
   };
   std::vector<Chunk> chunks;
@@ -493,15 +607,21 @@ std::vector<double> OptuEngine::utilizationBatch(
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const std::string& key : group_order) {
       const std::vector<std::size_t>& members = groups[key];
-      Template& t = templateFor(std::vector<char>(key.begin(), key.end()));
-      // Phase A: one decomposition per template (blocks fanned out on the
-      // pool) builds the crossover basis every chunk clone starts from --
-      // chunk clones otherwise pay a cold all-logical solve each batch.
-      const lp::Basis& seed = ensureSeed(t, pool[members.front()], &tp);
+      const std::vector<char> active(key.begin(), key.end());
+      Chunk proto;
+      proto.sole = soleDestination(active);
+      if (proto.sole < 0) {
+        Template& t = templateFor(active);
+        // Phase A: one decomposition per template (blocks fanned out on
+        // the pool) builds the crossover basis every chunk clone starts
+        // from -- chunk clones otherwise pay a cold all-logical solve each
+        // batch.
+        const lp::Basis& seed = ensureSeed(t, pool[members.front()], &tp);
+        proto.tpl = &t;
+        proto.seed = seed.empty() ? nullptr : &t.seed;
+      }
       for (std::size_t at = 0; at < members.size(); at += kBatchChunk) {
-        Chunk c;
-        c.tpl = &t;
-        c.seed = seed.empty() ? nullptr : &t.seed;
+        Chunk c = proto;
         const std::size_t end =
             std::min<std::size_t>(members.size(), at + kBatchChunk);
         c.indices.assign(members.begin() + at, members.begin() + end);
@@ -512,6 +632,12 @@ std::vector<double> OptuEngine::utilizationBatch(
 
   tp.parallelFor(chunks.size(), [&](std::size_t ci) {
     const Chunk& c = chunks[ci];
+    if (c.tpl == nullptr) {
+      for (const std::size_t i : c.indices) {
+        out[i] = singleSinkUtilization(c.sole, pool[i]);
+      }
+      return;
+    }
     lp::SimplexSolver solver(c.tpl->problem, opt_);
     if (c.seed != nullptr) solver.setBasis(*c.seed);
     for (const std::size_t i : c.indices) {
@@ -526,6 +652,8 @@ double OptuEngine::utilizationAt(std::size_t slot,
                                  const tm::TrafficMatrix& d) {
   const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
+  const NodeId sole = soleDestination(active);
+  if (sole >= 0) return singleSinkUtilization(sole, d);
   Template& t = serialFor(active, d);
   // Installed after the rhs edits, so the dual simplex judges the slot's
   // basis by how many of its basics the new matrix violates: after a

@@ -1,8 +1,8 @@
 // Demands-aware optimal routing: OPTU(D) (Sec. III).
 //
 // OPTU(D) = min over per-destination routings of the maximum link
-// utilization when routing D. With destination-based routing this is a
-// plain LP over per-destination aggregate flows g_t(e):
+// utilization when routing D. With destination-based routing this is an
+// LP over per-destination aggregate flows g_t(e):
 //
 //     min alpha
 //     s.t. for every destination t, node u != t:
@@ -15,12 +15,19 @@
 // normalize by; the unrestricted variant is the formal OPTU over all
 // per-destination routings.
 //
-// Only the conservation right-hand sides depend on the demand matrix, so
-// OptuEngine builds the constraint matrix once per (graph, DAG-set,
-// active-destination signature) and re-solves across pool matrices and
-// margin points by mutating the rhs of a retained lp::SimplexSolver
-// session -- the warm-started basis typically cuts the simplex pivots per
-// matrix by several-fold. Batch solves are fanned out over the thread pool
+// A matrix whose demand all goes to one destination t needs no LP: its
+// OPTU is the densest cut, max over X subset of V\{t} of d(X) / c(delta+X).
+// utilization, utilizationBatch and utilizationAt find it exactly by a
+// Newton iteration over Dinic max flows (graph/maxflow.hpp) and build no
+// template for it. utilizationWithFlows always solves the LP, because its
+// callers consume the LP's optimal flows.
+//
+// For every other matrix only the conservation right-hand sides depend on
+// the demand matrix, so OptuEngine builds the constraint matrix once per
+// (graph, DAG-set, active-destination signature) and re-solves across pool
+// matrices and margin points by mutating the rhs of a retained
+// lp::SimplexSolver session -- the warm-started basis typically cuts the
+// simplex pivots per matrix by several-fold. Batch solves are fanned out over the thread pool
 // in fixed-size chunks (each chunk one warm-start chain), so every result
 // and pivot count is bit-identical for any thread count.
 #pragma once
@@ -55,9 +62,11 @@ class OptuEngine {
   OptuEngine(const OptuEngine&) = delete;
   OptuEngine& operator=(const OptuEngine&) = delete;
 
-  /// OPTU(d). Warm-starts from the previous solve with the same
-  /// active-destination signature. Throws std::runtime_error if the LP is
-  /// not optimal, std::invalid_argument if some demand cannot be routed.
+  /// OPTU(d). A single-destination d is solved as a min cut; any other
+  /// warm-starts from the previous solve with the same active-destination
+  /// signature. Throws std::runtime_error if the LP is not optimal (for a
+  /// min cut: if the failed or zero-capacity edges cut a source off),
+  /// std::invalid_argument if some source has no usable edge.
   [[nodiscard]] double utilization(const tm::TrafficMatrix& d);
 
   /// OPTU of every matrix, in order. Independent fixed-size chunks of the
@@ -128,6 +137,11 @@ class OptuEngine {
                    const tm::TrafficMatrix& d) const;
   [[nodiscard]] static double solveAlpha(lp::SimplexSolver& solver,
                                          const Template& t);
+  /// OPTU of a matrix whose only active destination is `dest`, by the
+  /// parametric min cut (see optu.cpp). Reads failed_: caller holds mutex_
+  /// or runs inside utilizationBatch.
+  [[nodiscard]] double singleSinkUtilization(NodeId dest,
+                                             const tm::TrafficMatrix& d) const;
   /// Block-decomposition pre-solve: per-destination min-cost-flow blocks
   /// under capacity prices, iterated kDecompRounds times with a
   /// deterministic multiplicative price update, then crossed over into a

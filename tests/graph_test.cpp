@@ -313,6 +313,35 @@ TEST_P(RandomBackboneFlow, FlowBoundedByDegreeCuts) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomBackboneFlow,
                          ::testing::Values(1, 2, 3, 4, 5));
 
+TEST(MaxFlow, ScaleInvariant) {
+  // The saturation tolerance is relative to the largest arc capacity, so
+  // scaling every capacity scales the flow -- also when all of them sit
+  // below 1e-12, where an absolute tolerance would report no flow at all.
+  const auto scaled = [](const Graph& g, double f) {
+    Graph h;
+    for (NodeId v = 0; v < g.numNodes(); ++v) h.addNode();
+    for (const Edge& e : g.edges()) h.addEdge(e.src, e.dst, f * e.capacity);
+    return h;
+  };
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const Graph g = topo::randomBackbone(12, 3.0, seed);
+    for (const double f : {1e-13, 1e13}) {
+      const Graph h = scaled(g, f);
+      for (NodeId s = 0; s < 4; ++s) {
+        for (NodeId t = 8; t < 12; ++t) {
+          const double base = maxFlow(g, s, t);
+          ASSERT_GT(base, 0.0);
+          EXPECT_NEAR(maxFlow(h, s, t) / f, base, 1e-12 * base)
+              << "seed " << seed << ", scale " << f << ", " << s << "->" << t;
+        }
+      }
+      const double base = maxFlow(g, {0, 1, 2}, 11);
+      EXPECT_NEAR(maxFlow(h, {0, 1, 2}, 11) / f, base, 1e-12 * base)
+          << "seed " << seed << ", scale " << f << ", multi-source";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // require() failure paths: empty graphs and degenerate edge parameters.
 // ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dag_builder.hpp"
 #include "exp/scenario.hpp"
@@ -20,6 +23,8 @@
 #include "routing/worst_case.hpp"
 #include "tm/traffic_matrix.hpp"
 #include "tm/uncertainty.hpp"
+#include "topo/generator.hpp"
+#include "topo/zoo.hpp"
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
@@ -538,6 +543,20 @@ double referenceOptu(const Graph& g, const DagSet* dags,
   return r.x[alpha];
 }
 
+/// Number of destinations that some source sends demand to.
+int activeDestinations(const tm::TrafficMatrix& d) {
+  int count = 0;
+  for (NodeId t = 0; t < d.numNodes(); ++t) {
+    for (NodeId s = 0; s < d.numNodes(); ++s) {
+      if (s != t && d.at(s, t) > 0.0) {
+        ++count;
+        break;
+      }
+    }
+  }
+  return count;
+}
+
 TEST(OptuEngineTest, BatchIsIdenticalForAnyThreadCount) {
   const Graph g = exp::ScenarioRegistry::global()
                       .find("running-example")
@@ -554,6 +573,16 @@ TEST(OptuEngineTest, BatchIsIdenticalForAnyThreadCount) {
       }
     }
     pool.push_back(std::move(d));
+  }
+  // Single-destination matrices, interleaved with the LP ones: they take
+  // the min cut instead of a warm chain.
+  for (int k = 0; k < 2 * g.numNodes(); ++k) {
+    const NodeId t = k % g.numNodes();
+    tm::TrafficMatrix d(g.numNodes());
+    for (NodeId s = 0; s < g.numNodes(); ++s) {
+      if (s != t) d.set(s, t, 0.1 + dem(rng));
+    }
+    pool.insert(pool.begin() + 3 * k, std::move(d));
   }
 
   std::vector<std::vector<double>> results;
@@ -573,6 +602,80 @@ TEST(OptuEngineTest, BatchIsIdenticalForAnyThreadCount) {
     if (pool[i].total() <= 0.0) continue;
     const double cold = referenceOptu(g, dags.get(), pool[i]);
     EXPECT_NEAR(results[0][i], cold, 1e-7 * (1.0 + cold)) << "matrix " << i;
+  }
+  // The per-matrix entry points agree with the batch: bit for bit on the
+  // min cut, which has no warm chain to differ by; to LP tolerance on the
+  // rest.
+  routing::OptuEngine serial(g, dags);
+  routing::OptuEngine slots(g, dags);
+  int single = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const double u = serial.utilization(pool[i]);
+    const double at = slots.utilizationAt(i, pool[i]);
+    if (activeDestinations(pool[i]) == 1) {
+      ++single;
+      EXPECT_EQ(u, results[0][i]) << "matrix " << i;
+      EXPECT_EQ(at, results[0][i]) << "matrix " << i;
+    } else {
+      EXPECT_NEAR(u, results[0][i], 1e-9 * (1.0 + u)) << "matrix " << i;
+      EXPECT_NEAR(at, results[0][i], 1e-9 * (1.0 + at)) << "matrix " << i;
+    }
+  }
+  EXPECT_GE(single, 2 * g.numNodes());
+}
+
+/// Expects every OPTU entry point to throw E on d.
+template <class E>
+void expectEveryEntryThrows(routing::OptuEngine& engine,
+                            const tm::TrafficMatrix& d,
+                            const std::string& what) {
+  util::ThreadPool tp(2);
+  EXPECT_THROW((void)engine.utilization(d), E) << what;
+  EXPECT_THROW((void)engine.utilizationAt(0, d), E) << what;
+  EXPECT_THROW((void)engine.utilizationBatch({d}, tp), E) << what;
+}
+
+TEST(OptuEngineTest, SingleDestinationThrowsLikeTheLp) {
+  // A bad demand raises the same exception whether its matrix takes the
+  // min cut (one destination) or the LP (a second destination added).
+  Graph g = topo::runningExample();  // s1, s2, v, t
+  const DagSet base = core::augmentedDags(g);
+  const NodeId z = g.addNode("z");  // isolated: no usable edge anywhere
+  auto dags = std::make_shared<DagSet>();
+  for (NodeId t = 0; t < g.numNodes(); ++t) {
+    dags->emplace_back(g, t, t < z ? base[t].edges() : std::vector<EdgeId>{});
+  }
+  const NodeId s1 = 0;
+  const NodeId s2 = 1;
+  const NodeId v = 2;
+  const NodeId t = 3;
+  const auto oneAndTwo = [&](NodeId src) {
+    tm::TrafficMatrix one(g.numNodes());
+    one.set(src, t, 1.0);
+    tm::TrafficMatrix two = one;
+    two.set(s2, v, 1.0);
+    EXPECT_EQ(activeDestinations(one), 1);
+    EXPECT_EQ(activeDestinations(two), 2);
+    return std::vector<tm::TrafficMatrix>{one, two};
+  };
+  // Every link at s1 fails: s1 keeps its edges, but none carries flow.
+  std::vector<EdgeId> around_s1;
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    if (g.edge(e).src == s1 || g.edge(e).dst == s1) around_s1.push_back(e);
+  }
+  for (const bool within : {true, false}) {
+    routing::OptuEngine engine = within ? routing::OptuEngine(g, dags)
+                                        : routing::OptuEngine(g);
+    const std::string mode = within ? "within DAGs" : "unrestricted";
+    for (const tm::TrafficMatrix& d : oneAndTwo(z)) {
+      expectEveryEntryThrows<std::invalid_argument>(
+          engine, d, mode + ", no usable edge");
+    }
+    engine.setFailedEdges(around_s1);
+    for (const tm::TrafficMatrix& d : oneAndTwo(s1)) {
+      expectEveryEntryThrows<std::runtime_error>(engine, d,
+                                                 mode + ", cut off");
+    }
   }
 }
 
@@ -685,6 +788,88 @@ TEST(OptuEngineTest, PoolMemoMatchesReferenceAcrossEventChain) {
   check(pair, Order::kForward, "pool regrown");
   // The memoized bases re-entered through the dual simplex.
   EXPECT_GT((statsSnapshot() - before).dual_pivots, 0);
+}
+
+// --- Single-destination matrices: the min cut vs the reference LP. -------
+
+TEST(SingleSinkOptu, MatchesReferenceOptu) {
+  // A matrix with one destination takes the parametric min cut. It must
+  // match the reference LP within 1e-12 relative and run no LP at all,
+  // intact and under every single-link failure that leaves its sources
+  // connected; the failures that cut a source off must report the LP's
+  // infeasibility.
+  std::vector<std::pair<std::string, Graph>> nets;
+  nets.emplace_back("Geant", topo::makeZoo("Geant"));
+  nets.emplace_back("fatTree(4)", topo::fatTree(4));
+  nets.emplace_back("grid(3,3)", topo::grid(3, 3));
+  int checked = 0;
+  int cut_off = 0;
+  for (const auto& [name, g] : nets) {
+    const auto dags = core::augmentedDagsShared(g);
+    const int n = g.numNodes();
+    // Unit and seeded random supplies toward every destination.
+    std::vector<tm::TrafficMatrix> pool;
+    std::mt19937_64 rng(5);
+    std::uniform_real_distribution<double> dem(0.1, 10.0);
+    for (const bool unit : {true, false}) {
+      for (NodeId t = 0; t < n; ++t) {
+        tm::TrafficMatrix d(n);
+        for (NodeId s = 0; s < n; ++s) {
+          if (s == t || (!unit && rng() % 4 == 0)) continue;
+          d.set(s, t, unit ? 1.0 : dem(rng));
+        }
+        if (d.total() <= 0.0) d.set((t + 1) % n, t, 1.0);
+        pool.push_back(std::move(d));
+      }
+    }
+    std::vector<failure::FailureScenario> failures(1);  // intact first
+    for (const EdgeId link : failure::physicalLinks(g)) {
+      failures.push_back({"", {link}});
+    }
+    for (const bool within : {true, false}) {
+      const DagSet* dag_set = within ? dags.get() : nullptr;
+      routing::OptuEngine engine = within ? routing::OptuEngine(g, dags)
+                                          : routing::OptuEngine(g);
+      util::ThreadPool tp(2);
+      for (std::size_t f = 0; f < failures.size(); ++f) {
+        engine.setFailedEdges(failure::directedEdges(g, failures[f]));
+        const std::vector<char> failed =
+            failure::failedEdgeMask(g, failures[f]);
+        const std::string where = name + (within ? " within DAGs" : "") +
+                                  ", failure " + std::to_string(f);
+        std::vector<double> ref(pool.size(), -1.0);  // -1: a source cut off
+        std::vector<tm::TrafficMatrix> routable;
+        for (std::size_t j = 0; j < pool.size(); ++j) {
+          try {
+            ref[j] = referenceOptu(g, dag_set, pool[j], failed);
+            routable.push_back(pool[j]);
+          } catch (const std::invalid_argument&) {
+          }
+        }
+        const StatsSnapshot before = statsSnapshot();
+        const std::vector<double> batch = engine.utilizationBatch(routable, tp);
+        std::size_t k = 0;
+        for (std::size_t j = 0; j < pool.size(); ++j) {
+          if (ref[j] < 0.0) {
+            EXPECT_THROW((void)engine.utilization(pool[j]), std::runtime_error)
+                << where << ", matrix " << j;
+            ++cut_off;
+            continue;
+          }
+          const double got = engine.utilization(pool[j]);
+          EXPECT_NEAR(got, ref[j], 1e-12 * ref[j])
+              << where << ", matrix " << j;
+          EXPECT_EQ(engine.utilizationAt(j, pool[j]), got)
+              << where << ", matrix " << j;
+          EXPECT_EQ(batch[k++], got) << where << ", matrix " << j;
+          ++checked;
+        }
+        EXPECT_EQ((statsSnapshot() - before).solves, 0) << where;
+      }
+    }
+  }
+  EXPECT_GT(checked, 5000);
+  EXPECT_GT(cut_off, 0);  // grid and fat-tree DAGs lose sources to a link
 }
 
 // --- COYOTE_FULL=1: the engine vs the reference LP on every scenario. ----
