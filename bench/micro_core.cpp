@@ -173,28 +173,32 @@ BENCHMARK(BM_SimplexOptu)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // The per-edge worst-case slave LPs on GEANT: Arg(0) is one cold solve per
 // edge (fresh session each, the pre-warm-start behavior), Arg(1) the
 // oracle's warm-start chains, cross-checked edge-by-edge against cold.
+// Arg 0: every edge's LP cold; 1: WorstCaseOracle::find's warm chunked
+// chain; 2: findWorstCaseDemand's serial scan pruned by dual bounds.
 void BM_SimplexSlaveWarmStart(benchmark::State& state) {
   const Graph g = topo::makeZoo("Geant");
   const auto dags = core::augmentedDagsShared(g);
   const auto ecmp = routing::ecmpConfig(g, dags);
-  const bool warm = state.range(0) != 0;
+  const int mode = static_cast<int>(state.range(0));
 
   static std::vector<double> cold_ref;
-  if (!warm) {
+  if (mode == 0) {
     cold_ref.clear();
     for (EdgeId e = 0; e < g.numEdges(); ++e) {
       cold_ref.push_back(
           routing::findWorstCaseDemandForEdge(g, ecmp, e).ratio);
     }
   } else if (!cold_ref.empty()) {
-    // Validate the warm-chained scan itself: its winning ratio must match
-    // the maximum of the independent cold per-edge solves.
+    // Validate the scan itself: its winning ratio must match the maximum
+    // of the independent cold per-edge solves.
     routing::WorstCaseOracle oracle(g, dags, nullptr);
-    const double warm_best = oracle.find(ecmp).ratio;
+    const double scan_best = mode == 1
+                                 ? oracle.find(ecmp).ratio
+                                 : routing::findWorstCaseDemand(g, ecmp).ratio;
     double cold_best = 0.0;
     for (const double r : cold_ref) cold_best = std::max(cold_best, r);
-    if (std::abs(warm_best - cold_best) > 1e-7 * (1.0 + cold_best)) {
-      state.SkipWithError("warm slave-LP objective differs from cold");
+    if (std::abs(scan_best - cold_best) > 1e-7 * (1.0 + cold_best)) {
+      state.SkipWithError("slave-LP scan objective differs from cold");
       return;
     }
   }
@@ -202,8 +206,10 @@ void BM_SimplexSlaveWarmStart(benchmark::State& state) {
   const lp::StatsSnapshot before = lp::statsSnapshot();
   routing::WorstCaseOracle oracle(g, dags, nullptr);
   for (auto _ : state) {
-    if (warm) {
+    if (mode == 1) {
       benchmark::DoNotOptimize(oracle.find(ecmp));
+    } else if (mode == 2) {
+      benchmark::DoNotOptimize(routing::findWorstCaseDemand(g, ecmp));
     } else {
       double worst = 0.0;
       for (EdgeId e = 0; e < g.numEdges(); ++e) {
@@ -220,11 +226,12 @@ void BM_SimplexSlaveWarmStart(benchmark::State& state) {
         static_cast<double>(delta.solves);
   }
   state.SetItemsProcessed(state.iterations() * g.numEdges());
-  state.SetLabel(warm ? "warm-chained" : "cold");
+  state.SetLabel(mode == 1 ? "warm-chained" : mode == 2 ? "pruned" : "cold");
 }
 BENCHMARK(BM_SimplexSlaveWarmStart)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -159,6 +159,14 @@ struct LpResult {
   Status status = Status::kIterLimit;
   double objective = 0.0;
   std::vector<double> x;  ///< primal solution in original variable space
+  /// Row duals y in the problem's own sense (valid when status ==
+  /// kOptimal): y_i = d(objective)/d(rhs_i) at the final basis, so a <=
+  /// row has y_i >= 0 when maximizing and <= 0 when minimizing (>= rows
+  /// the reverse; = rows are free). They are the phase-2 duals
+  /// B^-T c_B of the optimal basis, taken on a fresh factorization. When
+  /// every variable has lower bound 0 and no finite upper bound, rhs . y
+  /// equals the objective (strong duality).
+  std::vector<double> row_duals;
   Basis basis;            ///< final basis (valid when status == kOptimal)
   SolveStats stats;
 

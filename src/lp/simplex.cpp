@@ -208,6 +208,10 @@ class SimplexSolver::Impl {
     res.status = run(res.stats);
     res.basis = basis_status_;
     if (res.status == Status::kOptimal) {
+      // run() leaves the phase-2 duals of the internal minimization in
+      // opt_duals_; flip them into the problem's own sense.
+      res.row_duals.assign(m_, 0.0);
+      for (int i = 0; i < m_; ++i) res.row_duals[i] = sgn_ * opt_duals_[i];
       res.x.assign(n_, 0.0);
       double obj = 0.0;
       for (int j = 0; j < n_; ++j) {
@@ -1194,7 +1198,10 @@ class SimplexSolver::Impl {
           y_valid = false;
           continue;
         }
-        return phase1 ? Status::kInfeasible : Status::kOptimal;
+        if (phase1) return Status::kInfeasible;
+        // y is fresh: recomputed this iteration on an update-free LU.
+        opt_duals_.swap(y);
+        return Status::kOptimal;
       }
 
       // alpha = B^{-1} A_enter.
@@ -1324,6 +1331,7 @@ class SimplexSolver::Impl {
   Basis basis_status_;
   std::vector<int> basis_;   ///< row -> basic column (valid when factored_)
   std::vector<double> xval_; ///< per-column primal values
+  std::vector<double> opt_duals_;  ///< internal-sense y at the last optimum
   LuFactor lu_;
   std::vector<double> devex_w_;  ///< devex reference weights, per column
   std::vector<int> cand_;        ///< pricing candidate list (column ids)

@@ -1,6 +1,9 @@
 #include "routing/worst_case.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "routing/propagation.hpp"
@@ -35,6 +38,158 @@ struct LoadCoefficients {
   }
 };
 
+/// A pair the slave LP carries a demand variable for: the DAG of t routes
+/// s, and (box case) the box lets the pair send.
+bool routablePair(const DagSet& dags, const tm::DemandBounds* box, NodeId s,
+                  NodeId t) {
+  const Dag& dag = dags[t];
+  return s != t && !dag.edges().empty() && dag.reachesDest(s) &&
+         (box == nullptr || box->hi.at(s, t) > 0.0);
+}
+
+/// Theorem-5 bounds (Appendix C of the technical report). Under edge
+/// weights pi >= 0, every unit of (s,t) demand pays at least
+/// dist_pi(s,t), its pi-shortest path inside t's DAG, so any demand the
+/// DAGs route within capacity has  sum d*dist <= budget = sum_a rhs(a)*pi(a).
+/// Edge e's utilization sum w*d (w = l_st(e)/c(e)) is then at most
+/// budget * theta_e, with theta_e the largest sum w*x / sum dist*x over the
+/// demand cone: max w/dist over all matrices, and a linear-fractional
+/// maximum over the box [lo, hi], found greedily.
+class DualBounds {
+ public:
+  /// `rhs` holds each edge's capacity-row rhs, by edge id.
+  DualBounds(const Graph& g, const DagSet& dags, const tm::DemandBounds* box,
+             const LoadCoefficients& coef, std::vector<double> rhs)
+      : g_(g), dags_(dags), box_(box), n_(g.numNodes()), rhs_(std::move(rhs)) {
+    terms_.assign(static_cast<std::size_t>(g.numEdges()), {});
+    for (NodeId t = 0; t < n_; ++t) {
+      const auto& edges = dags[t].edges();
+      bool active = false;
+      for (NodeId s = 0; s < n_; ++s) {
+        if (!routablePair(dags, box, s, t)) continue;
+        active = true;
+        const int pair = t * n_ + s;
+        pairs_.push_back(pair);
+        const auto& l = coef.per_pair[static_cast<std::size_t>(pair)];
+        for (std::size_t k = 0; k < edges.size(); ++k) {
+          if (l[k] <= 0.0) continue;
+          terms_[edges[k]].push_back(
+              {pair, l[k] / g.edge(edges[k]).capacity});
+        }
+      }
+      if (active) dests_.push_back(t);
+    }
+    dist_.assign(static_cast<std::size_t>(n_) * n_, lp::kInfinity);
+  }
+
+  /// True if some routable pair loads e (its LP objective is nonzero).
+  [[nodiscard]] bool loads(EdgeId e) const { return !terms_[e].empty(); }
+
+  /// Installs edge weights pi (by edge id): one distance DP per
+  /// destination DAG, in reverse topological order.
+  void setWeights(const std::vector<double>& pi) {
+    budget_ = 0.0;
+    for (std::size_t a = 0; a < pi.size(); ++a) budget_ += rhs_[a] * pi[a];
+    std::vector<double> node(static_cast<std::size_t>(n_));
+    for (const NodeId t : dests_) {
+      const Dag& dag = dags_[t];
+      std::fill(node.begin(), node.end(), lp::kInfinity);
+      node[t] = 0.0;
+      const auto& topo = dag.topoOrder();
+      for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+        const NodeId u = *it;
+        if (u == t) continue;
+        for (const EdgeId a : dag.outEdges(u)) {
+          node[u] = std::min(node[u], pi[a] + node[g_.edge(a).dst]);
+        }
+      }
+      for (NodeId s = 0; s < n_; ++s) dist_[t * n_ + s] = node[s];
+    }
+    base_den_ = 0.0;
+    if (box_ != nullptr) {
+      for (const int pair : pairs_) base_den_ += dist_[pair] * lo(pair);
+    }
+  }
+
+  /// B_e(pi) for the installed weights; 0 if nothing loads e. Over all
+  /// matrices, a pair loading e at distance 0 makes it +infinity; over the
+  /// box, only if no demand at positive distance remains to divide by.
+  [[nodiscard]] double bound(EdgeId e) {
+    const auto& terms = terms_[e];
+    if (box_ == nullptr) {
+      double theta = 0.0;
+      for (const Term& term : terms) {
+        const double d = dist_[term.pair];
+        if (d <= 0.0) return lp::kInfinity;
+        theta = std::max(theta, term.w / d);
+      }
+      return budget_ * theta;
+    }
+    // Every pair starts at lo; loading pairs rise to hi in descending
+    // w/dist order (+infinity at distance 0) while their ratio beats the
+    // running one.
+    double num = 0.0;
+    double den = base_den_;
+    order_.clear();
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const double d = dist_[terms[i].pair];
+      num += terms[i].w * lo(terms[i].pair);
+      order_.push_back({d > 0.0 ? terms[i].w / d : lp::kInfinity,
+                        static_cast<int>(i)});
+    }
+    std::sort(order_.begin(), order_.end(),
+              [](const auto& a, const auto& b) {
+                return a.first != b.first ? a.first > b.first
+                                          : a.second < b.second;
+              });
+    for (const auto& [r, i] : order_) {
+      if (den > 0.0 && r * den <= num) break;
+      const Term& term = terms[i];
+      const double span = hi(term.pair) - lo(term.pair);
+      num += term.w * span;
+      den += dist_[term.pair] * span;
+    }
+    if (den > 0.0) return budget_ * (num / den);
+    return num > 0.0 ? lp::kInfinity : 0.0;
+  }
+
+ private:
+  struct Term {
+    int pair;  ///< t*n + s
+    double w;  ///< l_st(e) / c(e)
+  };
+  [[nodiscard]] double lo(int pair) const {
+    return box_->lo.at(pair % n_, pair / n_);
+  }
+  [[nodiscard]] double hi(int pair) const {
+    return box_->hi.at(pair % n_, pair / n_);
+  }
+
+  const Graph& g_;
+  const DagSet& dags_;
+  const tm::DemandBounds* box_;
+  int n_;
+  std::vector<double> rhs_;               ///< [e] capacity-row rhs
+  std::vector<std::vector<Term>> terms_;  ///< [e] pairs loading e, t-major
+  std::vector<int> pairs_;                ///< routable pairs
+  std::vector<NodeId> dests_;             ///< destinations with a pair
+  std::vector<double> dist_;              ///< [t*n+s] dist_pi(s,t)
+  double budget_ = 0.0;                   ///< sum_a rhs(a) * pi(a)
+  double base_den_ = 0.0;                 ///< sum over pairs dist * lo
+  std::vector<std::pair<double, int>> order_;  ///< bound() scratch
+};
+
+/// Slave LPs are never infeasible (zero demand is feasible) nor unbounded
+/// (capacities cap every flow), so any other verdict is a solver failure
+/// that must not pass as a small ratio.
+void requireOptimal(const lp::LpResult& res, EdgeId edge) {
+  if (res.status != lp::Status::kOptimal) {
+    throw std::runtime_error("worst-case LP not optimal: " +
+                             lp::toString(res.status) + " (edge " +
+                             std::to_string(edge) + ")");
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -65,10 +220,16 @@ class WorstCaseOracle::Impl {
     const int n = g_.numNodes();
     const int m = g_.numEdges();
     if (num_dvars_ == 0 || forced_zero_) {
-      return {tm::TrafficMatrix(n), 0.0, m > 0 ? 0 : kInvalidEdge};
+      return {tm::TrafficMatrix(n), 0.0, m > 0 ? 0 : kInvalidEdge, {}};
     }
     const LoadCoefficients coef(g_, cfg);
 
+    // The chunked chain below solves every edge; the dual-bound pruning
+    // of findPruned() is kept out of here on purpose. COYOTE-pk's cutting
+    // planes consume the witness vertex, and pruning changes which of the
+    // alternate optima wins, which moves the optimizer's results. find()
+    // moves to the pruned scan once slave-LP optima are canonical.
+    //
     // One independent LP per edge, scanned in fixed-size chunks (chunk k
     // handles edges [k*kEdgeChunk, ...)); the chunk -> session mapping is
     // stable across calls, and each edge warm-starts from its own basis
@@ -108,16 +269,89 @@ class WorstCaseOracle::Impl {
       }
     }
     if (arg == kInvalidEdge) {
-      return {tm::TrafficMatrix(n), -1.0, kInvalidEdge};
+      return {tm::TrafficMatrix(n), -1.0, kInvalidEdge, {}};
     }
     return resolveEdge(coef, arg);
+  }
+
+  /// The one-shot bound-and-prune scan: one serial session solves the
+  /// unsolved edge with the largest Theorem-5 bound (lowest id on ties),
+  /// folds its capacity-row duals into every unsolved edge's bound, and
+  /// stops once no bound can beat the best ratio. Every solve warm-starts
+  /// from the first solved edge's optimal basis -- fewer pivots than
+  /// chaining through the previously solved edge, whose objective was
+  /// picked for being different. The winner's demand comes from its own
+  /// optimal solve (its stored basis's vertex), without a re-solve.
+  WorstCaseResult findPruned(const RoutingConfig& cfg) {
+    requireSameDags(cfg);
+    const int n = g_.numNodes();
+    const int m = g_.numEdges();
+    if (num_dvars_ == 0 || forced_zero_) {
+      return {tm::TrafficMatrix(n), 0.0, m > 0 ? 0 : kInvalidEdge, {}};
+    }
+    const LoadCoefficients coef(g_, cfg);
+    std::vector<double> rhs(static_cast<std::size_t>(m), 0.0);
+    for (EdgeId e = 0; e < m; ++e) {
+      if (cap_row_[e] >= 0) rhs[e] = problem_.rowRhs(cap_row_[e]);
+    }
+    DualBounds bounds(g_, *dags_, box_, coef, std::move(rhs));
+    // bound[e] < 0 marks an edge outside the scan: solved, or loaded by
+    // nothing (ratio 0 without an LP).
+    std::vector<double> bound(static_cast<std::size_t>(m), -1.0);
+    for (EdgeId e = 0; e < m; ++e) {
+      if (bounds.loads(e)) bound[e] = lp::kInfinity;
+    }
+    std::vector<double> ratio(static_cast<std::size_t>(m), 0.0);
+    Session session{lp::SimplexSolver(problem_, opt_), {}};
+    lp::Basis first;
+    EdgeId best_edge = kInvalidEdge;
+    lp::LpResult best;
+    for (;;) {
+      EdgeId next = kInvalidEdge;
+      for (EdgeId e = 0; e < m; ++e) {
+        if (bound[e] >= 0.0 && (next == kInvalidEdge || bound[e] > bound[next])) {
+          next = e;
+        }
+      }
+      if (next == kInvalidEdge ||
+          (best_edge != kInvalidEdge &&
+           bound[next] * (1.0 + kPruneSlack) < ratio[best_edge])) {
+        break;
+      }
+      bound[next] = -1.0;
+      setEdgeObjective(session, coef, next);
+      if (!first.empty()) session.solver.setBasis(first);
+      lp::LpResult res = session.solver.solve();
+      requireOptimal(res, next);
+      if (first.empty()) first = res.basis;
+      ratio[next] = res.objective;
+      bounds.setWeights(capacityWeights(res));
+      if (best_edge == kInvalidEdge || ratio[next] > ratio[best_edge] ||
+          (ratio[next] == ratio[best_edge] && next < best_edge)) {
+        best_edge = next;
+        best = std::move(res);
+      }
+      for (EdgeId e = 0; e < m; ++e) {
+        if (bound[e] >= 0.0) bound[e] = std::min(bound[e], bounds.bound(e));
+      }
+    }
+
+    // Argmax in edge order, as find() reduces. An unsolved edge can only
+    // win at ratio 0 (pruned edges sit strictly below the best), where
+    // the zero matrix is its witness.
+    EdgeId arg = 0;
+    for (EdgeId e = 1; e < m; ++e) {
+      if (ratio[e] > ratio[arg]) arg = e;
+    }
+    if (arg != best_edge) return {tm::TrafficMatrix(n), 0.0, arg, {}};
+    return {demandOf(best.x), ratio[arg], arg, capacityWeights(best)};
   }
 
   WorstCaseResult findForEdge(const RoutingConfig& cfg, EdgeId edge) {
     requireSameDags(cfg);
     require(edge >= 0 && edge < g_.numEdges(), "edge out of range");
     if (num_dvars_ == 0 || forced_zero_) {
-      return {tm::TrafficMatrix(g_.numNodes()), 0.0, edge};
+      return {tm::TrafficMatrix(g_.numNodes()), 0.0, edge, {}};
     }
     return resolveEdge(LoadCoefficients(g_, cfg), edge);
   }
@@ -146,8 +380,6 @@ class WorstCaseOracle::Impl {
   /// (`coef` is reused from the caller's scan -- it costs O(|V|^2) flow
   /// propagations to build).
   WorstCaseResult resolveEdge(const LoadCoefficients& coef, EdgeId edge) {
-    const int n = g_.numNodes();
-    WorstCaseResult out{tm::TrafficMatrix(n), 0.0, edge};
     Session session{lp::SimplexSolver(problem_, opt_), {}};
     // The scan (if any) just solved this edge and stored its optimal
     // basis; re-solving from it recovers the full demand vector in a
@@ -158,22 +390,41 @@ class WorstCaseOracle::Impl {
     }
     setEdgeObjective(session, coef, edge);
     const lp::LpResult res = session.solver.solve();
-    if (res.status != lp::Status::kOptimal) {
-      // Degenerate cases (no demand can cross the edge) report ratio 0.
-      return out;
-    }
-    out.ratio = res.objective;
-    for (NodeId s = 0; s < n; ++s) {
-      for (NodeId t = 0; t < n; ++t) {
-        if (dvar_[s][t] >= 0 && res.x[dvar_[s][t]] > 1e-12) {
-          out.demand.set(s, t, res.x[dvar_[s][t]]);
-        }
-      }
-    }
-    return out;
+    requireOptimal(res, edge);
+    return {demandOf(res.x), res.objective, edge, capacityWeights(res)};
   }
 
  private:
+  /// Stop slack of the pruned scan: an edge is skipped only when its
+  /// bound, inflated by this relative margin against round-off, still
+  /// falls short of the best ratio.
+  static constexpr double kPruneSlack = 1e-9;
+
+  /// Demand matrix of an optimal slave-LP vertex.
+  [[nodiscard]] tm::TrafficMatrix demandOf(const std::vector<double>& x) const {
+    const int n = g_.numNodes();
+    tm::TrafficMatrix d(n);
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId t = 0; t < n; ++t) {
+        if (dvar_[s][t] >= 0 && x[dvar_[s][t]] > 1e-12) {
+          d.set(s, t, x[dvar_[s][t]]);
+        }
+      }
+    }
+    return d;
+  }
+
+  /// Capacity-row duals of an optimal solve, clamped at 0, by edge id:
+  /// the Theorem-5 weights pi it contributes.
+  [[nodiscard]] std::vector<double> capacityWeights(
+      const lp::LpResult& res) const {
+    std::vector<double> pi(cap_row_.size(), 0.0);
+    for (std::size_t a = 0; a < cap_row_.size(); ++a) {
+      if (cap_row_[a] >= 0) pi[a] = std::max(0.0, res.row_duals[cap_row_[a]]);
+    }
+    return pi;
+  }
+
   struct Session {
     lp::SimplexSolver solver;
     std::vector<int> objective_vars;  ///< vars with nonzero obj installed
@@ -215,11 +466,8 @@ class WorstCaseOracle::Impl {
       lambda_ = p.addVar(0.0, 0.0, lp::kInfinity);
     }
     for (NodeId t = 0; t < n; ++t) {
-      const Dag& dag = (*dags_)[t];
-      if (dag.edges().empty()) continue;
       for (NodeId s = 0; s < n; ++s) {
-        if (s == t || !dag.reachesDest(s)) continue;
-        if (box_ != nullptr && box_->hi.at(s, t) <= 0.0) continue;
+        if (!routablePair(*dags_, box_, s, t)) continue;
         dvar_[s][t] = p.addVar(0.0, 0.0, lp::kInfinity);
         ++num_dvars_;
         if (box_ != nullptr) {
@@ -336,7 +584,7 @@ class WorstCaseOracle::Impl {
     lp::Basis& memo = edge_basis_[target];
     if (!memo.empty()) session.solver.setBasis(memo);
     const lp::LpResult res = session.solver.solve();
-    if (res.status != lp::Status::kOptimal) return 0.0;
+    requireOptimal(res, target);
     memo = session.solver.basis();
     return res.objective;
   }
@@ -397,7 +645,25 @@ WorstCaseResult findWorstCaseDemand(const Graph& g, const RoutingConfig& cfg,
                                     const tm::DemandBounds* box,
                                     const lp::SimplexOptions& opt) {
   WorstCaseOracle oracle(g, cfg.dagsPtr(), box, opt);
-  return oracle.find(cfg);
+  return oracle.impl_->findPruned(cfg);
+}
+
+std::vector<double> dualBounds(const Graph& g, const RoutingConfig& cfg,
+                               const std::vector<double>& pi,
+                               const tm::DemandBounds* box) {
+  const int m = g.numEdges();
+  require(static_cast<int>(pi.size()) == m, "dualBounds: one weight per edge");
+  std::vector<double> rhs(static_cast<std::size_t>(m));
+  for (EdgeId e = 0; e < m; ++e) {
+    require(pi[e] >= 0.0, "dualBounds: negative edge weight");
+    rhs[e] = g.edge(e).capacity;
+  }
+  DualBounds bounds(g, cfg.dags(), box, LoadCoefficients(g, cfg),
+                    std::move(rhs));
+  bounds.setWeights(pi);
+  std::vector<double> out(static_cast<std::size_t>(m));
+  for (EdgeId e = 0; e < m; ++e) out[e] = bounds.bound(e);
+  return out;
 }
 
 }  // namespace coyote::routing

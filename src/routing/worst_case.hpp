@@ -22,10 +22,18 @@
 // lp::SimplexSolver sessions -- one session per fixed-size edge chunk, so
 // the thread-pool fan-out is deterministic for any thread count. The same
 // oracle instance serves every cutting-plane round of COYOTE's optimizer
-// (each round is one more objective sweep, not a rebuild). Exact
-// evaluation is practical for small/medium networks and is used by tests,
-// ablations and the Table I '+' rows; the figure benches default to the
-// corner-pool evaluator (see evaluator.hpp).
+// (each round is one more objective sweep, not a rebuild).
+//
+// The one-shot findWorstCaseDemand instead runs a serial bound-and-prune
+// scan (Theorem 5 / Appendix C of the technical report): the capacity-row
+// duals pi >= 0 of any solved edge bound *every* edge's LP by weak
+// duality (see dualBounds), so it solves edges in decreasing-bound order
+// and stops once no remaining bound can beat the best ratio found. See
+// docs/lp-engine.md, "Pruned worst-case scan".
+//
+// Exact evaluation is practical for small/medium networks and is used by
+// tests, ablations and the Table I '+' rows; the figure benches default to
+// the corner-pool evaluator (see evaluator.hpp).
 #pragma once
 
 #include <memory>
@@ -42,6 +50,11 @@ struct WorstCaseResult {
   tm::TrafficMatrix demand;       ///< worst-case matrix (OPTU <= 1 scale)
   double ratio = 0.0;             ///< = MxLU(phi, demand) = performance ratio
   EdgeId edge = kInvalidEdge;     ///< the edge attaining it
+  /// Capacity-row duals of `edge`'s slave LP, clamped at 0 and indexed by
+  /// edge id (0 on edges no DAG uses): Theorem-5 weights under which
+  /// dualBounds(...)[edge] equals `ratio` (intact network; see
+  /// setFailedEdges). Empty when no LP was solved.
+  std::vector<double> edge_weights;
 };
 
 /// Reusable slave-LP solver for one (graph, DAG-set, box). find() may be
@@ -61,12 +74,22 @@ class WorstCaseOracle {
   WorstCaseOracle& operator=(const WorstCaseOracle&) = delete;
 
   /// Worst case over all edges for `cfg` (which must use the oracle's DAG
-  /// set). Per-edge LPs run on the shared thread pool in fixed-size warm
-  /// chunks; the winner is re-solved cold for its demand matrix, so the
-  /// result is identical to findWorstCaseDemandForEdge on the argmax edge.
+  /// set). Every loaded edge's LP runs, on the shared thread pool in
+  /// fixed-size warm chunks; the winner (lowest edge id on ties) is re-solved from
+  /// its stored optimal basis for its demand matrix. Its ratio equals the
+  /// maximum of findWorstCaseDemandForEdge over the edges; the demand may
+  /// be a different optimal vertex. Throws std::runtime_error if a slave
+  /// LP ends non-optimal (e.g. at the iteration limit).
+  ///
+  /// find() does not prune with dual bounds as findWorstCaseDemand does:
+  /// COYOTE-pk's cutting planes consume its witness vertex, and pruning
+  /// changes which optimal vertex wins, which moves the optimizer's
+  /// results. It moves to the pruned scan once slave-LP optima are
+  /// canonical (ROADMAP item 2).
   [[nodiscard]] WorstCaseResult find(const RoutingConfig& cfg);
 
-  /// Worst case for a single edge.
+  /// Worst case for a single edge. Throws std::runtime_error if its LP
+  /// ends non-optimal.
   [[nodiscard]] WorstCaseResult findForEdge(const RoutingConfig& cfg,
                                             EdgeId edge);
 
@@ -85,16 +108,39 @@ class WorstCaseOracle {
   static constexpr int kEdgeChunk = 8;
 
  private:
+  friend WorstCaseResult findWorstCaseDemand(const Graph&,
+                                             const RoutingConfig&,
+                                             const tm::DemandBounds*,
+                                             const lp::SimplexOptions&);
   class Impl;
   std::unique_ptr<Impl> impl_;
 };
 
 /// Worst case over all demand matrices (box == nullptr, the oblivious case)
-/// or over the scaled uncertainty box. One-shot: builds a WorstCaseOracle
-/// internally; callers with repeated queries should hold an oracle.
+/// or over the scaled uncertainty box. One-shot: a serial bound-and-prune
+/// scan on one solver session. It solves the edge with the largest dual
+/// bound next, tightens every unsolved edge's bound with the new duals,
+/// and stops once no bound can beat the best ratio. The ratio equals the
+/// maximum of findWorstCaseDemandForEdge over the edges; ties go to the
+/// lowest edge id among the solved edges. Throws std::runtime_error if a
+/// slave LP ends non-optimal. Callers with repeated queries should hold an
+/// oracle.
 [[nodiscard]] WorstCaseResult findWorstCaseDemand(
     const Graph& g, const RoutingConfig& cfg,
     const tm::DemandBounds* box = nullptr, const lp::SimplexOptions& opt = {});
+
+/// Theorem-5 upper bounds on every edge's worst-case utilization under
+/// `cfg`, from one set of edge weights pi >= 0 (indexed by edge id). With
+/// dist_pi(s,t) the pi-shortest path from s to t inside t's DAG and
+/// w_st = l_st(e)/c(e), every demand the DAGs route within capacity has
+/// sum d*dist <= sum_a c(a)*pi(a), so edge e's ratio is at most that sum
+/// times theta_e = max sum w*x / sum dist*x over the box (over all
+/// matrices: max w/dist). A pair loading e at pi-distance 0 has ratio
+/// +infinity, so the bound is +infinity unless (box case) demand at
+/// positive distance divides it. Entry e is 0 when nothing loads e.
+[[nodiscard]] std::vector<double> dualBounds(
+    const Graph& g, const RoutingConfig& cfg, const std::vector<double>& pi,
+    const tm::DemandBounds* box = nullptr);
 
 /// Worst case for a single edge (exposed for tests and incremental use).
 [[nodiscard]] WorstCaseResult findWorstCaseDemandForEdge(

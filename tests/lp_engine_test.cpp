@@ -5,9 +5,13 @@
 // every registered scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +23,9 @@
 #include "lp/lp.hpp"
 #include "lp/stats.hpp"
 #include "routing/config.hpp"
+#include "routing/ecmp.hpp"
 #include "routing/optu.hpp"
+#include "routing/propagation.hpp"
 #include "routing/worst_case.hpp"
 #include "tm/traffic_matrix.hpp"
 #include "tm/uncertainty.hpp"
@@ -451,6 +457,83 @@ TEST(SimplexEngine, IterationLimitIsCounted) {
   EXPECT_EQ((statsSnapshot() - before).iter_limit_solves, 1);
 }
 
+TEST(SimplexEngine, RowDualsCloseTheGap) {
+  // Every variable rests on lower bound 0 with no finite upper bound, so
+  // strong duality reads rhs . y == objective, and each row dual carries
+  // the sign its relation and the sense dictate.
+  struct Instance {
+    std::string name;
+    LpProblem p;
+    std::vector<Rel> rels;
+  };
+  std::vector<Instance> cases;
+  cases.push_back({"production plan", productionPlan(), {Rel::kLe, Rel::kLe}});
+  {  // Beale's cycling instance (minimize, <= rows, objective -0.05).
+    LpProblem p(Sense::kMinimize);
+    const int x1 = p.addVar(-0.75);
+    const int x2 = p.addVar(150.0);
+    const int x3 = p.addVar(-0.02);
+    const int x4 = p.addVar(6.0);
+    p.addConstraint({{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
+                    Rel::kLe, 0.0);
+    p.addConstraint({{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
+                    Rel::kLe, 0.0);
+    p.addConstraint({{x3, 1.0}}, Rel::kLe, 1.0);
+    cases.push_back({"beale", std::move(p), {Rel::kLe, Rel::kLe, Rel::kLe}});
+  }
+  {  // Eight redundant hyperplanes through the optimum (degenerate).
+    LpProblem p(Sense::kMaximize);
+    const int x = p.addVar(1.0);
+    const int y = p.addVar(1.0);
+    const int z = p.addVar(1.0);
+    std::vector<Rel> rels;
+    for (int k = 1; k <= 8; ++k) {
+      p.addConstraint({{x, 1.0}, {y, static_cast<double>(k)}, {z, 1.0}},
+                      Rel::kLe, 4.0);
+      rels.push_back(Rel::kLe);
+    }
+    p.addConstraint({{x, 1.0}}, Rel::kLe, 2.0);
+    rels.push_back(Rel::kLe);
+    cases.push_back({"redundant hyperplanes", std::move(p), rels});
+  }
+  {  // Minimize over >= and = rows: x + y >= 4, x - y = 1 -> (2.5, 1.5).
+    LpProblem p(Sense::kMinimize);
+    const int x = p.addVar(2.0);
+    const int y = p.addVar(3.0);
+    p.addConstraint({{x, 1.0}, {y, 1.0}}, Rel::kGe, 4.0);
+    p.addConstraint({{x, 1.0}, {y, -1.0}}, Rel::kEq, 1.0);
+    cases.push_back({"diet", std::move(p), {Rel::kGe, Rel::kEq}});
+  }
+  {  // Maximize with a >= row that binds against the objective.
+    LpProblem p(Sense::kMaximize);
+    const int x = p.addVar(-1.0);
+    const int y = p.addVar(1.0);
+    p.addConstraint({{x, 1.0}, {y, 1.0}}, Rel::kGe, 3.0);
+    p.addConstraint({{y, 1.0}}, Rel::kLe, 1.0);
+    cases.push_back({"max with >=", std::move(p), {Rel::kGe, Rel::kLe}});
+  }
+
+  for (const Instance& c : cases) {
+    const LpResult r = solve(c.p);
+    ASSERT_EQ(r.status, Status::kOptimal) << c.name;
+    ASSERT_EQ(r.row_duals.size(), c.rels.size()) << c.name;
+    const bool maximize = c.p.sense() == Sense::kMaximize;
+    double by = 0.0;
+    for (std::size_t i = 0; i < c.rels.size(); ++i) {
+      const double y = r.row_duals[i];
+      by += c.p.rowRhs(static_cast<int>(i)) * y;
+      // d(objective)/d(rhs): loosening a <= row helps a max, hurts a min.
+      if (c.rels[i] == Rel::kLe) {
+        EXPECT_GE(maximize ? y : -y, -1e-9) << c.name << " row " << i;
+      } else if (c.rels[i] == Rel::kGe) {
+        EXPECT_LE(maximize ? y : -y, 1e-9) << c.name << " row " << i;
+      }
+    }
+    EXPECT_NEAR(by, r.objective, 1e-9 * (1.0 + std::abs(r.objective)))
+        << c.name;
+  }
+}
+
 // --- Worst-case oracle: degenerate box semantics. ------------------------
 
 TEST(WorstCaseOracleTest, UnroutableBoxLowerBoundPinsLambdaToZero) {
@@ -477,6 +560,191 @@ TEST(WorstCaseOracleTest, UnroutableBoxLowerBoundPinsLambdaToZero) {
   const auto wc = routing::findWorstCaseDemand(g, cfg, &box);
   EXPECT_DOUBLE_EQ(wc.ratio, 0.0);
   EXPECT_DOUBLE_EQ(wc.demand.total(), 0.0);
+}
+
+TEST(WorstCaseOracleTest, IterationLimitThrows) {
+  // A slave LP is never infeasible or unbounded, so a non-optimal verdict
+  // is a solver failure; reading it as ratio 0 under-reports the worst
+  // case (Abilene ECMP's is 3).
+  const Graph g = topo::makeZoo("Abilene");
+  const auto dags = core::augmentedDagsShared(g);
+  const auto ecmp = routing::ecmpConfig(g, dags);
+  EXPECT_NEAR(routing::findWorstCaseDemand(g, ecmp).ratio, 3.0, 1e-9);
+
+  SimplexOptions opt;
+  opt.max_iterations = 3;
+  const auto expectThrow = [](const auto& call, const std::string& what) {
+    try {
+      (void)call();
+      ADD_FAILURE() << what << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "worst-case LP not optimal: iteration-limit (edge ", 0),
+                0u)
+          << what << ": " << e.what();
+    }
+  };
+  expectThrow([&] { return routing::findWorstCaseDemand(g, ecmp, nullptr, opt); },
+              "findWorstCaseDemand");
+  expectThrow(
+      [&] { return routing::findWorstCaseDemandForEdge(g, ecmp, 0, nullptr, opt); },
+      "findWorstCaseDemandForEdge");
+  routing::WorstCaseOracle oracle(g, dags, nullptr, opt);
+  expectThrow([&] { return oracle.find(ecmp); }, "WorstCaseOracle::find");
+  expectThrow([&] { return oracle.findForEdge(ecmp, 0); },
+              "WorstCaseOracle::findForEdge");
+}
+
+/// Splits each node's traffic toward every destination over its DAG
+/// out-edges in seeded random proportions.
+routing::RoutingConfig randomRouting(const Graph& g,
+                                     const std::shared_ptr<const DagSet>& dags,
+                                     std::uint64_t seed) {
+  routing::RoutingConfig cfg(g, dags);
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> share(0.05, 1.0);
+  for (NodeId t = 0; t < g.numNodes(); ++t) {
+    for (NodeId u = 0; u < g.numNodes(); ++u) {
+      const auto& out = (*dags)[t].outEdges(u);
+      std::vector<double> w;
+      double sum = 0.0;
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        w.push_back(share(rng));
+        sum += w.back();
+      }
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        cfg.setRatio(t, out[k], w[k] / sum);
+      }
+    }
+  }
+  cfg.validate(g);
+  return cfg;
+}
+
+TEST(WorstCaseOracleTest, PrunedScanMatchesEveryEdge) {
+  // The one-shot scan skips edges whose Theorem-5 bound cannot beat the
+  // best ratio found; its answer must still be the maximum over every
+  // edge's own LP, with a witness that is routable, in the box cone, and
+  // loads the winning edge to exactly the ratio.
+  struct Case {
+    std::string name;
+    const Graph* g;
+    std::shared_ptr<const DagSet> dags;
+    routing::RoutingConfig cfg;
+    std::optional<tm::DemandBounds> box;
+  };
+  std::vector<Graph> nets;
+  nets.push_back(topo::runningExample());
+  nets.push_back(topo::makeZoo("Abilene"));
+  nets.push_back(topo::makeZoo("NSF"));
+  nets.push_back(topo::grid(3, 3));
+  const std::vector<std::string> net_names = {"running-example", "Abilene",
+                                              "NSF", "grid(3,3)"};
+  std::vector<Case> cases;
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const Graph& g = nets[i];
+    const auto dags = core::augmentedDagsShared(g);
+    const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+    const std::vector<std::pair<std::string, routing::RoutingConfig>> routings =
+        {{"ecmp", routing::ecmpConfig(g, dags)},
+         {"uniform", routing::RoutingConfig::uniform(g, dags)},
+         {"random", randomRouting(g, dags, 17 + i)}};
+    for (const auto& [rname, cfg] : routings) {
+      cases.push_back({net_names[i] + " " + rname + " oblivious", &g, dags,
+                       cfg, std::nullopt});
+      for (const double margin : {1.0, 3.0, 5.0}) {
+        cases.push_back({net_names[i] + " " + rname + " margin " +
+                             std::to_string(margin),
+                         &g, dags, cfg, tm::marginBounds(base, margin)});
+      }
+    }
+  }
+
+  const auto boxOf = [](const Case& c) {
+    return c.box.has_value() ? &*c.box : nullptr;
+  };
+  std::vector<routing::WorstCaseResult> serial;
+  int pruned_cases = 0;
+  for (const Case& c : cases) {
+    const Graph& g = *c.g;
+    const tm::DemandBounds* box = boxOf(c);
+    const lp::StatsSnapshot before = lp::statsSnapshot();
+    serial.push_back(routing::findWorstCaseDemand(g, c.cfg, box));
+    const std::int64_t solves = (lp::statsSnapshot() - before).solves;
+    const routing::WorstCaseResult& wc = serial.back();
+
+    double best = 0.0;
+    int positive = 0;
+    std::vector<double> per_edge;
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+      per_edge.push_back(
+          routing::findWorstCaseDemandForEdge(g, c.cfg, e, box).ratio);
+      best = std::max(best, per_edge.back());
+      if (per_edge.back() > 0.0) ++positive;
+    }
+    if (solves < positive) ++pruned_cases;
+    EXPECT_NEAR(wc.ratio, best, 1e-9 * best) << c.name;
+    ASSERT_GE(wc.edge, 0) << c.name;
+    EXPECT_NEAR(per_edge[wc.edge], best, 1e-9 * best) << c.name;
+
+    EXPECT_LE(routing::optimalUtilization(g, *c.dags, wc.demand), 1.0 + 1e-6)
+        << c.name;
+    EXPECT_NEAR(routing::maxLinkUtilization(g, c.cfg, wc.demand), wc.ratio,
+                1e-6)
+        << c.name;
+    if (box != nullptr) {
+      // Some lambda >= 0 has lambda*lo <= d <= lambda*hi.
+      double lam_min = 0.0;
+      double lam_max = std::numeric_limits<double>::infinity();
+      for (NodeId s = 0; s < g.numNodes(); ++s) {
+        for (NodeId t = 0; t < g.numNodes(); ++t) {
+          if (s == t || box->hi.at(s, t) <= 0.0) continue;
+          lam_min = std::max(lam_min, wc.demand.at(s, t) / box->hi.at(s, t));
+          if (box->lo.at(s, t) > 0.0) {
+            lam_max = std::min(lam_max, wc.demand.at(s, t) / box->lo.at(s, t));
+          }
+        }
+      }
+      EXPECT_LE(lam_min, lam_max * (1.0 + 1e-6)) << c.name;
+    }
+  }
+  EXPECT_GT(pruned_cases, 0);
+
+  // The scan is serial and shares no state between calls: eight
+  // concurrent scans reproduce the one-thread answers bit for bit.
+  std::vector<std::optional<routing::WorstCaseResult>> parallel(cases.size());
+  util::ThreadPool tp(8);
+  tp.parallelFor(cases.size(), [&](std::size_t i) {
+    parallel[i] =
+        routing::findWorstCaseDemand(*cases[i].g, cases[i].cfg, boxOf(cases[i]));
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_TRUE(parallel[i].has_value()) << cases[i].name;
+    EXPECT_EQ(parallel[i]->ratio, serial[i].ratio) << cases[i].name;
+    EXPECT_EQ(parallel[i]->edge, serial[i].edge) << cases[i].name;
+    EXPECT_EQ(parallel[i]->demand, serial[i].demand) << cases[i].name;
+  }
+}
+
+TEST(WorstCaseOracleTest, OwnDualsBoundIsTight) {
+  // An edge's own capacity-row duals make its Theorem-5 bound exact
+  // (strong duality), the property that lets the scan prune at all.
+  for (const char* name : {"Abilene", "NSF"}) {
+    const Graph g = topo::makeZoo(name);
+    const auto dags = core::augmentedDagsShared(g);
+    const auto ecmp = routing::ecmpConfig(g, dags);
+    const tm::DemandBounds box =
+        tm::marginBounds(tm::gravityMatrix(g, 1.0), 3.0);
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+      const routing::WorstCaseResult wc =
+          routing::findWorstCaseDemandForEdge(g, ecmp, e, &box);
+      ASSERT_EQ(wc.edge_weights.size(), static_cast<std::size_t>(g.numEdges()));
+      const std::vector<double> bound =
+          routing::dualBounds(g, ecmp, wc.edge_weights, &box);
+      EXPECT_NEAR(bound[e], wc.ratio, 1e-9 * wc.ratio)
+          << name << " edge " << e;
+    }
+  }
 }
 
 // --- OPTU engine: warm-start chains vs independent cold solves. ----------
