@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 #include "util/mem.hpp"
+#include "util/percentile.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -36,9 +38,88 @@ namespace json = util::json;
 
 namespace {
 
-// Output of one scenario execution: JSON rows plus kind-specific summary
-// members merged into the document, and the pass/fail verdict.
-struct KindOutput {
+/// One text-table column, rendered from the row member `key` ("a.b"
+/// reads member `b` of the object member `a`). Numbers print at
+/// `precision` decimals, arrays element-wise, bools as yes/no; a missing
+/// member prints "n/a".
+struct Column {
+  std::string key;
+  std::string title;
+  int width = 8;
+  int precision = 2;
+};
+
+std::string formatCell(const json::Value& v, int precision) {
+  if (v.isString()) return v.asString();
+  if (v.isBool()) return v.asBool() ? "yes" : "no";
+  if (v.isArray()) {
+    std::string out;
+    for (const json::Value& e : v.asArray()) {
+      if (!out.empty()) out += ' ';
+      out += formatCell(e, precision);
+    }
+    return out;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, v.asNumber());
+  return buf;
+}
+
+const json::Value* member(const json::Value& row, const std::string& key) {
+  const std::size_t dot = key.find('.');
+  if (dot == std::string::npos) return row.find(key);
+  const json::Value* outer = row.find(key.substr(0, dot));
+  return outer == nullptr ? nullptr : outer->find(key.substr(dot + 1));
+}
+
+// Output of one scenario execution, and the one place a kind records a
+// result: add() appends a BENCH row and, when printing, renders the
+// current table's columns from that row, so the text is a view of the
+// JSON rows. Kind-specific members (run metadata included) go to `extra`,
+// which is merged into the document.
+class KindOutput {
+ public:
+  explicit KindOutput(bool print) : print_(print) {}
+
+  /// Starts a table: later rows render `columns`. The title line is a
+  /// comment too, so every uncommented line of the text is a row.
+  void table(std::vector<Column> columns) {
+    columns_ = std::move(columns);
+    if (!print_) return;
+    std::printf("# ");  // takes its two characters from the first column
+    for (std::size_t i = 0; i < columns_.size(); ++i) {
+      const int width = columns_[i].width - (i == 0 ? 2 : 0);
+      std::printf("%-*s ", width, columns_[i].title.c_str());
+    }
+    std::printf("\n");
+  }
+
+  void add(json::Value row) {
+    if (print_) {
+      for (const Column& c : columns_) {
+        const json::Value* v = member(row, c.key);
+        const std::string cell =
+            v == nullptr || v->isNull() ? "n/a" : formatCell(*v, c.precision);
+        std::printf("%-*s ", c.width, cell.c_str());
+      }
+      std::printf("\n");
+      std::fflush(stdout);
+    }
+    rows.push_back(std::move(row));
+  }
+
+  /// Prints a "# ..." line (printf-style).
+  [[gnu::format(printf, 2, 3)]] void comment(const char* fmt, ...) const {
+    if (!print_) return;
+    std::va_list args;
+    va_start(args, fmt);
+    std::printf("# ");
+    std::vprintf(fmt, args);
+    std::printf("\n");
+    va_end(args);
+    std::fflush(stdout);
+  }
+
   json::Value rows = json::Value::array();
   json::Value extra = json::Value::object();
   /// Members merged into the machine-dependent "timing" block (exempt
@@ -46,20 +127,52 @@ struct KindOutput {
   /// latency percentiles here, where they are regression-gated instead).
   json::Value timing_extra = json::Value::object();
   bool ok = true;
+
+ private:
+  bool print_;
+  std::vector<Column> columns_;
 };
 
 /// The scheme list a scheme-comparison scenario sweeps: the --schemes
 /// selection, or the registry defaults (the paper's four). The CLI
 /// validated the keys already; re-resolving here keeps library callers
-/// honest (unknown keys throw, naming the key).
-std::vector<const te::Scheme*> selectedSchemes(const RunOptions& opt) {
-  return te::SchemeRegistry::builtin().resolve(opt.schemes);
+/// honest (unknown keys throw, naming the key). Recorded as the
+/// "schemes" run metadata: it names the selection, the rows carry the
+/// values.
+std::vector<const te::Scheme*> selectedSchemes(const RunOptions& opt,
+                                               KindOutput& out) {
+  std::vector<const te::Scheme*> schemes =
+      te::SchemeRegistry::builtin().resolve(opt.schemes);
+  json::Array keys;
+  for (const te::Scheme* sch : schemes) keys.emplace_back(sch->key());
+  out.extra["schemes"] = std::move(keys);
+  return schemes;
 }
 
-std::string formatMargin(double margin) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", margin);
-  return buf;
+/// `leading` followed by one ratio column per scheme, keyed by scheme key
+/// and titled by display name (never narrower than 8 characters).
+std::vector<Column> withSchemes(std::vector<Column> leading,
+                                const std::vector<const te::Scheme*>& schemes) {
+  for (const te::Scheme* sch : schemes) {
+    const std::string title = sch->display();
+    leading.push_back(
+        {sch->key(), title, std::max(8, static_cast<int>(title.size()) + 2)});
+  }
+  return leading;
+}
+
+/// Run metadata of the kinds that measure one network.
+void networkMeta(const Scenario& s, KindOutput& out) {
+  out.extra["network"] = s.topology.label();
+  out.extra["demand_model"] = s.demand.name();
+}
+
+/// Run metadata of the kinds that sweep a network list.
+void networksMeta(const Scenario& s, const RunOptions& opt, KindOutput& out) {
+  json::Array nets(s.networkList(opt.full).begin(),
+                   s.networkList(opt.full).end());
+  out.extra["networks"] = std::move(nets);
+  out.extra["demand_model"] = s.demand.name();
 }
 
 json::Value schemeRowJson(const std::vector<const te::Scheme*>& schemes,
@@ -87,49 +200,45 @@ json::Value schemeRowJson(const std::vector<const te::Scheme*>& schemes,
 
 // --- kSchemes (Figs. 6-8 and the zoo/synthetic extension grid) --------
 
-KindOutput runSchemes(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
+void runSchemes(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   const Graph g = s.topology.build();
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix base = s.demand.build(g);
-  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt);
+  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt, out);
+  networkMeta(s, out);
 
   SweepOptions sopt = s.sweep;
   sopt.exact_oracle = sopt.exact_oracle || opt.exact;
   if (opt.exact && s.exact_env_upgrades_eval) sopt.exact_eval = true;
 
-  const SchemeTable table(schemes, {{"margin", 8}});
-  if (print) {
-    printSweepPreamble(s.topology.label().c_str(), s.demand.name());
-    table.printHeader();
-  }
+  out.comment("%s, %s base matrix", s.topology.label().c_str(),
+              s.demand.name());
+  out.comment("ratios are worst-case link utilization relative to the");
+  out.comment("demands-aware optimum within the same augmented DAGs");
+  out.table(withSchemes({{"margin", "margin", 8, 1}}, schemes));
   const NetworkSweep sweep(g, dags, base, sopt, schemes);
   for (const double margin : s.grid(opt.full)) {
-    const SchemeRow r = sweep.run(margin);
-    if (print) {
-      table.printRow({formatMargin(r.margin)}, r.ratio);
-      std::fflush(stdout);
-    }
-    out.rows.push_back(schemeRowJson(schemes, r));
+    out.add(schemeRowJson(schemes, sweep.run(margin)));
   }
-  return out;
 }
 
 // --- kTable (Table I) -------------------------------------------------
 
-KindOutput runTable(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
+void runTable(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   const std::vector<double>& margins = s.grid(opt.full);
-  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt);
-  const SchemeTable table(schemes, {{"network", 14}, {"margin", 8}});
-  if (print) {
-    std::printf("# Table I: gravity base model, margins");
-    for (const double m : margins) std::printf(" %.1f", m);
-    std::printf("\n# networks with <= %d nodes use the exact slave-LP "
-                "adversary ('+'); larger ones the corner pool\n",
-                s.exact_node_limit);
-    table.printHeader();
-  }
+  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt, out);
+  networksMeta(s, opt, out);
+  std::string grid;
+  for (const double m : margins) grid += " " + formatCell(m, 1);
+  out.comment("Table I: %s base model, margins%s", s.demand.name(),
+              grid.c_str());
+  out.comment("networks with <= %d nodes use the exact slave-LP adversary "
+              "(exact = yes); larger ones the corner pool",
+              s.exact_node_limit);
+  out.table(withSchemes({{"network", "network", 14, 0},
+                         {"exact", "exact", 6, 0},
+                         {"margin", "margin", 8, 1}},
+                        schemes));
 
   for (const std::string& name : s.networkList(opt.full)) {
     const Graph g = topo::makeZoo(name);
@@ -143,36 +252,30 @@ KindOutput runTable(const Scenario& s, const RunOptions& opt, bool print) {
     sopt.exact_oracle = sopt.exact_eval || opt.exact;
 
     const NetworkSweep sweep(g, dags, base, sopt, schemes);
-    const std::string label = name + (sopt.exact_eval ? "+" : "");
     for (const double margin : margins) {
-      const SchemeRow r = sweep.run(margin);
-      if (print) {
-        table.printRow({label, formatMargin(r.margin)}, r.ratio);
-        std::fflush(stdout);
-      }
-      json::Value row = schemeRowJson(schemes, r);
+      json::Value row = schemeRowJson(schemes, sweep.run(margin));
       row["network"] = name;
       row["exact"] = sopt.exact_eval;
-      out.rows.push_back(std::move(row));
+      out.add(std::move(row));
     }
   }
-  return out;
 }
 
 // --- kLocalSearch (Fig. 9) --------------------------------------------
 
-KindOutput runLocalSearch(const Scenario& s, const RunOptions& opt,
-                          bool print) {
-  KindOutput out;
+void runLocalSearch(const Scenario& s, const RunOptions& opt,
+                    KindOutput& out) {
   const Graph base_graph = s.topology.build();
   const tm::TrafficMatrix base = s.demand.build(base_graph);
+  networkMeta(s, out);
 
-  if (print) {
-    std::printf("# %s, %s base matrix, local-search weights\n",
-                s.topology.label().c_str(), s.demand.name());
-    std::printf("%-8s %-8s %-12s %-8s %-10s\n", "margin", "ECMP", "COYOTE-pk",
-                "moves", "ECMP/pk");
-  }
+  out.comment("%s, %s base matrix, local-search weights",
+              s.topology.label().c_str(), s.demand.name());
+  out.table({{"margin", "margin", 8, 1},
+             {"ecmp", "ECMP", 8, 2},
+             {"partial", "COYOTE-pk", 12, 2},
+             {"moves", "moves", 8, 0},
+             {"ecmp_over_partial", "ECMP/pk", 10, 2}});
 
   double gap_sum = 0.0;
   int gap_rows = 0;
@@ -206,11 +309,6 @@ KindOutput runLocalSearch(const Scenario& s, const RunOptions& opt,
     const double pk =
         routing::findWorstCaseDemand(g, pk_res.routing, &box).ratio;
 
-    if (print) {
-      std::printf("%-8.1f %-8.2f %-12.2f %-8d %-10.2f\n", margin, ecmp, pk,
-                  found.accepted_moves, ecmp / pk);
-      std::fflush(stdout);
-    }
     // Distance-from-optimum comparison; margin 1 rows are excluded (both
     // schemes sit at the optimum and the quotient degenerates).
     if (pk > 1.02) {
@@ -224,39 +322,36 @@ KindOutput runLocalSearch(const Scenario& s, const RunOptions& opt,
     row["partial"] = pk;
     row["moves"] = found.accepted_moves;
     row["ecmp_over_partial"] = ecmp / pk;
-    out.rows.push_back(std::move(row));
+    out.add(std::move(row));
   }
   if (gap_rows > 0) {
     const double avg_gap = 100.0 * gap_sum / gap_rows;
-    if (print) {
-      std::printf(
-          "# ECMP's average distance-from-optimum is %.0f%% of COYOTE's "
-          "(paper: ~180%%)\n",
-          avg_gap);
-    }
+    out.comment("ECMP's average distance-from-optimum is %.0f%% of "
+                "COYOTE's (paper: ~180%%)",
+                avg_gap);
     out.extra["ecmp_gap_percent"] = avg_gap;
   }
-  return out;
 }
 
 // --- kQuantization (Fig. 10) ------------------------------------------
 
-KindOutput runQuantization(const Scenario& s, const RunOptions& opt,
-                           bool print) {
-  KindOutput out;
+void runQuantization(const Scenario& s, const RunOptions& opt,
+                     KindOutput& out) {
   const Graph g = s.topology.build();
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix base = s.demand.build(g);
+  networkMeta(s, out);
 
-  if (print) {
-    std::printf("# %s, %s base matrix: ECMP vs quantized COYOTE\n",
-                s.topology.label().c_str(), s.demand.name());
-    std::printf("%-8s %-8s", "margin", "ECMP");
-    for (const int k : s.quantize_multiplicities) {
-      std::printf(" %-12s", ("COYOTE-" + std::to_string(k) + "NH").c_str());
-    }
-    std::printf(" %-12s\n", "COYOTE-ideal");
+  out.comment("%s, %s base matrix: ECMP vs quantized COYOTE",
+              s.topology.label().c_str(), s.demand.name());
+  std::vector<Column> columns = {{"margin", "margin", 8, 1},
+                                 {"ecmp", "ECMP", 8, 2}};
+  for (const int k : s.quantize_multiplicities) {
+    const std::string kk = std::to_string(k);
+    columns.push_back({"quantized." + kk, "COYOTE-" + kk + "NH", 12, 2});
   }
+  columns.push_back({"ideal", "COYOTE-ideal", 12, 2});
+  out.table(std::move(columns));
 
   for (const double margin : s.grid(opt.full)) {
     const tm::DemandBounds box = tm::marginBounds(base, margin);
@@ -270,35 +365,26 @@ KindOutput runQuantization(const Scenario& s, const RunOptions& opt,
     json::Value row = json::Value::object();
     row["margin"] = margin;
     row["ecmp"] = ecmp;
-    if (print) std::printf("%-8.1f %-8.2f", margin, ecmp);
     json::Value quantized = json::Value::object();
     // k virtual links per interface allow multiplicity k+1 per next-hop.
     for (const int k : s.quantize_multiplicities) {
-      const double rk =
+      quantized[std::to_string(k)] =
           pool.ratioFor(fib::quantizeConfig(g, ideal.routing, k + 1));
-      if (print) std::printf(" %-12.2f", rk);
-      quantized[std::to_string(k)] = rk;
-    }
-    if (print) {
-      std::printf(" %-12.2f\n", ideal.pool_ratio);
-      std::fflush(stdout);
     }
     row["quantized"] = std::move(quantized);
     row["ideal"] = ideal.pool_ratio;
-    out.rows.push_back(std::move(row));
+    out.add(std::move(row));
   }
-  return out;
 }
 
 // --- kStretch (Fig. 11) -----------------------------------------------
 
-KindOutput runStretch(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
-  if (print) {
-    std::printf("# average path stretch vs ECMP, margin %.1f\n",
-                s.fixed_margin);
-    std::printf("%-14s %-16s %-18s\n", "network", "COYOTE-obl", "COYOTE-pk");
-  }
+void runStretch(const Scenario& s, const RunOptions& opt, KindOutput& out) {
+  networksMeta(s, opt, out);
+  out.comment("average path stretch vs ECMP, margin %.1f", s.fixed_margin);
+  out.table({{"network", "network", 14, 0},
+             {"oblivious", "COYOTE-obl", 16, 3},
+             {"partial", "COYOTE-pk", 18, 3}});
 
   for (const std::string& name : s.networkList(opt.full)) {
     const Graph g = topo::makeZoo(name);
@@ -311,20 +397,12 @@ KindOutput runStretch(const Scenario& s, const RunOptions& opt, bool print) {
     const core::CoyoteResult obl = core::coyoteOblivious(g, dags, copt);
     const core::CoyoteResult pk = core::coyoteWithBounds(g, dags, box, copt);
 
-    const double obl_stretch = routing::averageStretch(g, obl.routing, ecmp);
-    const double pk_stretch = routing::averageStretch(g, pk.routing, ecmp);
-    if (print) {
-      std::printf("%-14s %-16.3f %-18.3f\n", name.c_str(), obl_stretch,
-                  pk_stretch);
-      std::fflush(stdout);
-    }
     json::Value row = json::Value::object();
     row["network"] = name;
-    row["oblivious"] = obl_stretch;
-    row["partial"] = pk_stretch;
-    out.rows.push_back(std::move(row));
+    row["oblivious"] = routing::averageStretch(g, obl.routing, ecmp);
+    row["partial"] = routing::averageStretch(g, pk.routing, ecmp);
+    out.add(std::move(row));
   }
-  return out;
 }
 
 // --- kPrototype (Fig. 12) ---------------------------------------------
@@ -339,33 +417,24 @@ struct PrototypeSchedule {
   }
 };
 
-json::Value prototypeReport(const char* scheme,
-                            const std::vector<sim::StepStats>& stats,
-                            bool print) {
-  if (print) std::printf("%-8s drop%%/s:", scheme);
+json::Value prototypeRow(const char* scheme,
+                         const std::vector<sim::StepStats>& stats) {
   json::Value drops = json::Value::array();
   double sent = 0.0, del = 0.0;
   for (const auto& st : stats) {
-    if (print) std::printf(" %3.0f", 100.0 * st.dropRate());
     drops.push_back(100.0 * st.dropRate());
     sent += st.sent;
     del += st.delivered;
-  }
-  const double dropped_percent = 100.0 * (1.0 - del / sent);
-  if (print) {
-    std::printf("  | total sent %.0f Mb, dropped %.0f%%\n", sent,
-                dropped_percent);
   }
   json::Value row = json::Value::object();
   row["scheme"] = scheme;
   row["drop_percent_per_second"] = std::move(drops);
   row["sent_mb"] = sent;
-  row["dropped_percent"] = dropped_percent;
+  row["dropped_percent"] = 100.0 * (1.0 - del / sent);
   return row;
 }
 
-KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
-  KindOutput out;
+void runPrototype(const Scenario&, const RunOptions&, KindOutput& out) {
   const Graph g = topo::prototypeTriangle();
   const NodeId s1 = *g.findNode("s1");
   const NodeId s2 = *g.findNode("s2");
@@ -376,10 +445,12 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
   const EdgeId s2s1 = *g.findEdge(s2, s1);
   const PrototypeSchedule sched{s1, s2};
 
-  if (print) {
-    std::printf("# Fig. 12: 1 Mbps links; 3 x 15 s scenarios "
-                "(0,2) -> (1,1) -> (2,0) Mbps; 1 s bins\n");
-  }
+  out.comment("Fig. 12: 1 Mbps links; 3 x 15 s scenarios "
+              "(0,2) -> (1,1) -> (2,0) Mbps; 1 s bins");
+  out.table({{"scheme", "scheme", 8, 0},
+             {"sent_mb", "sent-Mb", 8, 0},
+             {"dropped_percent", "drop%", 6, 0},
+             {"drop_percent_per_second", "drop% per second", 0, 0}});
 
   {  // TE1: both sources route directly (single shared DAG).
     sim::FluidNetwork net(g);
@@ -389,7 +460,7 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
       net.setForwarding(p, s2, {{s2t, 1.0}});
     }
     sched.install(net);
-    out.rows.push_back(prototypeReport("TE1", net.run(45.0, 1.0), print));
+    out.add(prototypeRow("TE1", net.run(45.0, 1.0)));
   }
   {  // TE2: s1 splits via s2; s2 direct (still one DAG for both prefixes).
     sim::FluidNetwork net(g);
@@ -399,7 +470,7 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
       net.setForwarding(p, s2, {{s2t, 1.0}});
     }
     sched.install(net);
-    out.rows.push_back(prototypeReport("TE2", net.run(45.0, 1.0), print));
+    out.add(prototypeRow("TE2", net.run(45.0, 1.0)));
   }
   {  // COYOTE: per-prefix DAGs (t1 split at s1, t2 split at s2).
     sim::FluidNetwork net(g);
@@ -410,7 +481,7 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
     net.setForwarding(1, s2, {{s2t, 0.5}, {s2s1, 0.5}});
     net.setForwarding(1, s1, {{s1t, 1.0}});
     sched.install(net);
-    out.rows.push_back(prototypeReport("COYOTE", net.run(45.0, 1.0), print));
+    out.add(prototypeRow("COYOTE", net.run(45.0, 1.0)));
   }
 
   // The COYOTE forwarding above is exactly what the lie-synthesis layer
@@ -446,28 +517,25 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
                   fib::verifyRealization(model, cfg2, t, 1, 4) &&
                   model.forwardingIsLoopFree(0) &&
                   model.forwardingIsLoopFree(1);
-  if (print) {
-    std::printf("# OSPF lies realizing COYOTE's per-prefix DAGs: %d fake "
-                "nodes, verified: %s\n",
-                model.fakeNodeCount(), ok ? "yes" : "NO");
-  }
+  out.comment("OSPF lies realizing COYOTE's per-prefix DAGs: %d fake "
+              "nodes, verified: %s",
+              model.fakeNodeCount(), ok ? "yes" : "NO");
   out.extra["fake_nodes"] = model.fakeNodeCount();
   out.extra["verified"] = ok;
   out.ok = ok;
-  return out;
 }
 
 // --- kDagAug ----------------------------------------------------------
 
-KindOutput runDagAug(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
-  if (print) {
-    std::printf("# COYOTE-pk ratio, margin %.1f: shortest-path DAGs vs "
-                "augmented DAGs\n",
-                s.fixed_margin);
-    std::printf("%-14s %-10s %-10s %-10s\n", "network", "SP-DAGs",
-                "augmented", "ECMP");
-  }
+void runDagAug(const Scenario& s, const RunOptions& opt, KindOutput& out) {
+  networksMeta(s, opt, out);
+  out.comment("COYOTE-pk ratio, margin %.1f: shortest-path DAGs vs "
+              "augmented DAGs",
+              s.fixed_margin);
+  out.table({{"network", "network", 14, 0},
+             {"sp_dags", "SP-DAGs", 10, 2},
+             {"augmented", "augmented", 10, 2},
+             {"ecmp", "ECMP", 10, 2}});
 
   for (const std::string& name : s.networkList(opt.full)) {
     const Graph g = topo::makeZoo(name);
@@ -504,22 +572,13 @@ KindOutput runDagAug(const Scenario& s, const RunOptions& opt, bool print) {
     }
     sp_on_aug.normalize(g);
 
-    const double sp_ratio = eval.ratioFor(sp_on_aug);
-    const double aug_ratio = eval.ratioFor(aug_cfg.routing);
-    const double ecmp_ratio = eval.ratioFor(routing::ecmpConfig(g, aug));
-    if (print) {
-      std::printf("%-14s %-10.2f %-10.2f %-10.2f\n", name.c_str(), sp_ratio,
-                  aug_ratio, ecmp_ratio);
-      std::fflush(stdout);
-    }
     json::Value row = json::Value::object();
     row["network"] = name;
-    row["sp_dags"] = sp_ratio;
-    row["augmented"] = aug_ratio;
-    row["ecmp"] = ecmp_ratio;
-    out.rows.push_back(std::move(row));
+    row["sp_dags"] = eval.ratioFor(sp_on_aug);
+    row["augmented"] = eval.ratioFor(aug_cfg.routing);
+    row["ecmp"] = eval.ratioFor(routing::ecmpConfig(g, aug));
+    out.add(std::move(row));
   }
-  return out;
 }
 
 // --- kOptimizer -------------------------------------------------------
@@ -535,27 +594,24 @@ double optimizerRunOnce(const Graph& g,
   return eval.ratioFor(cfg);
 }
 
-KindOutput runOptimizer(const Scenario&, const RunOptions&, bool print) {
-  KindOutput out;
-  if (print) {
-    std::printf("# inner-optimizer ablation: pool ratio vs iterations\n");
-    std::printf("%-16s %-8s %-14s %-14s\n", "instance", "iters",
-                "GP-condens.", "mirror-desc.");
-  }
+void runOptimizer(const Scenario&, const RunOptions&, KindOutput& out) {
+  out.comment("inner-optimizer ablation: pool ratio vs iterations");
+  out.table({{"instance", "instance", 16, 0},
+             {"iterations", "iters", 8, 0},
+             {"gp_condensation", "GP-condens.", 14, 4},
+             {"mirror_descent", "mirror-desc.", 14, 4}});
 
-  const auto record = [&](const char* instance, int iters, double gp,
-                          double mirror) {
-    if (print) {
-      std::printf("%-16s %-8d %-14.4f %-14.4f\n", instance, iters, gp,
-                  mirror);
-      std::fflush(stdout);
-    }
+  const auto record = [&](const char* instance, int iters,
+                          const routing::PerformanceEvaluator& eval,
+                          const Graph& g) {
     json::Value row = json::Value::object();
     row["instance"] = instance;
     row["iterations"] = iters;
-    row["gp_condensation"] = gp;
-    row["mirror_descent"] = mirror;
-    out.rows.push_back(std::move(row));
+    row["gp_condensation"] = optimizerRunOnce(
+        g, eval, core::SplitMethod::kGpCondensation, iters);
+    row["mirror_descent"] = optimizerRunOnce(
+        g, eval, core::SplitMethod::kMirrorDescent, iters);
+    out.add(std::move(row));
   };
 
   {  // Running example: optimum is sqrt(5)-1 ~ 1.2361.
@@ -568,16 +624,10 @@ KindOutput runOptimizer(const Scenario&, const RunOptions&, bool print) {
     eval.addMatrix(d1);
     eval.addMatrix(d2);
     for (const int iters : {50, 200, 800, 2000}) {
-      record("running-example", iters,
-             optimizerRunOnce(g, eval, core::SplitMethod::kGpCondensation,
-                              iters),
-             optimizerRunOnce(g, eval, core::SplitMethod::kMirrorDescent,
-                              iters));
+      record("running-example", iters, eval, g);
     }
-    if (print) {
-      std::printf("%-16s %-8s %-14.4f (closed form)\n", "running-example",
-                  "optimal", std::sqrt(5.0) - 1.0);
-    }
+    out.comment("running-example closed-form optimum: %.4f",
+                std::sqrt(5.0) - 1.0);
     out.extra["closed_form_optimum"] = std::sqrt(5.0) - 1.0;
   }
   {  // Abilene, margin-2 corner pool.
@@ -590,25 +640,19 @@ KindOutput runOptimizer(const Scenario&, const RunOptions&, bool print) {
     eval.addPool(tm::cornerPool(
         tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0), popt));
     for (const int iters : {50, 200, 800}) {
-      record("abilene-m2", iters,
-             optimizerRunOnce(g, eval, core::SplitMethod::kGpCondensation,
-                              iters),
-             optimizerRunOnce(g, eval, core::SplitMethod::kMirrorDescent,
-                              iters));
+      record("abilene-m2", iters, eval, g);
     }
   }
-  return out;
 }
 
 // --- kHardness --------------------------------------------------------
 
-KindOutput runHardness(const Scenario&, const RunOptions&, bool print) {
-  KindOutput out;
-  if (print) {
-    std::printf("# BIPARTITION reduction (Theorem 1 / Lemmas 2-3)\n");
-    std::printf("%-16s %-12s %-22s\n", "integer set", "positive?",
-                "best oblivious ratio");
-  }
+void runHardness(const Scenario&, const RunOptions&, KindOutput& out) {
+  out.comment("BIPARTITION reduction (Theorem 1 / Lemmas 2-3); "
+              "the gap is 4/3 = 1.3333");
+  out.table({{"integer_set", "integer set", 16, 0},
+             {"positive", "positive?", 12, 0},
+             {"best_oblivious_ratio", "best oblivious ratio", 22, 4}});
   struct Case {
     std::vector<double> w;
     bool positive;
@@ -642,23 +686,17 @@ KindOutput runHardness(const Scenario&, const RunOptions&, bool print) {
     for (const double wi : c.w) {
       wstr += std::to_string(static_cast<int>(wi)) + " ";
     }
-    if (print) {
-      std::printf("%-16s %-12s %.4f  (4/3 = 1.3333)\n", wstr.c_str(),
-                  c.positive ? "yes" : "no", best);
-      std::fflush(stdout);
-    }
     json::Value row = json::Value::object();
     row["kind"] = "bipartition";
     row["integer_set"] = wstr;
     row["positive"] = c.positive;
     row["best_oblivious_ratio"] = best;
-    out.rows.push_back(std::move(row));
+    out.add(std::move(row));
   }
 
-  if (print) {
-    std::printf("\n# Omega(|V|) gap (Theorem 4): path instance\n");
-    std::printf("%-6s %-24s\n", "n", "oblivious ratio (= n)");
-  }
+  out.comment("Omega(|V|) gap (Theorem 4): path instance, oblivious "
+              "ratio = n");
+  out.table({{"n", "n", 6, 0}, {"oblivious_ratio", "oblivious ratio", 16, 2}});
   for (const int n : {2, 4, 8, 16, 32}) {
     const hardness::PathInstance inst = hardness::makePathInstance(n);
     const auto direct = hardness::allDirectRouting(inst);
@@ -669,27 +707,23 @@ KindOutput runHardness(const Scenario&, const RunOptions&, bool print) {
           routing::optimalUtilizationUnrestricted(inst.graph, d);
       worst = std::max(worst, mxlu / optu);
     }
-    if (print) {
-      std::printf("%-6d %.2f\n", n, worst);
-      std::fflush(stdout);
-    }
     json::Value row = json::Value::object();
     row["kind"] = "path-gap";
     row["n"] = n;
     row["oblivious_ratio"] = worst;
-    out.rows.push_back(std::move(row));
+    out.add(std::move(row));
   }
-  return out;
 }
 
 // --- kFailure (src/failure/: post-failure four-scheme sweep) ----------
 
-KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
+void runFailure(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   const Graph g = s.topology.build();
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix base = s.demand.build(g);
-  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt);
+  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt, out);
+  networkMeta(s, out);
+  out.extra["failure_model"] = s.failure.name();
 
   std::vector<failure::FailureScenario> fails;
   switch (s.failure.model) {
@@ -712,31 +746,24 @@ KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
   const failure::FailureEvaluator eval(g, dags, base, fopt);
   const failure::FailureSweepResult res = eval.evaluate(fails);
 
-  const int n = static_cast<int>(schemes.size());
-  const SchemeTable table(schemes, {{"failed", 24}});
-  if (print) {
-    std::printf("# %s, %s base matrix -- %s failure sweep, margin %.1f\n",
-                s.topology.label().c_str(), s.demand.name(),
-                s.failure.name(), s.fixed_margin);
-    std::printf("# post-failure ratios: worst over the corner pool, "
-                "normalized by the unrestricted optimum on the surviving "
-                "network\n");
-    table.printHeader();
-  }
+  out.comment("%s, %s base matrix -- %s failure sweep, margin %.1f",
+              s.topology.label().c_str(), s.demand.name(), s.failure.name(),
+              s.fixed_margin);
+  out.comment("post-failure ratios: worst over the corner pool, normalized "
+              "by the unrestricted optimum on the surviving network; cut = "
+              "demand pairs disconnected (such failures are not evaluated)");
+  out.table(withSchemes(
+      {{"label", "failed", 24, 0}, {"disconnected_pairs", "cut", 4, 0}},
+      schemes));
 
   for (const failure::FailureOutcome& o : res.outcomes) {
     json::Value row = json::Value::object();
     row["label"] = o.label;
     row["evaluated"] = o.evaluated;
     row["disconnected_pairs"] = o.disconnected_pairs;
-    if (!o.evaluated) {
-      if (print) {
-        std::printf("%-24s (disconnects %d demand pair(s))\n",
-                    o.label.c_str(), o.disconnected_pairs);
-      }
-    } else {
+    if (o.evaluated) {
       json::Value unroutable = json::Value::array();
-      for (int i = 0; i < n; ++i) {
+      for (std::size_t i = 0; i < schemes.size(); ++i) {
         const char* key = schemes[i]->key();
         if (o.routable[i]) {
           row[key] = o.ratio[i];
@@ -745,10 +772,8 @@ KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
         }
       }
       row["unroutable"] = std::move(unroutable);
-      if (print) table.printRow({o.label}, o.ratio, &o.routable);
     }
-    if (print) std::fflush(stdout);
-    out.rows.push_back(std::move(row));
+    out.add(std::move(row));
   }
 
   json::Value block = json::Value::object();
@@ -760,6 +785,7 @@ KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
   block["disconnected_pairs"] = res.disconnected_pairs;
   block["pool_size"] = eval.poolSize();
   json::Value per_scheme = json::Value::object();
+  std::string summary;
   for (const auto& [key, st] : res.schemes) {
     json::Value v = json::Value::object();
     v["worst"] = st.worst;
@@ -767,43 +793,26 @@ KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
     v["p95"] = st.p95;
     v["evaluated"] = st.evaluated;
     v["unroutable"] = st.unroutable;
+    summary += "  " + key + " " + formatCell(st.worst, 2) + "/" +
+               formatCell(st.median, 2) + "/" + formatCell(st.p95, 2);
     per_scheme[key] = std::move(v);
   }
   block["schemes"] = std::move(per_scheme);
   out.extra["failures"] = std::move(block);
 
-  if (print) {
-    std::printf("# failures: %zu total, %d evaluated, %d disconnecting "
-                "(%d demand pair(s) cut)\n",
-                res.outcomes.size(), res.evaluated, res.disconnecting,
-                res.disconnected_pairs);
-    std::printf("# worst/median/p95:");
-    for (const auto& [key, st] : res.schemes) {
-      std::printf("  %s %.2f/%.2f/%.2f", key.c_str(), st.worst, st.median,
-                  st.p95);
-    }
-    std::printf("\n");
-  }
-  return out;
+  out.comment("failures: %zu total, %d evaluated, %d disconnecting "
+              "(%d demand pair(s) cut)",
+              res.outcomes.size(), res.evaluated, res.disconnecting,
+              res.disconnected_pairs);
+  out.comment("worst/median/p95:%s", summary.c_str());
 }
 
 // --- kServe (online TE daemon trace replay, src/serve/) ---------------
 
-/// Nearest-rank percentile of an unsorted sample (q in [0,1]).
-double percentileMs(std::vector<double> sample, double q) {
-  if (sample.empty()) return 0.0;
-  std::sort(sample.begin(), sample.end());
-  const std::size_t n = sample.size();
-  const double rank = std::ceil(q * static_cast<double>(n));
-  const std::size_t idx =
-      rank < 1.0 ? 0 : std::min(n - 1, static_cast<std::size_t>(rank) - 1);
-  return sample[idx];
-}
-
-KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
+void runServe(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   const Graph g = s.topology.build();
   const tm::TrafficMatrix base = s.demand.build(g);
+  networkMeta(s, out);
 
   serve::TraceOptions topt;
   topt.events = s.serve_events;
@@ -822,15 +831,13 @@ KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
   if (sopt.coyote.splitting.patience == 0) {
     sopt.coyote.splitting.patience = serve_patience;
   }
-  sopt.schemes = selectedSchemes(opt);
+  sopt.schemes = selectedSchemes(opt, out);
   serve::TeService service(g, base, sopt);
 
-  if (print) {
-    std::printf("# %s, %s base matrix -- online TE daemon replay: %zu "
-                "events, margin %.1f, pool %d\n",
-                s.topology.label().c_str(), s.demand.name(), trace.size(),
-                s.fixed_margin, service.poolSize());
-  }
+  out.comment("%s, %s base matrix -- online TE daemon replay: %zu events, "
+              "margin %.1f, pool %d",
+              s.topology.label().c_str(), s.demand.name(), trace.size(),
+              s.fixed_margin, service.poolSize());
 
   const auto opOf = [](const std::string& line) -> std::string {
     try {
@@ -867,6 +874,7 @@ KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
     i = j;
   }
   const double replay_seconds = replay_timer.elapsedSeconds();
+  std::sort(latency_ms.begin(), latency_ms.end());
 
   // Per-op event counts (deterministic for a trace seed, so the rows are
   // drift-gated) and the error total (any ok:false response fails the
@@ -893,11 +901,12 @@ KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
   }
   out.ok = errors == 0;
 
+  out.table({{"op", "op", 12, 0}, {"events", "events", 8, 0}});
   for (int k = 0; k < kNumOps; ++k) {
     json::Value row = json::Value::object();
     row["op"] = kOps[k];
     row["events"] = counts[k];
-    out.rows.push_back(std::move(row));
+    out.add(std::move(row));
   }
 
   // Post-replay ground truth: a no-failure what-if snapshots the final
@@ -931,48 +940,45 @@ KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
   const double events_per_second =
       replay_seconds > 0.0 ? static_cast<double>(trace.size()) / replay_seconds
                            : 0.0;
+  const double p50 = util::nearestRank(latency_ms, 0.50);
+  const double p99 = util::nearestRank(latency_ms, 0.99);
   out.timing_extra["replay_seconds"] = replay_seconds;
   out.timing_extra["events_per_second"] = events_per_second;
-  out.timing_extra["event_p50_ms"] = percentileMs(latency_ms, 0.50);
-  out.timing_extra["event_p99_ms"] = percentileMs(latency_ms, 0.99);
+  out.timing_extra["event_p50_ms"] = p50;
+  out.timing_extra["event_p99_ms"] = p99;
 
-  if (print) {
-    std::printf("# events:");
-    for (int k = 0; k < kNumOps; ++k) {
-      std::printf(" %s %d", kOps[k], counts[k]);
+  out.comment("errors: %d", errors);
+  out.comment("throughput: %.1f events/s, latency p50 %.2f ms, p99 %.2f ms",
+              events_per_second, p50, p99);
+  out.comment("reoptimize: %lld splitting iterations saved by warm starts",
+              service.reoptimizeSavedIters());
+  if (const json::Value* ratios = final_state.find("ratios")) {
+    std::string line;
+    for (const auto& [key, v] : ratios->asObject()) {
+      line += "  " + key + " " + formatCell(v, 2);
     }
-    std::printf("  (errors %d)\n", errors);
-    std::printf("# throughput: %.1f events/s, latency p50 %.2f ms, "
-                "p99 %.2f ms\n",
-                events_per_second, percentileMs(latency_ms, 0.50),
-                percentileMs(latency_ms, 0.99));
-    std::printf("# reoptimize: %lld splitting iterations saved by warm "
-                "starts\n",
-                service.reoptimizeSavedIters());
-    if (const json::Value* ratios = final_state.find("ratios")) {
-      std::printf("# final ratios:");
-      for (const auto& [key, v] : ratios->asObject()) {
-        std::printf("  %s %.2f", key.c_str(), v.asNumber());
-      }
-      std::printf("\n");
-    }
-    std::fflush(stdout);
+    out.comment("final ratios:%s", line.c_str());
   }
-  return out;
 }
 
 // --- kScaling (structured-generator size ladders) ---------------------
 
-KindOutput runScaling(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
-  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt);
-  const SchemeTable table(schemes,
-                          {{"rung", 18}, {"nodes", 7}, {"edges", 7}});
-  if (print) {
-    std::printf("# scaling curve: %zu rung(s), %s base model, margin %.1f\n",
-                s.ladder.size(), s.demand.name(), s.fixed_margin);
-    table.printHeader();
-  }
+void runScaling(const Scenario& s, const RunOptions& opt, KindOutput& out) {
+  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt, out);
+  json::Array rungs;
+  for (const TopologySpec& spec : s.ladder) rungs.emplace_back(spec.label());
+  out.extra["ladder"] = std::move(rungs);
+  out.extra["demand_model"] = s.demand.name();
+  out.extra["margin"] = s.fixed_margin;
+
+  out.comment("scaling curve: %zu rung(s), %s base model, margin %.1f",
+              s.ladder.size(), s.demand.name(), s.fixed_margin);
+  std::vector<Column> columns = withSchemes({{"rung", "rung", 18, 0},
+                                             {"nodes", "nodes", 7, 0},
+                                             {"edges", "edges", 7, 0}},
+                                            schemes);
+  columns.push_back({"mem_peak_rss_mb", "RSS-MiB", 8, 1});
+  out.table(std::move(columns));
 
   // Per-rung wall-clock goes under "timing" (machine-dependent, exempt
   // from the drift gate); the rows keep only deterministic fields plus
@@ -987,20 +993,13 @@ KindOutput runScaling(const Scenario& s, const RunOptions& opt, bool print) {
     const SchemeRow r = sweep.run(s.fixed_margin);
     const double seconds = rung_timer.elapsedSeconds();
 
-    if (print) {
-      table.printRow({spec.label(), std::to_string(g.numNodes()),
-                      std::to_string(g.numEdges())},
-                     r.ratio);
-      std::printf("#   %s: %.2fs, peak RSS %.1f MiB\n", spec.label().c_str(),
-                  seconds, util::peakRssMb());
-      std::fflush(stdout);
-    }
     json::Value row = schemeRowJson(schemes, r);
     row["rung"] = spec.label();
     row["nodes"] = g.numNodes();
     row["edges"] = g.numEdges();
     row["mem_peak_rss_mb"] = util::peakRssMb();
-    out.rows.push_back(std::move(row));
+    out.add(std::move(row));
+    out.comment("  %s: %.2fs", spec.label().c_str(), seconds);
 
     json::Value t = json::Value::object();
     t["rung"] = spec.label();
@@ -1008,38 +1007,36 @@ KindOutput runScaling(const Scenario& s, const RunOptions& opt, bool print) {
     rung_seconds.push_back(std::move(t));
   }
   out.timing_extra["rungs"] = std::move(rung_seconds);
-  return out;
 }
 
-KindOutput runKind(const Scenario& s, const RunOptions& opt, bool print) {
+void runKind(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   switch (s.kind) {
     case ScenarioKind::kSchemes:
-      return runSchemes(s, opt, print);
+      return runSchemes(s, opt, out);
     case ScenarioKind::kTable:
-      return runTable(s, opt, print);
+      return runTable(s, opt, out);
     case ScenarioKind::kLocalSearch:
-      return runLocalSearch(s, opt, print);
+      return runLocalSearch(s, opt, out);
     case ScenarioKind::kQuantization:
-      return runQuantization(s, opt, print);
+      return runQuantization(s, opt, out);
     case ScenarioKind::kStretch:
-      return runStretch(s, opt, print);
+      return runStretch(s, opt, out);
     case ScenarioKind::kPrototype:
-      return runPrototype(s, opt, print);
+      return runPrototype(s, opt, out);
     case ScenarioKind::kDagAug:
-      return runDagAug(s, opt, print);
+      return runDagAug(s, opt, out);
     case ScenarioKind::kOptimizer:
-      return runOptimizer(s, opt, print);
+      return runOptimizer(s, opt, out);
     case ScenarioKind::kHardness:
-      return runHardness(s, opt, print);
+      return runHardness(s, opt, out);
     case ScenarioKind::kFailure:
-      return runFailure(s, opt, print);
+      return runFailure(s, opt, out);
     case ScenarioKind::kServe:
-      return runServe(s, opt, print);
+      return runServe(s, opt, out);
     case ScenarioKind::kScaling:
-      return runScaling(s, opt, print);
+      return runScaling(s, opt, out);
   }
   require(false, "unknown scenario kind");
-  return {};  // unreachable
 }
 
 }  // namespace
@@ -1051,12 +1048,9 @@ double ScenarioResult::minSeconds() const {
 }
 
 double ScenarioResult::medianSeconds() const {
-  if (seconds.empty()) return 0.0;
   std::vector<double> sorted = seconds;
   std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  return n % 2 == 1 ? sorted[n / 2]
-                    : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+  return util::medianOf(sorted);
 }
 
 std::string gitDescribe() {
@@ -1078,7 +1072,7 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   ScenarioResult result;
   result.id = s.id;
 
-  KindOutput output;
+  KindOutput output(false);
   const int total = std::max(1, opt_.repeat) + std::max(0, opt_.warmup);
   const int warmup = std::max(0, opt_.warmup);
   const lp::StatsSnapshot lp_start = lp::statsSnapshot();
@@ -1089,7 +1083,8 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
     const bool print = opt_.print && rep == 0;
     const lp::StatsSnapshot lp_before = lp::statsSnapshot();
     const util::Timer timer;
-    output = runKind(s, opt_, print);
+    output = KindOutput(print);
+    runKind(s, opt_, output);
     const double elapsed = timer.elapsedSeconds();
     lp_delta = lp::statsSnapshot() - lp_before;
     last_elapsed = elapsed;
@@ -1123,59 +1118,6 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   doc["threads"] = static_cast<int>(util::ThreadPool::defaultThreads());
   doc["full"] = opt_.full;
   doc["exact"] = opt_.exact;
-  // The scheme list the scheme-comparison kinds swept (run metadata, like
-  // full/exact: it names the selection, the rows carry the values).
-  switch (s.kind) {
-    case ScenarioKind::kSchemes:
-    case ScenarioKind::kTable:
-    case ScenarioKind::kFailure:
-    case ScenarioKind::kServe:
-    case ScenarioKind::kScaling: {
-      json::Value keys = json::Value::array();
-      for (const te::Scheme* sch : selectedSchemes(opt_)) {
-        keys.push_back(std::string(sch->key()));
-      }
-      doc["schemes"] = std::move(keys);
-      break;
-    }
-    default:
-      break;
-  }
-  switch (s.kind) {
-    case ScenarioKind::kSchemes:
-    case ScenarioKind::kLocalSearch:
-    case ScenarioKind::kQuantization:
-    case ScenarioKind::kServe:
-      doc["network"] = s.topology.label();
-      doc["demand_model"] = s.demand.name();
-      break;
-    case ScenarioKind::kFailure:
-      doc["network"] = s.topology.label();
-      doc["demand_model"] = s.demand.name();
-      doc["failure_model"] = s.failure.name();
-      break;
-    case ScenarioKind::kTable:
-    case ScenarioKind::kStretch:
-    case ScenarioKind::kDagAug: {
-      json::Value nets = json::Value::array();
-      for (const std::string& n : s.networkList(opt_.full)) nets.push_back(n);
-      doc["networks"] = std::move(nets);
-      doc["demand_model"] = s.demand.name();
-      break;
-    }
-    case ScenarioKind::kScaling: {
-      json::Value rungs = json::Value::array();
-      for (const TopologySpec& spec : s.ladder) {
-        rungs.push_back(spec.label());
-      }
-      doc["ladder"] = std::move(rungs);
-      doc["demand_model"] = s.demand.name();
-      doc["margin"] = s.fixed_margin;
-      break;
-    }
-    default:
-      break;
-  }
   doc["ok"] = result.ok;
   // Per-scenario LP work (one repetition's worth). The counts are
   // deterministic for a binary (and for any thread count); all lp_*
@@ -1234,7 +1176,15 @@ int ExperimentRunner::runAll(
     std::filesystem::create_directories(opt_.json_dir);
   }
   for (const Scenario* s : scenarios) {
-    const ScenarioResult result = run(*s);
+    // A library exception fails this scenario only; the batch goes on.
+    ScenarioResult result;
+    try {
+      result = run(*s);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "scenario %s: %s\n", s->id.c_str(), e.what());
+      ++failures;
+      continue;
+    }
     if (!result.ok) ++failures;
     if (!opt_.json_dir.empty()) {
       const std::filesystem::path path =

@@ -2,6 +2,12 @@
 // text rows, times repetitions, and emits one self-describing
 // BENCH_<scenario>.json per scenario (the format bench_compare and the CI
 // perf gate consume; schema documented in EXPERIMENTS.md).
+//
+// A scenario kind records each result once, as a BENCH row; the text
+// table is rendered from those rows (every uncommented line is one row,
+// titles and notes are "#" comments). The text is for people: nothing
+// parses it. BENCH member order is not a contract either -- consumers
+// look members up by key.
 #pragma once
 
 #include <string>
@@ -16,7 +22,8 @@ struct RunOptions {
   bool full = false;     ///< full margin grids / network corpora
   bool exact = false;    ///< exact slave-LP cutting planes / evaluation
   /// Scheme keys (te::SchemeRegistry::builtin()) the scheme-comparison
-  /// kinds (schemes/table/failure) sweep; empty = the paper's four.
+  /// kinds (schemes/table/failure/serve/scaling) sweep; empty = the
+  /// paper's four.
   /// Unknown keys are a hard error (the CLI validates before running).
   std::vector<std::string> schemes;
   int repeat = 1;        ///< timed repetitions per scenario (>= 1)
@@ -26,7 +33,7 @@ struct RunOptions {
   /// compared (CI and the baseline-refresh command both do).
   int warmup = 0;
   std::string json_dir;  ///< where BENCH_<id>.json files go; empty = none
-  bool print = true;     ///< stream the bench-identical text to stdout
+  bool print = true;     ///< stream the text view of the rows to stdout
 };
 
 struct ScenarioResult {
@@ -45,10 +52,13 @@ class ExperimentRunner {
 
   /// Runs one scenario (warmup + timed repetitions; rows are printed
   /// during the first execution only -- results are deterministic).
+  /// Library errors propagate as exceptions.
   [[nodiscard]] ScenarioResult run(const Scenario& s) const;
 
   /// Runs every scenario in order, writing BENCH_<id>.json into json_dir
-  /// when set. Returns the number of failed scenarios.
+  /// when set. A scenario that throws is reported on stderr and counted
+  /// as failed (no BENCH file); the rest still run. Returns the number of
+  /// failed scenarios.
   int runAll(const std::vector<const Scenario*>& scenarios) const;
 
  private:

@@ -1,8 +1,5 @@
 #include "exp/sweep.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "lp/stats.hpp"
 #include "util/require.hpp"
 
@@ -118,53 +115,6 @@ std::vector<double> marginGrid(double max_margin, bool full) {
     out.push_back(1.0 + static_cast<double>(i) / steps_per_unit);
   }
   return out;
-}
-
-SchemeTable::SchemeTable(std::vector<const te::Scheme*> schemes,
-                         std::vector<LeadingColumn> leading)
-    : schemes_(std::move(schemes)), leading_(std::move(leading)) {
-  widths_.reserve(schemes_.size());
-  for (const te::Scheme* s : schemes_) {
-    // Wide enough for the display name plus one separating space, never
-    // narrower than the classic 8-character ratio column.
-    widths_.push_back(
-        std::max<int>(8, static_cast<int>(std::string(s->display()).size()) +
-                             2));
-  }
-}
-
-void SchemeTable::printHeader() const {
-  for (const LeadingColumn& c : leading_) {
-    std::printf("%-*s ", c.width, c.title.c_str());
-  }
-  for (std::size_t i = 0; i < schemes_.size(); ++i) {
-    std::printf("%-*s ", widths_[i], schemes_[i]->display());
-  }
-  std::printf("\n");
-}
-
-void SchemeTable::printRow(const std::vector<std::string>& leading,
-                           const std::vector<double>& values,
-                           const std::vector<char>* routable) const {
-  require(leading.size() == leading_.size(), "leading cell count mismatch");
-  require(values.size() == schemes_.size(), "value count mismatch");
-  for (std::size_t i = 0; i < leading.size(); ++i) {
-    std::printf("%-*s ", leading_[i].width, leading[i].c_str());
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (routable != nullptr && !(*routable)[i]) {
-      std::printf("%-*s ", widths_[i], "n/a");
-    } else {
-      std::printf("%-*.2f ", widths_[i], values[i]);
-    }
-  }
-  std::printf("\n");
-}
-
-void printSweepPreamble(const char* network, const char* model) {
-  std::printf("# %s, %s base matrix\n", network, model);
-  std::printf("# ratios are worst-case link utilization relative to the\n");
-  std::printf("# demands-aware optimum within the same augmented DAGs\n");
 }
 
 }  // namespace coyote::exp

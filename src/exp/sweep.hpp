@@ -5,7 +5,7 @@
 // scheme list (default: the paper's four, from
 // te::SchemeRegistry::builtin()).
 //
-// Every sweep prints/records the same rows the paper reports, normalized --
+// Every sweep records the same rows the paper reports, normalized --
 // like the paper's figures -- by the demands-aware optimum *within the same
 // augmented DAGs*. Evaluation is over a finite pool of corner/hotspot
 // matrices of the uncertainty box (see tm::cornerPool); the same pool
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/coyote.hpp"
@@ -120,39 +119,5 @@ class NetworkSweep {
 /// from integer step counts (not floating-point accumulation), so the last
 /// margin is never lost to round-off drift.
 [[nodiscard]] std::vector<double> marginGrid(double max_margin, bool full);
-
-/// Column-width-computed text table for scheme rows: any number of
-/// caller-formatted leading columns followed by one column per scheme,
-/// each sized to its display name. Replaces the hardcoded
-/// printSchemeHeader/printSchemeRow printf pair.
-class SchemeTable {
- public:
-  struct LeadingColumn {
-    std::string title;
-    int width = 8;
-  };
-
-  SchemeTable(std::vector<const te::Scheme*> schemes,
-              std::vector<LeadingColumn> leading);
-
-  /// Prints the column-title line.
-  void printHeader() const;
-
-  /// Prints one row: the leading cells (caller-formatted, e.g. "2.5" or a
-  /// failure label) then `values[i]` at two decimals per scheme --
-  /// "n/a" where `routable` (when given) is false.
-  void printRow(const std::vector<std::string>& leading,
-                const std::vector<double>& values,
-                const std::vector<char>* routable = nullptr) const;
-
- private:
-  std::vector<const te::Scheme*> schemes_;
-  std::vector<LeadingColumn> leading_;
-  std::vector<int> widths_;  ///< per-scheme column width
-};
-
-/// The two-line normalization preamble the margin sweeps print above their
-/// table ("# <network>, <model> base matrix" + the ruler description).
-void printSweepPreamble(const char* network, const char* model);
 
 }  // namespace coyote::exp

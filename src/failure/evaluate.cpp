@@ -1,36 +1,21 @@
 #include "failure/evaluate.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 #include "routing/evaluator.hpp"
 #include "routing/optu.hpp"
 #include "routing/propagation.hpp"
+#include "util/percentile.hpp"
 #include "util/require.hpp"
 
 namespace coyote::failure {
 
 namespace {
 
-/// Nearest-rank percentile of an ascending-sorted sample (p in (0, 1]).
-double nearestRank(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(sorted.size())));
-  return sorted[std::min(sorted.size(), std::max<std::size_t>(rank, 1)) - 1];
-}
-
 /// Relative slack taken off every OPTU lower bound before pruning with it.
 constexpr double kBoundSlack = 1e-9;
-
-double medianOf(const std::vector<double>& sorted) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t n = sorted.size();
-  return n % 2 == 1 ? sorted[n / 2]
-                    : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-}
 
 }  // namespace
 
@@ -279,8 +264,8 @@ FailureSweepResult FailureEvaluator::evaluate(
     stats.evaluated = static_cast<int>(r.size());
     if (!r.empty()) {
       stats.worst = r.back();
-      stats.median = medianOf(r);
-      stats.p95 = nearestRank(r, 0.95);
+      stats.median = util::medianOf(r);
+      stats.p95 = util::nearestRank(r, 0.95);
     }
   }
   return result;

@@ -39,8 +39,9 @@ int usage(const char* argv0, int code) {
                "  --repeat <n>       timed repetitions per scenario "
                "(default 1)\n"
                "  --warmup <n>       untimed repetitions first (default 0)\n"
-               "  --schemes <a,b,c>  scheme keys the schemes/table/failure "
-               "kinds sweep\n"
+               "  --schemes <a,b,c>  scheme keys the schemes/table/failure/"
+               "serve/scaling\n"
+               "                     kinds sweep\n"
                "                     (default: the paper's four; unknown "
                "keys are an error)\n"
                "  --list-schemes     list the registered TE schemes and "
