@@ -126,7 +126,7 @@ struct Scenario {
   /// on (Table I behavior), not just the oracle cutting planes.
   bool exact_env_upgrades_eval = false;
   /// Networks with <= `exact_node_limit` nodes use the exact slave-LP
-  /// adversary for evaluation and the oracle (Table I's '+' rows); 0 = off.
+  /// adversary for evaluation and the oracle (Table I's exact rows); 0 = off.
   int exact_node_limit = 0;
 
   /// kTable / kStretch / kDagAug: networks swept in quick / full mode.

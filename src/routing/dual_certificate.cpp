@@ -1,5 +1,6 @@
 #include "routing/dual_certificate.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "routing/propagation.hpp"
@@ -47,275 +48,127 @@ std::vector<double> dagDistances(const Graph& g, const Dag& dag,
   return dist;
 }
 
-EdgeCertificate certifyEdge(const Graph& g, const RoutingConfig& cfg,
-                            EdgeId edge, const lp::SimplexOptions& opt) {
-  const int n = g.numNodes();
-  const double cap = g.edge(edge).capacity;
-  const auto coeff = loadCoefficientsFor(g, cfg, edge);
-
-  lp::LpProblem p(lp::Sense::kMinimize);
-  // pi(h) >= 0, objective sum_h pi(h)*c(h)  (this *is* the certified bound
-  // for this edge, requirement R1 with r minimized).
-  std::vector<int> pi_var(g.numEdges());
-  for (EdgeId h = 0; h < g.numEdges(); ++h) {
-    pi_var[h] = p.addVar(g.edge(h).capacity);
-  }
-  // Per destination with nonzero coefficients: distance variables p_t(v).
-  for (NodeId t = 0; t < n; ++t) {
-    if (coeff[t].empty()) continue;
-    const Dag& dag = cfg.dags()[t];
-    std::vector<int> dist_var(n, -1);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v != t && dag.reachesDest(v)) dist_var[v] = p.addVar(0.0);
-    }
-    // Triangle inequalities: p(j) <= pi(a) + p(k) for each DAG edge (j,k).
-    for (const EdgeId a : dag.edges()) {
-      const NodeId j = g.edge(a).src;
-      const NodeId k = g.edge(a).dst;
-      if (dist_var[j] < 0) continue;
-      std::vector<lp::Term> terms{{dist_var[j], 1.0}, {pi_var[a], -1.0}};
-      if (k != t) {
-        require(dist_var[k] >= 0, "DAG edge into node not reaching dest");
-        terms.push_back({dist_var[k], -1.0});
+/// True if a pair the DAGs route (and, with a box, lets send) places load
+/// on the edge `coeff` describes: only then can its utilization be
+/// positive, so only then may its certificate be empty.
+bool loaded(const RoutingConfig& cfg,
+            const std::vector<std::vector<double>>& coeff,
+            const tm::DemandBounds* box) {
+  for (NodeId t = 0; t < static_cast<NodeId>(coeff.size()); ++t) {
+    for (NodeId s = 0; s < static_cast<NodeId>(coeff[t].size()); ++s) {
+      if (s != t && coeff[t][s] > 0.0 && cfg.dags()[t].reachesDest(s) &&
+          (box == nullptr || box->hi.at(s, t) > 0.0)) {
+        return true;
       }
-      p.addConstraint(std::move(terms), lp::Rel::kLe, 0.0);
-    }
-    // Load constraints (R2): l_st(e)/c(e) <= p_t(s).
-    for (NodeId s = 0; s < n; ++s) {
-      if (s == t || coeff[t][s] <= 0.0 || dist_var[s] < 0) continue;
-      p.addConstraint({{dist_var[s], 1.0}}, lp::Rel::kGe, coeff[t][s] / cap);
     }
   }
-
-  const lp::LpResult res = lp::solve(p, opt);
-  EdgeCertificate out;
-  out.edge = edge;
-  if (res.status != lp::Status::kOptimal) return out;  // ratio 0: no load
-  out.ratio = res.objective;
-  out.pi.assign(g.numEdges(), 0.0);
-  for (EdgeId h = 0; h < g.numEdges(); ++h) {
-    out.pi[h] = std::max(0.0, res.x[pi_var[h]]);
-  }
-  return out;
+  return false;
 }
 
-BoxEdgeCertificate certifyBoxEdge(const Graph& g, const RoutingConfig& cfg,
-                                  const tm::DemandBounds& box, EdgeId edge,
-                                  const lp::SimplexOptions& opt) {
-  const int n = g.numNodes();
-  const double cap = g.edge(edge).capacity;
-  const auto coeff = loadCoefficientsFor(g, cfg, edge);
-
-  BoxEdgeCertificate out;
-  out.edge = edge;
-  bool any_load = false;
-  for (NodeId t = 0; t < n && !any_load; ++t) {
-    for (NodeId s = 0; !coeff[t].empty() && s < n && !any_load; ++s) {
-      any_load = coeff[t][s] > 0.0;
-    }
-  }
-  if (!any_load) return out;  // nothing can load this edge: bound 0
-
-  lp::LpProblem p(lp::Sense::kMinimize);
-  std::vector<int> pi_var(g.numEdges());
+/// R1's left side sum_h pi(h) c(h), or NaN unless `pi` holds one weight
+/// >= -tol per edge. Every test below is written to fail on NaN, so a NaN
+/// anywhere in a certificate rejects it.
+double weightedCapacity(const Graph& g, const std::vector<double>& pi,
+                        double tol) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  if (static_cast<int>(pi.size()) != g.numEdges()) return kNaN;
+  double weighted = 0.0;
   for (EdgeId h = 0; h < g.numEdges(); ++h) {
-    pi_var[h] = p.addVar(g.edge(h).capacity);
+    if (!(pi[h] >= -tol)) return kNaN;
+    weighted += pi[h] * g.edge(h).capacity;
   }
-  // Free potentials p_t(v) = pp - pm; one pair per (active t, v != t).
-  // Active destinations: any pair with load on `edge` or inside the box.
-  const auto pairActive = [&](NodeId s, NodeId t) {
-    const double l = coeff[t].empty() ? 0.0 : coeff[t][s];
-    return l > 0.0 || box.hi.at(s, t) > 0.0;
-  };
-  std::vector<char> active(n, 0);
-  for (NodeId t = 0; t < n; ++t) {
-    for (NodeId s = 0; s < n && !active[t]; ++s) {
-      if (s != t && pairActive(s, t)) active[t] = 1;
-    }
-  }
-  std::vector<std::vector<int>> pp(n), pm(n);
-  for (NodeId t = 0; t < n; ++t) {
-    if (!active[t]) continue;
-    pp[t].assign(n, -1);
-    pm[t].assign(n, -1);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == t) continue;
-      pp[t][v] = p.addVar(0.0);
-      pm[t][v] = p.addVar(0.0);
-    }
-  }
-  // Box slack weights.
-  std::vector<int> sp(static_cast<std::size_t>(n) * n, -1);
-  std::vector<int> sm(static_cast<std::size_t>(n) * n, -1);
-  std::vector<lp::Term> lambda_col;  // sum hi*s+ - sum lo*s- <= 0
-  for (NodeId t = 0; t < n; ++t) {
-    if (!active[t]) continue;
-    for (NodeId s = 0; s < n; ++s) {
-      if (s == t || !pairActive(s, t)) continue;
-      const std::size_t k = static_cast<std::size_t>(s) * n + t;
-      sp[k] = p.addVar(0.0);
-      lambda_col.push_back({sp[k], box.hi.at(s, t)});
-      if (box.lo.at(s, t) > 0.0) {
-        sm[k] = p.addVar(0.0);
-        lambda_col.push_back({sm[k], -box.lo.at(s, t)});
-      }
-      // Column of d_st: s+ - s- - p_t(s) >= l/c.
-      const double l = coeff[t].empty() ? 0.0 : coeff[t][s];
-      std::vector<lp::Term> terms{{sp[k], 1.0},
-                                  {pp[t][s], -1.0},
-                                  {pm[t][s], 1.0}};
-      if (sm[k] >= 0) terms.push_back({sm[k], -1.0});
-      p.addConstraint(std::move(terms), lp::Rel::kGe, l / cap);
-    }
-  }
-  p.addConstraint(std::move(lambda_col), lp::Rel::kLe, 0.0);
-  // Columns of the witness flows: p_t(j) - p_t(k) + pi(a) >= 0.
-  for (NodeId t = 0; t < n; ++t) {
-    if (!active[t]) continue;
-    for (const EdgeId a : cfg.dags()[t].edges()) {
-      const NodeId j = g.edge(a).src;
-      const NodeId k = g.edge(a).dst;
-      std::vector<lp::Term> terms{{pp[t][j], 1.0},
-                                  {pm[t][j], -1.0},
-                                  {pi_var[a], 1.0}};
-      if (k != t) {
-        terms.push_back({pp[t][k], -1.0});
-        terms.push_back({pm[t][k], 1.0});
-      }
-      p.addConstraint(std::move(terms), lp::Rel::kGe, 0.0);
-    }
-  }
-
-  const lp::LpResult res = lp::solve(p, opt);
-  if (res.status != lp::Status::kOptimal) return out;
-  out.ratio = res.objective;
-  out.pi.assign(g.numEdges(), 0.0);
-  for (EdgeId h = 0; h < g.numEdges(); ++h) {
-    out.pi[h] = std::max(0.0, res.x[pi_var[h]]);
-  }
-  out.p.assign(n, {});
-  for (NodeId t = 0; t < n; ++t) {
-    if (!active[t]) continue;
-    out.p[t].assign(n, 0.0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v != t) out.p[t][v] = res.x[pp[t][v]] - res.x[pm[t][v]];
-    }
-  }
-  out.s_plus.assign(static_cast<std::size_t>(n) * n, 0.0);
-  out.s_minus.assign(static_cast<std::size_t>(n) * n, 0.0);
-  for (std::size_t k = 0; k < sp.size(); ++k) {
-    if (sp[k] >= 0) out.s_plus[k] = std::max(0.0, res.x[sp[k]]);
-    if (sm[k] >= 0) out.s_minus[k] = std::max(0.0, res.x[sm[k]]);
-  }
-  return out;
+  return weighted;
 }
 
 }  // namespace
-
-BoxCertificate certifyBoxRatio(const Graph& g, const RoutingConfig& cfg,
-                               const tm::DemandBounds& box,
-                               const lp::SimplexOptions& opt) {
-  BoxCertificate cert;
-  for (EdgeId e = 0; e < g.numEdges(); ++e) {
-    BoxEdgeCertificate ec = certifyBoxEdge(g, cfg, box, e, opt);
-    cert.ratio = std::max(cert.ratio, ec.ratio);
-    cert.edges.push_back(std::move(ec));
-  }
-  return cert;
-}
 
 bool checkBoxCertificate(const Graph& g, const RoutingConfig& cfg,
                          const tm::DemandBounds& box,
                          const BoxCertificate& cert, double tol) {
   const int n = g.numNodes();
+  const std::size_t pairs = static_cast<std::size_t>(n) * n;
   if (static_cast<int>(cert.edges.size()) != g.numEdges()) return false;
-  for (const BoxEdgeCertificate& ec : cert.edges) {
-    if (ec.pi.empty()) continue;  // trivial bound 0
-    if (static_cast<int>(ec.pi.size()) != g.numEdges()) return false;
-    const double cap = g.edge(ec.edge).capacity;
-    const auto coeff = loadCoefficientsFor(g, cfg, ec.edge);
-    // Dual objective bounds the primal worst case (weak duality).
-    double weighted = 0.0;
-    for (EdgeId h = 0; h < g.numEdges(); ++h) {
-      if (ec.pi[h] < -tol) return false;
-      weighted += ec.pi[h] * g.edge(h).capacity;
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    const BoxEdgeCertificate& ec = cert.edges[e];
+    if (ec.edge != e) return false;
+    const auto coeff = loadCoefficientsFor(g, cfg, e);
+    if (ec.pi.empty()) {  // trivial bound 0
+      if (loaded(cfg, coeff, &box)) return false;
+      continue;
     }
-    if (weighted > cert.ratio + tol || weighted > ec.ratio + tol) return false;
+    // Dual objective bounds the primal worst case (weak duality).
+    const double weighted = weightedCapacity(g, ec.pi, tol);
+    if (!(weighted <= cert.ratio + tol && weighted <= ec.ratio + tol)) {
+      return false;
+    }
+    if (static_cast<int>(ec.p.size()) != n || ec.s_plus.size() != pairs ||
+        ec.s_minus.size() != pairs) {
+      return false;
+    }
     // Lambda column.
     double lambda_col = 0.0;
     for (NodeId s = 0; s < n; ++s) {
       for (NodeId t = 0; t < n; ++t) {
         if (s == t) continue;
         const std::size_t k = static_cast<std::size_t>(s) * n + t;
-        const double spv = k < ec.s_plus.size() ? ec.s_plus[k] : 0.0;
-        const double smv = k < ec.s_minus.size() ? ec.s_minus[k] : 0.0;
-        if (spv < -tol || smv < -tol) return false;
-        lambda_col += box.hi.at(s, t) * spv - box.lo.at(s, t) * smv;
+        if (!(ec.s_plus[k] >= -tol && ec.s_minus[k] >= -tol)) return false;
+        lambda_col +=
+            box.hi.at(s, t) * ec.s_plus[k] - box.lo.at(s, t) * ec.s_minus[k];
       }
     }
-    if (lambda_col > tol) return false;
+    if (!(lambda_col <= tol)) return false;
     // Demand and flow columns.
+    const double cap = g.edge(e).capacity;
     for (NodeId t = 0; t < n; ++t) {
-      const bool has_p = !ec.p.empty() && !ec.p[t].empty();
+      const std::vector<double>& p = ec.p[t];
+      if (!p.empty() && static_cast<int>(p.size()) != n) return false;
       for (NodeId s = 0; s < n; ++s) {
         if (s == t) continue;
         const double l = coeff[t].empty() ? 0.0 : coeff[t][s];
         if (l <= 0.0 && box.hi.at(s, t) <= 0.0) continue;
-        if (!has_p) return false;  // active pair without potentials
+        if (p.empty()) return false;  // active pair without potentials
         const std::size_t k = static_cast<std::size_t>(s) * n + t;
-        const double spv = k < ec.s_plus.size() ? ec.s_plus[k] : 0.0;
-        const double smv = k < ec.s_minus.size() ? ec.s_minus[k] : 0.0;
-        if (spv - smv - ec.p[t][s] < l / cap - tol) return false;
+        if (!(ec.s_plus[k] - ec.s_minus[k] - p[s] >= l / cap - tol)) {
+          return false;
+        }
       }
-      if (!has_p) continue;
+      if (p.empty()) continue;
       for (const EdgeId a : cfg.dags()[t].edges()) {
         const NodeId j = g.edge(a).src;
         const NodeId kk = g.edge(a).dst;
-        const double pk = (kk == t) ? 0.0 : ec.p[t][kk];
-        if (ec.p[t][j] - pk + ec.pi[a] < -tol) return false;
+        const double pk = (kk == t) ? 0.0 : p[kk];
+        if (!(p[j] - pk + ec.pi[a] >= -tol)) return false;
       }
     }
   }
   return true;
 }
 
-ObliviousCertificate certifyObliviousRatio(const Graph& g,
-                                           const RoutingConfig& cfg,
-                                           const lp::SimplexOptions& opt) {
-  ObliviousCertificate cert;
-  for (EdgeId e = 0; e < g.numEdges(); ++e) {
-    EdgeCertificate ec = certifyEdge(g, cfg, e, opt);
-    cert.ratio = std::max(cert.ratio, ec.ratio);
-    cert.edges.push_back(std::move(ec));
-  }
-  return cert;
-}
-
 bool checkCertificate(const Graph& g, const RoutingConfig& cfg,
                       const ObliviousCertificate& cert, double tol) {
   if (static_cast<int>(cert.edges.size()) != g.numEdges()) return false;
-  for (const EdgeCertificate& ec : cert.edges) {
-    if (ec.pi.empty()) continue;  // edge certified trivially (carries no load)
-    if (static_cast<int>(ec.pi.size()) != g.numEdges()) return false;
-    // R1: sum_h pi(h) c(h) <= claimed ratio (and the global max).
-    double weighted = 0.0;
-    for (EdgeId h = 0; h < g.numEdges(); ++h) {
-      if (ec.pi[h] < -tol) return false;
-      weighted += ec.pi[h] * g.edge(h).capacity;
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    const EdgeCertificate& ec = cert.edges[e];
+    if (ec.edge != e) return false;
+    const auto coeff = loadCoefficientsFor(g, cfg, e);
+    if (ec.pi.empty()) {  // edge certified trivially (carries no load)
+      if (loaded(cfg, coeff, nullptr)) return false;
+      continue;
     }
-    if (weighted > cert.ratio + tol || weighted > ec.ratio + tol) {
+    // R1: sum_h pi(h) c(h) <= claimed ratio (and the global max).
+    const double weighted = weightedCapacity(g, ec.pi, tol);
+    if (!(weighted <= cert.ratio + tol && weighted <= ec.ratio + tol)) {
       return false;
     }
     // R2 via exact DAG distances under pi.
-    const double cap = g.edge(ec.edge).capacity;
-    const auto coeff = loadCoefficientsFor(g, cfg, ec.edge);
+    const double cap = g.edge(e).capacity;
     for (NodeId t = 0; t < g.numNodes(); ++t) {
       if (coeff[t].empty()) continue;
       const std::vector<double> dist =
           dagDistances(g, cfg.dags()[t], ec.pi);
       for (NodeId s = 0; s < g.numNodes(); ++s) {
         if (s == t || coeff[t][s] <= 0.0) continue;
-        if (coeff[t][s] / cap > dist[s] + tol) return false;
+        if (!(coeff[t][s] / cap <= dist[s] + tol)) return false;
       }
     }
   }

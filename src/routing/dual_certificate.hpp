@@ -1,5 +1,5 @@
-// Dual certificates for the oblivious performance ratio (Theorem 5 /
-// Appendix C).
+// Dual certificates for the worst-case performance ratio (Theorem 5 /
+// Appendix C of the technical report), and their solver-free checkers.
 //
 // Theorem 5: a routing phi has oblivious ratio <= r if there exist
 // nonnegative weights pi_e(h) (one per ordered pair of edges) with
@@ -8,23 +8,21 @@
 //   R2:  f_st(u) * phi_t(u,v) <= c(e) * sum_k pi_e(a_k)   for every edge
 //        e = (u,v), demand (s,t) and s->t path (a_1..a_l) in the DAG of t.
 //
-// R2's exponentially many path constraints collapse to polynomially many by
-// introducing shortest-path distances p_e(i,t) under the weights pi_e
-// (triangle inequalities (14) in the paper). For a FIXED routing phi, the
-// minimal certifiable r is one LP per edge -- precisely the LP dual of the
-// worst-case "slave LP" of worst_case.hpp, so strong duality makes the two
-// computations coincide: the certificate is machine-checkable proof that
-// PERF(phi, all demands) <= r, while the slave LP exhibits a demand matrix
-// attaining it. Tests assert both sides agree.
+// R2's exponentially many path constraints collapse to one per demand pair
+// through the pi_e-shortest distances inside each DAG. A set of weights
+// satisfying R1/R2 is a feasible solution of the dual of edge e's
+// worst-case "slave LP" (worst_case.hpp), so by weak duality it proves
+// PERF(phi, all demands) <= r.
 //
-// This header implements the fully oblivious case (demands bounded only by
-// routability within the DAG capacities), matching
-// findWorstCaseDemand(g, cfg, /*box=*/nullptr).
+// The certificates are produced by certifyObliviousRatio / certifyBoxRatio
+// in worst_case.hpp, from the duals of the pruned worst-case scan. The
+// checkers below are the other half of the proof: they recompute every
+// load coefficient and distance from the routing and verify each dual
+// constraint mechanically, without the LP solver.
 #pragma once
 
 #include <vector>
 
-#include "lp/lp.hpp"
 #include "routing/config.hpp"
 #include "tm/uncertainty.hpp"
 
@@ -38,20 +36,18 @@ struct EdgeCertificate {
   std::vector<double> pi;          ///< pi_e(h), indexed by EdgeId h
 };
 
-/// Full certificate: max over edges = certified oblivious ratio.
+/// Full certificate: entry e certifies edge e; `ratio` bounds them all.
 struct ObliviousCertificate {
   double ratio = 0.0;
   std::vector<EdgeCertificate> edges;
 };
 
-/// Computes the minimal certifiable oblivious ratio of `cfg` by solving the
-/// Theorem 5 LP for every edge.
-[[nodiscard]] ObliviousCertificate certifyObliviousRatio(
-    const Graph& g, const RoutingConfig& cfg, const lp::SimplexOptions& = {});
-
 /// Independently validates a certificate against R1/R2 (recomputing the
 /// shortest pi_e-distances and every load coefficient from scratch).
 /// Returns true if the certificate proves PERF(cfg) <= cert.ratio + tol.
+/// Entry e must name edge e and hold one weight per edge; empty weights
+/// are accepted only for an edge no routable pair loads. Malformed input
+/// (wrong sizes, NaN) is rejected, never indexed.
 [[nodiscard]] bool checkCertificate(const Graph& g, const RoutingConfig& cfg,
                                     const ObliviousCertificate& cert,
                                     double tol = 1e-6);
@@ -76,8 +72,9 @@ struct BoxEdgeCertificate {
   EdgeId edge = kInvalidEdge;
   double ratio = 0.0;
   std::vector<double> pi;  ///< pi_e(h) >= 0, indexed by EdgeId
-  /// Node potentials per destination: p[t][v] (free sign); empty vector for
-  /// destinations without load on this edge.
+  /// Node potentials per destination: p[t][v] (free sign), one vector of
+  /// |V| entries per destination, or empty for a destination with no pair
+  /// that loads the edge or may send.
   std::vector<std::vector<double>> p;
   /// Box slack weights per (s,t) pair, flattened s*n+t; >= 0.
   std::vector<double> s_plus, s_minus;
@@ -88,15 +85,8 @@ struct BoxCertificate {
   std::vector<BoxEdgeCertificate> edges;
 };
 
-/// Minimal certifiable performance ratio of `cfg` over the uncertainty box
-/// (the dual of findWorstCaseDemand(g, cfg, &box); strong duality makes
-/// them agree, asserted in tests).
-[[nodiscard]] BoxCertificate certifyBoxRatio(const Graph& g,
-                                             const RoutingConfig& cfg,
-                                             const tm::DemandBounds& box,
-                                             const lp::SimplexOptions& = {});
-
-/// Mechanically verifies every dual-feasibility condition of `cert`.
+/// Mechanically verifies every dual-feasibility condition of `cert`, with
+/// the same entry, size and NaN rules as checkCertificate.
 [[nodiscard]] bool checkBoxCertificate(const Graph& g,
                                        const RoutingConfig& cfg,
                                        const tm::DemandBounds& box,

@@ -111,10 +111,10 @@ class DualBounds {
     }
   }
 
-  /// B_e(pi) for the installed weights; 0 if nothing loads e. Over all
+  /// theta_e for the installed weights; 0 if nothing loads e. Over all
   /// matrices, a pair loading e at distance 0 makes it +infinity; over the
   /// box, only if no demand at positive distance remains to divide by.
-  [[nodiscard]] double bound(EdgeId e) {
+  [[nodiscard]] double theta(EdgeId e) {
     const auto& terms = terms_[e];
     if (box_ == nullptr) {
       double theta = 0.0;
@@ -123,7 +123,7 @@ class DualBounds {
         if (d <= 0.0) return lp::kInfinity;
         theta = std::max(theta, term.w / d);
       }
-      return budget_ * theta;
+      return theta;
     }
     // Every pair starts at lo; loading pairs rise to hi in descending
     // w/dist order (+infinity at distance 0) while their ratio beats the
@@ -149,8 +149,20 @@ class DualBounds {
       num += term.w * span;
       den += dist_[term.pair] * span;
     }
-    if (den > 0.0) return budget_ * (num / den);
+    if (den > 0.0) return num / den;
     return num > 0.0 ? lp::kInfinity : 0.0;
+  }
+
+  /// B_e(pi) = budget * theta_e for the installed weights.
+  [[nodiscard]] double bound(EdgeId e) {
+    const double th = theta(e);
+    return th == lp::kInfinity ? th : budget_ * th;
+  }
+
+  /// dist_pi(s,t) for the installed weights; +infinity if s does not
+  /// reach t or t has no routable pair.
+  [[nodiscard]] double distance(NodeId s, NodeId t) const {
+    return dist_[t * n_ + s];
   }
 
  private:
@@ -201,7 +213,7 @@ void requireOptimal(const lp::LpResult& res, EdgeId edge) {
 // or the DAGs cannot carry are omitted -- conservation fixed them at zero
 // in the per-edge formulation, which is equivalent, except that a pair
 // with a positive box *lower* bound the DAGs cannot route pins lambda to
-// zero, detected up front as `forced_zero_`). The target edge and the
+// zero, detected up front as `pinned_`). The target edge and the
 // routing phi enter through the objective alone, so an edge scan is a
 // sequence of setObjective + warm solve on a retained session.
 // ---------------------------------------------------------------------------
@@ -219,8 +231,8 @@ class WorstCaseOracle::Impl {
     requireSameDags(cfg);
     const int n = g_.numNodes();
     const int m = g_.numEdges();
-    if (num_dvars_ == 0 || forced_zero_) {
-      return {tm::TrafficMatrix(n), 0.0, m > 0 ? 0 : kInvalidEdge, {}};
+    if (num_dvars_ == 0 || pinned_ >= 0) {
+      return {tm::TrafficMatrix(n), 0.0, m > 0 ? 0 : kInvalidEdge};
     }
     const LoadCoefficients coef(g_, cfg);
 
@@ -269,7 +281,7 @@ class WorstCaseOracle::Impl {
       }
     }
     if (arg == kInvalidEdge) {
-      return {tm::TrafficMatrix(n), -1.0, kInvalidEdge, {}};
+      return {tm::TrafficMatrix(n), -1.0, kInvalidEdge};
     }
     return resolveEdge(coef, arg);
   }
@@ -282,12 +294,16 @@ class WorstCaseOracle::Impl {
   /// chaining through the previously solved edge, whose objective was
   /// picked for being different. The winner's demand comes from its own
   /// optimal solve (its stored basis's vertex), without a re-solve.
-  WorstCaseResult findPruned(const RoutingConfig& cfg) {
+  ///
+  /// With `cert` set, the same scan also keeps the weights it collects
+  /// and turns them into `cert` (see certificate()).
+  WorstCaseResult findPruned(const RoutingConfig& cfg, BoxCertificate* cert) {
     requireSameDags(cfg);
     const int n = g_.numNodes();
     const int m = g_.numEdges();
-    if (num_dvars_ == 0 || forced_zero_) {
-      return {tm::TrafficMatrix(n), 0.0, m > 0 ? 0 : kInvalidEdge, {}};
+    if (num_dvars_ == 0 || pinned_ >= 0) {
+      if (cert != nullptr) *cert = pinnedCertificate(LoadCoefficients(g_, cfg));
+      return {tm::TrafficMatrix(n), 0.0, m > 0 ? 0 : kInvalidEdge};
     }
     const LoadCoefficients coef(g_, cfg);
     std::vector<double> rhs(static_cast<std::size_t>(m), 0.0);
@@ -302,6 +318,10 @@ class WorstCaseOracle::Impl {
       if (bounds.loads(e)) bound[e] = lp::kInfinity;
     }
     std::vector<double> ratio(static_cast<std::size_t>(m), 0.0);
+    // For `cert`: every solved edge's weights, and per edge the index of
+    // those giving its current bound (its own once solved).
+    std::vector<std::vector<double>> weights;
+    std::vector<int> bound_by(static_cast<std::size_t>(m), -1);
     Session session{lp::SimplexSolver(problem_, opt_), {}};
     lp::Basis first;
     EdgeId best_edge = kInvalidEdge;
@@ -325,14 +345,22 @@ class WorstCaseOracle::Impl {
       requireOptimal(res, next);
       if (first.empty()) first = res.basis;
       ratio[next] = res.objective;
-      bounds.setWeights(capacityWeights(res));
+      std::vector<double> pi = capacityWeights(res);
+      bounds.setWeights(pi);
+      const int k = static_cast<int>(weights.size());
+      bound_by[next] = k;
+      if (cert != nullptr) weights.push_back(std::move(pi));
       if (best_edge == kInvalidEdge || ratio[next] > ratio[best_edge] ||
           (ratio[next] == ratio[best_edge] && next < best_edge)) {
         best_edge = next;
         best = std::move(res);
       }
       for (EdgeId e = 0; e < m; ++e) {
-        if (bound[e] >= 0.0) bound[e] = std::min(bound[e], bounds.bound(e));
+        const double b = bound[e] >= 0.0 ? bounds.bound(e) : bound[e];
+        if (b < bound[e]) {
+          bound[e] = b;
+          bound_by[e] = k;
+        }
       }
     }
 
@@ -343,15 +371,19 @@ class WorstCaseOracle::Impl {
     for (EdgeId e = 1; e < m; ++e) {
       if (ratio[e] > ratio[arg]) arg = e;
     }
-    if (arg != best_edge) return {tm::TrafficMatrix(n), 0.0, arg, {}};
-    return {demandOf(best.x), ratio[arg], arg, capacityWeights(best)};
+    if (cert != nullptr) {
+      *cert = certificate(coef, bounds, weights, bound_by);
+      cert->ratio = ratio[arg];
+    }
+    if (arg != best_edge) return {tm::TrafficMatrix(n), 0.0, arg};
+    return {demandOf(best.x), ratio[arg], arg};
   }
 
   WorstCaseResult findForEdge(const RoutingConfig& cfg, EdgeId edge) {
     requireSameDags(cfg);
     require(edge >= 0 && edge < g_.numEdges(), "edge out of range");
-    if (num_dvars_ == 0 || forced_zero_) {
-      return {tm::TrafficMatrix(g_.numNodes()), 0.0, edge, {}};
+    if (num_dvars_ == 0 || pinned_ >= 0) {
+      return {tm::TrafficMatrix(g_.numNodes()), 0.0, edge};
     }
     return resolveEdge(LoadCoefficients(g_, cfg), edge);
   }
@@ -391,7 +423,105 @@ class WorstCaseOracle::Impl {
     setEdgeObjective(session, coef, edge);
     const lp::LpResult res = session.solver.solve();
     requireOptimal(res, edge);
-    return {demandOf(res.x), res.objective, edge, capacityWeights(res)};
+    return {demandOf(res.x), res.objective, edge};
+  }
+
+  /// Theorem-5 certificate of every edge from the pruned scan. Edge e,
+  /// bounded by pi = weights[bound_by[e]], gets the dual point theta_e*pi
+  /// of its slave LP, whose objective is B_e(pi); edges nothing loads keep
+  /// empty weights. cert.ratio is left to the caller.
+  [[nodiscard]] BoxCertificate certificate(
+      const LoadCoefficients& coef, DualBounds& bounds,
+      const std::vector<std::vector<double>>& weights,
+      const std::vector<int>& bound_by) const {
+    const int m = g_.numEdges();
+    BoxCertificate cert;
+    cert.edges.resize(static_cast<std::size_t>(m));
+    for (EdgeId e = 0; e < m; ++e) cert.edges[e].edge = e;
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+      bounds.setWeights(weights[k]);
+      for (EdgeId e = 0; e < m; ++e) {
+        if (bound_by[e] != static_cast<int>(k)) continue;
+        const double theta = bounds.theta(e);
+        std::vector<double> pi;
+        for (const double x : weights[k]) pi.push_back(theta * x);
+        cert.edges[e] = edgeCertificate(coef, e, bounds.bound(e),
+                                        std::move(pi), theta, &bounds);
+      }
+    }
+    return cert;
+  }
+
+  /// Certificate when no LP runs. Without a routable pair nothing loads
+  /// any edge. With lambda pinned to 0, each loaded edge gets pi = 0 and
+  /// s+ = w, and the pinned pair's lower bound pays for them in the lambda
+  /// column: s- = sum hi*s+ / lo there, balanced in its demand column by
+  /// p_t(s) = -s- (no flow column constrains it). Every bound is 0.
+  [[nodiscard]] BoxCertificate pinnedCertificate(
+      const LoadCoefficients& coef) const {
+    const int n = g_.numNodes();
+    const int m = g_.numEdges();
+    BoxCertificate cert;
+    cert.edges.resize(static_cast<std::size_t>(m));
+    for (EdgeId e = 0; e < m; ++e) {
+      cert.edges[e].edge = e;
+      if (pinned_ < 0) continue;
+      BoxEdgeCertificate ec = edgeCertificate(
+          coef, e, 0.0, std::vector<double>(static_cast<std::size_t>(m)), 0.0,
+          nullptr);
+      bool loaded = false;
+      double paid = 0.0;
+      for (NodeId s = 0; s < n; ++s) {
+        for (NodeId t = 0; t < n; ++t) {
+          const double w = ec.s_plus[s * n + t];
+          loaded = loaded || (dvar_[s][t] >= 0 && w > 0.0);
+          paid += box_->hi.at(s, t) * w;
+        }
+      }
+      if (!loaded) continue;
+      ec.s_minus[pinned_] = paid / box_->lo.at(pinned_ / n, pinned_ % n);
+      ec.p[pinned_ % n][pinned_ / n] = -ec.s_minus[pinned_];
+      cert.edges[e] = std::move(ec);
+    }
+    return cert;
+  }
+
+  /// Edge e's dual point from (scaled) weights `pi`, with
+  /// q_st = theta * dist(s,t) under `bounds`' weights, or 0 where no flow
+  /// column constrains p_t(s) (off the distance DP, or `bounds` null):
+  /// potentials p_t(s) = -q_st and box slacks s+ = max(0, w - q) and,
+  /// where lo > 0, s- = max(0, q - w), for w_st = l_st(e)/c(e).
+  [[nodiscard]] BoxEdgeCertificate edgeCertificate(
+      const LoadCoefficients& coef, EdgeId e, double ratio,
+      std::vector<double> pi, double theta, const DualBounds* bounds) const {
+    BoxEdgeCertificate ec{e, ratio, std::move(pi), {}, {}, {}};
+    if (box_ == nullptr) return ec;  // the oblivious certificate is pi
+    const int n = g_.numNodes();
+    const std::size_t pairs = static_cast<std::size_t>(n) * n;
+    std::vector<double> w(pairs, 0.0);
+    for (const DestSlot& ds : edge_dests_[e]) {
+      for (NodeId s = 0; s < n; ++s) {
+        if (s == ds.dest) continue;
+        w[s * n + ds.dest] = coef.per_pair[ds.dest * n + s][ds.slot] /
+                             g_.edge(e).capacity;
+      }
+    }
+    ec.p.assign(n, std::vector<double>(n, 0.0));
+    ec.s_plus.assign(pairs, 0.0);
+    ec.s_minus.assign(pairs, 0.0);
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId t = 0; t < n; ++t) {
+        if (s == t) continue;
+        const double dist =
+            bounds == nullptr ? lp::kInfinity : bounds->distance(s, t);
+        const double q = dist < lp::kInfinity ? theta * dist : 0.0;
+        const int st = s * n + t;
+        ec.p[t][s] = -q;
+        ec.s_plus[st] = std::max(0.0, w[st] - q);
+        if (box_->lo.at(s, t) > 0.0) ec.s_minus[st] = std::max(0.0, q - w[st]);
+      }
+    }
+    return ec;
   }
 
  private:
@@ -454,12 +584,12 @@ class WorstCaseOracle::Impl {
     // whole oracle is degenerate and every ratio is 0. Detect it here
     // instead of carrying the pinned variable through every solve.
     if (box_ != nullptr) {
-      for (NodeId t = 0; t < n && !forced_zero_; ++t) {
+      for (NodeId t = 0; t < n && pinned_ < 0; ++t) {
         const Dag& dag = (*dags_)[t];
-        for (NodeId s = 0; s < n && !forced_zero_; ++s) {
+        for (NodeId s = 0; s < n && pinned_ < 0; ++s) {
           if (s != t && box_->lo.at(s, t) > 0.0 &&
               (dag.edges().empty() || !dag.reachesDest(s))) {
-            forced_zero_ = true;
+            pinned_ = s * n + t;
           }
         }
       }
@@ -596,7 +726,9 @@ class WorstCaseOracle::Impl {
   lp::LpProblem problem_{lp::Sense::kMaximize};
   int lambda_ = -1;
   int num_dvars_ = 0;
-  bool forced_zero_ = false;  ///< box demands a pair the DAGs cannot route
+  /// s*n+t of a box pair with lo > 0 the DAGs cannot route, which pins
+  /// lambda to 0; -1 if none.
+  int pinned_ = -1;
   struct DestSlot {
     NodeId dest;  ///< destination whose DAG uses the edge
     int slot;     ///< edge's index within dags[dest].edges()
@@ -641,29 +773,41 @@ WorstCaseResult findWorstCaseDemandForEdge(const Graph& g,
   return oracle.findForEdge(cfg, edge);
 }
 
+/// The one-shot scan on a fresh oracle, for the entry points below.
+struct PrunedScan {
+  static WorstCaseResult run(const Graph& g, const RoutingConfig& cfg,
+                             const tm::DemandBounds* box,
+                             const lp::SimplexOptions& opt,
+                             BoxCertificate* cert) {
+    WorstCaseOracle oracle(g, cfg.dagsPtr(), box, opt);
+    return oracle.impl_->findPruned(cfg, cert);
+  }
+};
+
 WorstCaseResult findWorstCaseDemand(const Graph& g, const RoutingConfig& cfg,
                                     const tm::DemandBounds* box,
                                     const lp::SimplexOptions& opt) {
-  WorstCaseOracle oracle(g, cfg.dagsPtr(), box, opt);
-  return oracle.impl_->findPruned(cfg);
+  return PrunedScan::run(g, cfg, box, opt, nullptr);
 }
 
-std::vector<double> dualBounds(const Graph& g, const RoutingConfig& cfg,
-                               const std::vector<double>& pi,
-                               const tm::DemandBounds* box) {
-  const int m = g.numEdges();
-  require(static_cast<int>(pi.size()) == m, "dualBounds: one weight per edge");
-  std::vector<double> rhs(static_cast<std::size_t>(m));
-  for (EdgeId e = 0; e < m; ++e) {
-    require(pi[e] >= 0.0, "dualBounds: negative edge weight");
-    rhs[e] = g.edge(e).capacity;
+BoxCertificate certifyBoxRatio(const Graph& g, const RoutingConfig& cfg,
+                               const tm::DemandBounds& box,
+                               const lp::SimplexOptions& opt) {
+  BoxCertificate cert;
+  (void)PrunedScan::run(g, cfg, &box, opt, &cert);
+  return cert;
+}
+
+ObliviousCertificate certifyObliviousRatio(const Graph& g,
+                                           const RoutingConfig& cfg,
+                                           const lp::SimplexOptions& opt) {
+  BoxCertificate full;
+  (void)PrunedScan::run(g, cfg, nullptr, opt, &full);
+  ObliviousCertificate cert{full.ratio, {}};
+  for (BoxEdgeCertificate& ec : full.edges) {
+    cert.edges.push_back({ec.edge, ec.ratio, std::move(ec.pi)});
   }
-  DualBounds bounds(g, cfg.dags(), box, LoadCoefficients(g, cfg),
-                    std::move(rhs));
-  bounds.setWeights(pi);
-  std::vector<double> out(static_cast<std::size_t>(m));
-  for (EdgeId e = 0; e < m; ++e) out[e] = bounds.bound(e);
-  return out;
+  return cert;
 }
 
 }  // namespace coyote::routing

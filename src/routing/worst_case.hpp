@@ -27,12 +27,14 @@
 // The one-shot findWorstCaseDemand instead runs a serial bound-and-prune
 // scan (Theorem 5 / Appendix C of the technical report): the capacity-row
 // duals pi >= 0 of any solved edge bound *every* edge's LP by weak
-// duality (see dualBounds), so it solves edges in decreasing-bound order
-// and stops once no remaining bound can beat the best ratio found. See
-// docs/lp-engine.md, "Pruned worst-case scan".
+// duality, so it solves edges in decreasing-bound order and stops once no
+// remaining bound can beat the best ratio found. The same scan, run by
+// certifyObliviousRatio / certifyBoxRatio, turns the weights it collected
+// into a Theorem-5 certificate per edge that dual_certificate.hpp checks
+// without the solver. See docs/lp-engine.md, "Pruned worst-case scan".
 //
 // Exact evaluation is practical for small/medium networks and is used by
-// tests, ablations and the Table I '+' rows; the figure benches default to
+// tests, ablations and Table I's exact rows; the figure benches default to
 // the corner-pool evaluator (see evaluator.hpp).
 #pragma once
 
@@ -42,6 +44,7 @@
 
 #include "lp/lp.hpp"
 #include "routing/config.hpp"
+#include "routing/dual_certificate.hpp"
 #include "tm/uncertainty.hpp"
 
 namespace coyote::routing {
@@ -50,11 +53,6 @@ struct WorstCaseResult {
   tm::TrafficMatrix demand;       ///< worst-case matrix (OPTU <= 1 scale)
   double ratio = 0.0;             ///< = MxLU(phi, demand) = performance ratio
   EdgeId edge = kInvalidEdge;     ///< the edge attaining it
-  /// Capacity-row duals of `edge`'s slave LP, clamped at 0 and indexed by
-  /// edge id (0 on edges no DAG uses): Theorem-5 weights under which
-  /// dualBounds(...)[edge] equals `ratio` (intact network; see
-  /// setFailedEdges). Empty when no LP was solved.
-  std::vector<double> edge_weights;
 };
 
 /// Reusable slave-LP solver for one (graph, DAG-set, box). find() may be
@@ -108,10 +106,7 @@ class WorstCaseOracle {
   static constexpr int kEdgeChunk = 8;
 
  private:
-  friend WorstCaseResult findWorstCaseDemand(const Graph&,
-                                             const RoutingConfig&,
-                                             const tm::DemandBounds*,
-                                             const lp::SimplexOptions&);
+  friend struct PrunedScan;  // the one-shot entry points below
   class Impl;
   std::unique_ptr<Impl> impl_;
 };
@@ -129,18 +124,19 @@ class WorstCaseOracle {
     const Graph& g, const RoutingConfig& cfg,
     const tm::DemandBounds* box = nullptr, const lp::SimplexOptions& opt = {});
 
-/// Theorem-5 upper bounds on every edge's worst-case utilization under
-/// `cfg`, from one set of edge weights pi >= 0 (indexed by edge id). With
-/// dist_pi(s,t) the pi-shortest path from s to t inside t's DAG and
-/// w_st = l_st(e)/c(e), every demand the DAGs route within capacity has
-/// sum d*dist <= sum_a c(a)*pi(a), so edge e's ratio is at most that sum
-/// times theta_e = max sum w*x / sum dist*x over the box (over all
-/// matrices: max w/dist). A pair loading e at pi-distance 0 has ratio
-/// +infinity, so the bound is +infinity unless (box case) demand at
-/// positive distance divides it. Entry e is 0 when nothing loads e.
-[[nodiscard]] std::vector<double> dualBounds(
-    const Graph& g, const RoutingConfig& cfg, const std::vector<double>& pi,
-    const tm::DemandBounds* box = nullptr);
+/// Theorem-5 certificate (dual_certificate.hpp) of
+/// findWorstCaseDemand(g, cfg).ratio, which cert.ratio equals bit for bit:
+/// the same scan and LPs, with a solved edge certified by its own duals
+/// and a pruned edge by the weights that pruned it.
+[[nodiscard]] ObliviousCertificate certifyObliviousRatio(
+    const Graph& g, const RoutingConfig& cfg,
+    const lp::SimplexOptions& opt = {});
+
+/// The box counterpart of certifyObliviousRatio: certifies
+/// findWorstCaseDemand(g, cfg, &box).ratio.
+[[nodiscard]] BoxCertificate certifyBoxRatio(
+    const Graph& g, const RoutingConfig& cfg, const tm::DemandBounds& box,
+    const lp::SimplexOptions& opt = {});
 
 /// Worst case for a single edge (exposed for tests and incremental use).
 [[nodiscard]] WorstCaseResult findWorstCaseDemandForEdge(

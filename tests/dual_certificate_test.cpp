@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "core/dag_builder.hpp"
 #include "routing/dual_certificate.hpp"
@@ -14,18 +15,23 @@ namespace coyote::routing {
 namespace {
 
 TEST(DualCertificate, StrongDualityOnRunningExample) {
-  // The Theorem 5 certificate LP is the dual of the worst-case slave LP:
-  // their optima must coincide edge by edge.
+  // Each edge's certificate is a feasible point of the dual of its
+  // slave LP, so it bounds that LP from above (weak duality); the winning
+  // edge is certified by its own optimal duals, so there the bound is
+  // tight (strong duality). Pruned edges carry bounds, not LP optima.
   const Graph g = topo::runningExample();
   const auto dags = core::augmentedDagsShared(g);
   const RoutingConfig ecmp = ecmpConfig(g, dags);
   const ObliviousCertificate cert = certifyObliviousRatio(g, ecmp);
   const WorstCaseResult wc = findWorstCaseDemand(g, ecmp);
-  EXPECT_NEAR(cert.ratio, wc.ratio, 1e-5);
+  EXPECT_EQ(cert.ratio, wc.ratio);
+  EXPECT_TRUE(checkCertificate(g, ecmp, cert));
   for (EdgeId e = 0; e < g.numEdges(); ++e) {
     const double primal = findWorstCaseDemandForEdge(g, ecmp, e).ratio;
-    EXPECT_NEAR(cert.edges[e].ratio, primal, 1e-5) << "edge " << e;
+    EXPECT_GE(cert.edges[e].ratio, primal - 1e-9) << "edge " << e;
   }
+  ASSERT_GE(wc.edge, 0);
+  EXPECT_NEAR(cert.edges[wc.edge].ratio, wc.ratio, 1e-9 * wc.ratio);
 }
 
 TEST(DualCertificate, CertificateValidates) {
@@ -41,12 +47,39 @@ TEST(DualCertificate, TamperedCertificateIsRejected) {
   const Graph g = topo::runningExample();
   const auto dags = core::augmentedDagsShared(g);
   const RoutingConfig uni = RoutingConfig::uniform(g, dags);
-  ObliviousCertificate cert = certifyObliviousRatio(g, uni);
+  const ObliviousCertificate cert = certifyObliviousRatio(g, uni);
   ASSERT_TRUE(checkCertificate(g, uni, cert));
+  const auto rejects = [&](const char* what, const auto& tamper) {
+    ObliviousCertificate bad = cert;
+    tamper(bad);
+    EXPECT_FALSE(checkCertificate(g, uni, bad)) << what;
+  };
   // Claiming a smaller ratio must fail R1.
-  cert.ratio *= 0.5;
-  for (auto& ec : cert.edges) ec.ratio *= 0.5;
-  EXPECT_FALSE(checkCertificate(g, uni, cert));
+  rejects("halved ratio", [](ObliviousCertificate& c) {
+    c.ratio *= 0.5;
+    for (auto& ec : c.edges) ec.ratio *= 0.5;
+  });
+  // Empty weights claim "nothing loads this edge".
+  rejects("cleared weights", [](ObliviousCertificate& c) {
+    for (auto& ec : c.edges) ec.pi.clear();
+  });
+  // Entry i must certify edge i, not repeat one (lightly loaded) edge.
+  rejects("duplicated edge", [](ObliviousCertificate& c) {
+    for (auto& ec : c.edges) ec = c.edges.front();
+  });
+  rejects("mislabeled edge", [](ObliviousCertificate& c) {
+    std::swap(c.edges[0].edge, c.edges[1].edge);
+  });
+  rejects("truncated weights", [](ObliviousCertificate& c) {
+    for (auto& ec : c.edges) {
+      if (!ec.pi.empty()) ec.pi.pop_back();
+    }
+  });
+  rejects("NaN weight", [](ObliviousCertificate& c) {
+    for (auto& ec : c.edges) {
+      if (!ec.pi.empty()) ec.pi.front() = std::nan("");
+    }
+  });
 }
 
 TEST(DualCertificate, ZeroedWeightsAreRejected) {
@@ -73,7 +106,7 @@ TEST_P(DualityOnBackbones, CertificateMatchesSlaveLp) {
   const RoutingConfig cfg = RoutingConfig::uniform(g, dags);
   const ObliviousCertificate cert = certifyObliviousRatio(g, cfg);
   const WorstCaseResult wc = findWorstCaseDemand(g, cfg);
-  EXPECT_NEAR(cert.ratio, wc.ratio, 1e-4) << "seed " << GetParam();
+  EXPECT_EQ(cert.ratio, wc.ratio) << "seed " << GetParam();
   EXPECT_TRUE(checkCertificate(g, cfg, cert)) << "seed " << GetParam();
 }
 
@@ -94,7 +127,7 @@ TEST(BoxCertificate, StrongDualityOnRunningExample) {
   const tm::DemandBounds box = tm::marginBounds(base, 2.0);
   const BoxCertificate cert = certifyBoxRatio(g, uni, box);
   const WorstCaseResult wc = findWorstCaseDemand(g, uni, &box);
-  EXPECT_NEAR(cert.ratio, wc.ratio, 1e-5);
+  EXPECT_EQ(cert.ratio, wc.ratio);
   EXPECT_TRUE(checkBoxCertificate(g, uni, box, cert));
 }
 
@@ -120,11 +153,44 @@ TEST(BoxCertificate, TamperingIsRejected) {
   const RoutingConfig uni = RoutingConfig::uniform(g, dags);
   const tm::DemandBounds box =
       tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0);
-  BoxCertificate cert = certifyBoxRatio(g, uni, box);
+  const BoxCertificate cert = certifyBoxRatio(g, uni, box);
   ASSERT_TRUE(checkBoxCertificate(g, uni, box, cert));
-  cert.ratio *= 0.8;
-  for (auto& ec : cert.edges) ec.ratio *= 0.8;
-  EXPECT_FALSE(checkBoxCertificate(g, uni, box, cert));
+  const auto rejects = [&](const char* what, const auto& tamper) {
+    BoxCertificate bad = cert;
+    tamper(bad);
+    EXPECT_FALSE(checkBoxCertificate(g, uni, box, bad)) << what;
+  };
+  rejects("scaled ratio", [](BoxCertificate& c) {
+    c.ratio *= 0.8;
+    for (auto& ec : c.edges) ec.ratio *= 0.8;
+  });
+  rejects("cleared weights", [](BoxCertificate& c) {
+    for (auto& ec : c.edges) ec.pi.clear();
+  });
+  rejects("duplicated edge", [](BoxCertificate& c) {
+    for (auto& ec : c.edges) ec = c.edges.front();
+  });
+  rejects("mislabeled edge", [](BoxCertificate& c) {
+    std::swap(c.edges[0].edge, c.edges[1].edge);
+  });
+  // Short potentials must be rejected, not read past their end.
+  rejects("truncated p", [](BoxCertificate& c) {
+    for (auto& ec : c.edges) {
+      if (!ec.p.empty()) ec.p.pop_back();
+    }
+  });
+  rejects("truncated p[t]", [](BoxCertificate& c) {
+    for (auto& ec : c.edges) {
+      for (auto& pt : ec.p) {
+        if (!pt.empty()) pt.pop_back();
+      }
+    }
+  });
+  rejects("truncated s+", [](BoxCertificate& c) {
+    for (auto& ec : c.edges) {
+      if (!ec.s_plus.empty()) ec.s_plus.pop_back();
+    }
+  });
 }
 
 TEST(BoxCertificate, TighterBoxCertifiesSmallerRatio) {
@@ -150,7 +216,7 @@ TEST_P(BoxDualityOnBackbones, CertificateMatchesSlaveLp) {
       tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0);
   const BoxCertificate cert = certifyBoxRatio(g, cfg, box);
   const WorstCaseResult wc = findWorstCaseDemand(g, cfg, &box);
-  EXPECT_NEAR(cert.ratio, wc.ratio, 1e-4) << "seed " << GetParam();
+  EXPECT_EQ(cert.ratio, wc.ratio) << "seed " << GetParam();
   EXPECT_TRUE(checkBoxCertificate(g, cfg, box, cert))
       << "seed " << GetParam();
 }
@@ -165,7 +231,7 @@ TEST(DualCertificate, GoldenRoutingOnAbilene) {
   const RoutingConfig ecmp = ecmpConfig(g, dags);
   const ObliviousCertificate cert = certifyObliviousRatio(g, ecmp);
   const WorstCaseResult wc = findWorstCaseDemand(g, ecmp);
-  EXPECT_NEAR(cert.ratio, wc.ratio, 1e-4);
+  EXPECT_EQ(cert.ratio, wc.ratio);
   EXPECT_TRUE(checkCertificate(g, ecmp, cert));
 }
 

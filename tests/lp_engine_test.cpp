@@ -560,6 +560,31 @@ TEST(WorstCaseOracleTest, UnroutableBoxLowerBoundPinsLambdaToZero) {
   const auto wc = routing::findWorstCaseDemand(g, cfg, &box);
   EXPECT_DOUBLE_EQ(wc.ratio, 0.0);
   EXPECT_DOUBLE_EQ(wc.demand.total(), 0.0);
+  const auto cert = routing::certifyBoxRatio(g, cfg, box);
+  EXPECT_EQ(cert.ratio, 0.0);
+  EXPECT_TRUE(routing::checkBoxCertificate(g, cfg, box, cert));
+
+  // Every other destination routes on its augmented DAG, so edges carry
+  // load, and only the pinned pair proves that their bound is 0: each
+  // loaded edge needs an explicit certificate, not an empty one.
+  DagSet routed = *core::augmentedDagsShared(g);
+  routed[0] = Dag(g, 0, {});
+  const routing::RoutingConfig uni = routing::RoutingConfig::uniform(
+      g, std::make_shared<const DagSet>(std::move(routed)));
+  const tm::DemandBounds gravity =
+      tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0);
+  EXPECT_DOUBLE_EQ(routing::findWorstCaseDemand(g, uni, &gravity).ratio, 0.0);
+  routing::BoxCertificate pinned = routing::certifyBoxRatio(g, uni, gravity);
+  EXPECT_EQ(pinned.ratio, 0.0);
+  EXPECT_TRUE(routing::checkBoxCertificate(g, uni, gravity, pinned));
+  int loaded = 0;
+  for (const auto& ec : pinned.edges) {
+    EXPECT_EQ(ec.ratio, 0.0) << "edge " << ec.edge;
+    if (!ec.pi.empty()) ++loaded;
+  }
+  EXPECT_GT(loaded, 0);
+  for (auto& ec : pinned.edges) ec.pi.clear();
+  EXPECT_FALSE(routing::checkBoxCertificate(g, uni, gravity, pinned));
 }
 
 TEST(WorstCaseOracleTest, IterationLimitThrows) {
@@ -625,7 +650,10 @@ TEST(WorstCaseOracleTest, PrunedScanMatchesEveryEdge) {
   // The one-shot scan skips edges whose Theorem-5 bound cannot beat the
   // best ratio found; its answer must still be the maximum over every
   // edge's own LP, with a witness that is routable, in the box cone, and
-  // loads the winning edge to exactly the ratio.
+  // loads the winning edge to exactly the ratio. The certifier runs the
+  // same scan: its certificate passes the solver-free checker, claims the
+  // same ratio, and bounds every edge's own LP from above -- so each
+  // ratio is pinned from both sides without trusting the simplex.
   struct Case {
     std::string name;
     const Graph* g;
@@ -684,6 +712,31 @@ TEST(WorstCaseOracleTest, PrunedScanMatchesEveryEdge) {
     }
     if (solves < positive) ++pruned_cases;
     EXPECT_NEAR(wc.ratio, best, 1e-9 * best) << c.name;
+
+    const lp::StatsSnapshot cert_before = lp::statsSnapshot();
+    double cert_ratio = 0.0;
+    std::vector<double> edge_bound;
+    if (box == nullptr) {
+      const auto cert = routing::certifyObliviousRatio(g, c.cfg);
+      EXPECT_TRUE(routing::checkCertificate(g, c.cfg, cert)) << c.name;
+      cert_ratio = cert.ratio;
+      for (const auto& ec : cert.edges) edge_bound.push_back(ec.ratio);
+    } else {
+      const auto cert = routing::certifyBoxRatio(g, c.cfg, *box);
+      EXPECT_TRUE(routing::checkBoxCertificate(g, c.cfg, *box, cert))
+          << c.name;
+      cert_ratio = cert.ratio;
+      for (const auto& ec : cert.edges) edge_bound.push_back(ec.ratio);
+    }
+    EXPECT_EQ((lp::statsSnapshot() - cert_before).solves, solves) << c.name;
+    EXPECT_EQ(cert_ratio, wc.ratio) << c.name;
+    ASSERT_EQ(edge_bound.size(), per_edge.size()) << c.name;
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+      EXPECT_GE(edge_bound[e], per_edge[e] * (1.0 - 1e-9))
+          << c.name << " edge " << e;
+      EXPECT_LE(edge_bound[e], cert_ratio * (1.0 + 1e-9))
+          << c.name << " edge " << e;
+    }
     ASSERT_GE(wc.edge, 0) << c.name;
     EXPECT_NEAR(per_edge[wc.edge], best, 1e-9 * best) << c.name;
 
@@ -723,27 +776,6 @@ TEST(WorstCaseOracleTest, PrunedScanMatchesEveryEdge) {
     EXPECT_EQ(parallel[i]->ratio, serial[i].ratio) << cases[i].name;
     EXPECT_EQ(parallel[i]->edge, serial[i].edge) << cases[i].name;
     EXPECT_EQ(parallel[i]->demand, serial[i].demand) << cases[i].name;
-  }
-}
-
-TEST(WorstCaseOracleTest, OwnDualsBoundIsTight) {
-  // An edge's own capacity-row duals make its Theorem-5 bound exact
-  // (strong duality), the property that lets the scan prune at all.
-  for (const char* name : {"Abilene", "NSF"}) {
-    const Graph g = topo::makeZoo(name);
-    const auto dags = core::augmentedDagsShared(g);
-    const auto ecmp = routing::ecmpConfig(g, dags);
-    const tm::DemandBounds box =
-        tm::marginBounds(tm::gravityMatrix(g, 1.0), 3.0);
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-      const routing::WorstCaseResult wc =
-          routing::findWorstCaseDemandForEdge(g, ecmp, e, &box);
-      ASSERT_EQ(wc.edge_weights.size(), static_cast<std::size_t>(g.numEdges()));
-      const std::vector<double> bound =
-          routing::dualBounds(g, ecmp, wc.edge_weights, &box);
-      EXPECT_NEAR(bound[e], wc.ratio, 1e-9 * wc.ratio)
-          << name << " edge " << e;
-    }
   }
 }
 
