@@ -185,6 +185,8 @@ FailureOutcome evaluateFailure(const IntactState& state,
   // OptuEngine::setFailedEdges), solved only where a slot can still raise
   // some scheme's worst ratio.
   engine.setFailedEdges(directedEdges(state.g, f));
+  std::vector<char> solved(m, 0);
+  std::vector<double> pi;
   for (const std::size_t j : order) {
     bool needed = false;
     if (lower[j] > 0.0) {  // else a zero matrix, whose MxLU is 0 too
@@ -197,13 +199,25 @@ FailureOutcome evaluateFailure(const IntactState& state,
       ++out.slots_skipped;
       continue;
     }
-    const double optu = engine.utilizationAt(j, state.pool[j]);
+    const double optu = engine.utilizationAt(j, state.pool[j], &pi);
     ++out.slots_solved;
+    solved[j] = 1;
     out.bound[j] = optu;
     for (int s = 0; s < n; ++s) {
       if (out.routable[s]) {
         out.ratio[s] = std::max(out.ratio[s], mxlu[j * n + s] / optu);
       }
+    }
+    if (pi.empty()) continue;  // solved as a min cut: no LP duals
+    // The solve's capacity prices bound every unsolved slot's OPTU_f
+    // (routing::OptuDualBound), raising the floors the later `needed`
+    // tests and the caller's next evaluation prune with.
+    const routing::OptuDualBound dual(degraded, pi);
+    for (std::size_t k = 0; k < m; ++k) {
+      if (solved[k]) continue;
+      const double b = dual.of(state.pool[k]);
+      out.bound[k] = std::max(out.bound[k], b);
+      lower[k] = std::max(lower[k], b * (1.0 - kBoundSlack));
     }
   }
   return out;

@@ -29,20 +29,29 @@
 // Bound and prune (evaluateFailure). Only the maximum over the pool is
 // reported, so most slots' OPTU_f LPs cannot change the answer. Each slot j
 // gets a lower bound L_j on OPTU_f: the larger of its floor (below) and
-// nodeCutBound, shrunk by a 1e-9 relative slack so LP round-off on a floor
+// nodeCutBound, shrunk by a 1e-9 relative slack so round-off in a bound
 // can never prune the true maximizer. MxLU_s(j) / L_j then bounds scheme
 // s's ratio at slot j from above. Slots are visited by max_s of that
-// bound, largest first (ties by slot index), and a slot's LP runs only if
-// its bound beats the best ratio found so far for some routable scheme. A
-// skipped slot's true ratio is at most the running best, so the maximum is
-// unchanged, and every reported ratio still comes from an LP optimum.
+// initial bound, largest first (ties by slot index), and a slot's LP runs
+// only if its bound beats the best ratio found so far for some routable
+// scheme. A skipped slot's true ratio is at most the running best, so the
+// maximum is unchanged, and every reported ratio still comes from an LP
+// optimum.
+//
+// Dual bounds. Every slot solved by the LP also exports its capacity
+// prices pi (OptuEngine::utilizationAt), and by weak duality
+// routing::OptuDualBound(degraded, pi) bounds the OPTU_f of *every* slot
+// from below -- for any pi >= 0, so nothing about the LP needs trusting.
+// After each such solve, every unsolved slot's bound (and L_j, with the
+// same slack) is raised to it. The visiting order stays the initial one;
+// the raised bounds only make later slots' tests stricter.
 //
 // The floor rule. An evaluation returns, per slot, the bound it ended
 // with (the exact OPTU_f wherever the slot was solved). Failing more links
 // only raises OPTU, so those bounds are a floor for any later evaluation
 // on the same pool whose failed set contains this one's. FailureEvaluator
 // solves the intact pool once at construction and passes it as every
-// failure's floor.
+// failure's floor. No prices are kept between evaluations.
 #pragma once
 
 #include <memory>

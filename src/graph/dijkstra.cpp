@@ -8,8 +8,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// `weight(e, g.edge(e))` is the (non-negative) length of edge e.
+template <typename Weight>
 ShortestPathsToDest reverseDijkstra(const Graph& g, NodeId dest,
-                                    bool unit_weights) {
+                                    const Weight& weight) {
   require(dest >= 0 && dest < g.numNodes(), "dest out of range");
   ShortestPathsToDest sp;
   sp.dest = dest;
@@ -25,8 +27,7 @@ ShortestPathsToDest reverseDijkstra(const Graph& g, NodeId dest,
     for (const EdgeId e : g.inEdges(v)) {
       const Edge& ed = g.edge(e);
       if (ed.capacity <= 0.0) continue;  // failed link: withdrawn from SPF
-      const double w = unit_weights ? 1.0 : ed.weight;
-      const double nd = d + w;
+      const double nd = d + weight(e, ed);
       if (nd < sp.dist[ed.src]) {
         sp.dist[ed.src] = nd;
         pq.emplace(nd, ed.src);
@@ -39,11 +40,21 @@ ShortestPathsToDest reverseDijkstra(const Graph& g, NodeId dest,
 }  // namespace
 
 ShortestPathsToDest shortestPathsTo(const Graph& g, NodeId dest) {
-  return reverseDijkstra(g, dest, /*unit_weights=*/false);
+  return reverseDijkstra(g, dest,
+                         [](EdgeId, const Edge& ed) { return ed.weight; });
+}
+
+ShortestPathsToDest shortestPathsTo(const Graph& g, NodeId dest,
+                                    const std::vector<double>& weights) {
+  require(static_cast<int>(weights.size()) == g.numEdges(),
+          "weights/graph size mismatch");
+  return reverseDijkstra(
+      g, dest, [&](EdgeId e, const Edge&) { return weights[e]; });
 }
 
 ShortestPathsToDest hopDistancesTo(const Graph& g, NodeId dest) {
-  return reverseDijkstra(g, dest, /*unit_weights=*/true);
+  return reverseDijkstra(g, dest,
+                         [](EdgeId, const Edge&) { return 1.0; });
 }
 
 std::vector<EdgeId> shortestPathDagEdges(const Graph& g,

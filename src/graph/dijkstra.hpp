@@ -26,6 +26,11 @@ struct ShortestPathsToDest {
 /// `dest` (Dijkstra over reversed edges). Uses Edge::weight.
 [[nodiscard]] ShortestPathsToDest shortestPathsTo(const Graph& g, NodeId dest);
 
+/// Same, with edge e's length taken from weights[e] (by edge id, >= 0;
+/// zeros allowed) instead of Edge::weight.
+[[nodiscard]] ShortestPathsToDest shortestPathsTo(
+    const Graph& g, NodeId dest, const std::vector<double>& weights);
+
 /// Same, but hop counts instead of weights (used for path-stretch metrics).
 [[nodiscard]] ShortestPathsToDest hopDistancesTo(const Graph& g, NodeId dest);
 

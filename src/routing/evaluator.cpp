@@ -65,7 +65,7 @@ int PerformanceEvaluator::addMatrix(const tm::TrafficMatrix& d) {
   return size() - 1;
 }
 
-void PerformanceEvaluator::addPool(const std::vector<tm::TrafficMatrix>& pool) {
+void PerformanceEvaluator::addPool(std::vector<tm::TrafficMatrix> pool) {
   for (const auto& d : pool) {
     require(d.numNodes() == g_.numNodes(), "matrix/graph size mismatch");
   }
@@ -77,7 +77,7 @@ void PerformanceEvaluator::addPool(const std::vector<tm::TrafficMatrix>& pool) {
   std::vector<double> optu = engine_->utilizationBatch(pool, threadPool());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (optu[i] <= 1e-12) continue;
-    tm::TrafficMatrix scaled = pool[i];
+    tm::TrafficMatrix& scaled = pool[i];
     scaled.scale(1.0 / optu[i]);
     bool dup = false;
     for (const auto& existing : pool_) {

@@ -59,8 +59,9 @@ class PerformanceEvaluator {
 
   /// Adds every matrix of a pool (see tm::cornerPool / tm::obliviousPool).
   /// Normalization LPs for distinct matrices are independent and run on
-  /// multiple threads; results keep the pool's order.
-  void addPool(const std::vector<tm::TrafficMatrix>& pool);
+  /// multiple threads; results keep the pool's order. Taken by value and
+  /// normalized in place: pass an rvalue to hold each matrix only once.
+  void addPool(std::vector<tm::TrafficMatrix> pool);
 
   [[nodiscard]] int size() const { return static_cast<int>(pool_.size()); }
   /// i-th matrix, normalized to OPTU == 1.

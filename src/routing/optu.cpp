@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/dijkstra.hpp"
 #include "graph/maxflow.hpp"
 #include "lp/stats.hpp"
 
@@ -13,7 +14,8 @@ namespace coyote::routing {
 
 /// Constraint matrix, variable map and row map for one active-destination
 /// signature. `problem` is the rhs-agnostic skeleton (conservation rhs 0);
-/// `serial` is the retained warm-start session of the serial entry points.
+/// `serial` is the retained warm-start session of the serial entry points,
+/// built from `problem` on first use (utilizationBatch never needs it).
 ///
 /// Per-destination variable maps are sparse (edge, var) pair lists in
 /// variable-creation order, so a destination's block costs O(|DAG_t|)
@@ -40,7 +42,6 @@ struct OptuEngine::Template {
   /// serial solve warm-start from it instead of an all-logical cold basis.
   lp::Basis seed;
   bool tried_seed = false;
-  bool warmed = false;  ///< serial session has solved (or been seeded)
   /// [j] the basis pool slot j ended with in utilizationAt; empty until
   /// that slot first solves on this template.
   std::vector<lp::Basis> slot_basis;
@@ -147,7 +148,6 @@ OptuEngine::Template& OptuEngine::templateFor(const std::vector<char>& active) {
     t.cap_row[e] = t.problem.numRows();
     t.problem.addConstraint(std::move(terms), lp::Rel::kLe, 0.0);
   }
-  t.serial = std::make_unique<lp::SimplexSolver>(t.problem, opt_);
   applyFailures(t);  // templates built mid-failure inherit the failed set
   return *cache_.emplace(std::move(key), std::move(tpl)).first->second;
 }
@@ -172,11 +172,21 @@ void OptuEngine::applyDemand(lp::SimplexSolver& solver, const Template& t,
   }
 }
 
-double OptuEngine::solveAlpha(lp::SimplexSolver& solver, const Template& t) {
+double OptuEngine::solveAlpha(lp::SimplexSolver& solver, const Template& t,
+                              std::vector<double>* weights) {
   const lp::LpResult res = solver.solve();
   if (res.status != lp::Status::kOptimal) {
     throw std::runtime_error("OPTU LP not optimal: " +
                              lp::toString(res.status));
+  }
+  if (weights != nullptr) {
+    // A minimization's <= row has dual y <= 0: the price is -y.
+    weights->assign(t.cap_row.size(), 0.0);
+    for (std::size_t e = 0; e < t.cap_row.size(); ++e) {
+      if (t.cap_row[e] >= 0) {
+        (*weights)[e] = std::max(0.0, -res.row_duals[t.cap_row[e]]);
+      }
+    }
   }
   return res.x[t.alpha];
 }
@@ -189,7 +199,7 @@ void OptuEngine::applyFailures(Template& t) const {
     for (std::size_t j = 0; j < dv.edges.size(); ++j) {
       const double ub = failed_[dv.edges[j]] ? 0.0 : lp::kInfinity;
       t.problem.setVarBounds(dv.vars[j], 0.0, ub);
-      t.serial->setBounds(dv.vars[j], 0.0, ub);
+      if (t.serial) t.serial->setBounds(dv.vars[j], 0.0, ub);
     }
   }
 }
@@ -222,7 +232,7 @@ void OptuEngine::setFailedEdges(const std::vector<EdgeId>& edges) {
         if (was == now) continue;
         const double ub = now ? 0.0 : lp::kInfinity;
         t.problem.setVarBounds(dv.vars[j], 0.0, ub);
-        t.serial->setBounds(dv.vars[j], 0.0, ub);
+        if (t.serial) t.serial->setBounds(dv.vars[j], 0.0, ub);
       }
     }
   }
@@ -564,14 +574,15 @@ double OptuEngine::utilization(const tm::TrafficMatrix& d) {
 OptuEngine::Template& OptuEngine::serialFor(const std::vector<char>& active,
                                             const tm::TrafficMatrix& d) {
   Template& t = templateFor(active);
-  if (!t.warmed) {
-    // First solve on this template: seed the session from the
+  if (!t.serial) {
+    // First serial solve on this template: the session copies the
+    // skeleton, failed-edge bounds included, and starts from the
     // decomposition crossover basis instead of an all-logical cold start.
     // (Serial entries may run inside pool workers, so blocks solve
     // serially here; utilizationBatch passes the pool.)
+    t.serial = std::make_unique<lp::SimplexSolver>(t.problem, opt_);
     const lp::Basis& seed = ensureSeed(t, d, nullptr);
     if (!seed.empty()) t.serial->setBasis(seed);
-    t.warmed = true;
   }
   applyDemand(*t.serial, t, d);
   return t;
@@ -649,11 +660,15 @@ std::vector<double> OptuEngine::utilizationBatch(
 }
 
 double OptuEngine::utilizationAt(std::size_t slot,
-                                 const tm::TrafficMatrix& d) {
+                                 const tm::TrafficMatrix& d,
+                                 std::vector<double>* weights) {
   const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
   const NodeId sole = soleDestination(active);
-  if (sole >= 0) return singleSinkUtilization(sole, d);
+  if (sole >= 0) {
+    if (weights != nullptr) weights->clear();
+    return singleSinkUtilization(sole, d);
+  }
   Template& t = serialFor(active, d);
   // Installed after the rhs edits, so the dual simplex judges the slot's
   // basis by how many of its basics the new matrix violates: after a
@@ -662,7 +677,7 @@ double OptuEngine::utilizationAt(std::size_t slot,
   if (slot < t.slot_basis.size() && !t.slot_basis[slot].empty()) {
     t.serial->setBasis(t.slot_basis[slot]);
   }
-  const double u = solveAlpha(*t.serial, t);
+  const double u = solveAlpha(*t.serial, t, weights);
   if (t.slot_basis.size() <= slot) t.slot_basis.resize(slot + 1);
   t.slot_basis[slot] = t.serial->basis();
   return u;
@@ -689,6 +704,36 @@ OptuEngine::utilizationWithFlows(const tm::TrafficMatrix& d) {
     }
   }
   return {res.x[t.alpha], std::move(flows)};
+}
+
+OptuDualBound::OptuDualBound(const Graph& g, const std::vector<double>& pi)
+    : n_(g.numNodes()) {
+  require(static_cast<int>(pi.size()) == g.numEdges(),
+          "weights/graph size mismatch");
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    require(pi[e] >= 0.0, "negative edge weight");
+    if (g.edge(e).capacity > 0.0) budget_ += pi[e] * g.edge(e).capacity;
+  }
+  dist_.reserve(static_cast<std::size_t>(n_) * n_);
+  for (NodeId t = 0; t < n_; ++t) {
+    const ShortestPathsToDest sp = shortestPathsTo(g, t, pi);
+    dist_.insert(dist_.end(), sp.dist.begin(), sp.dist.end());
+  }
+}
+
+double OptuDualBound::of(const tm::TrafficMatrix& d) const {
+  require(d.numNodes() == n_, "matrix/graph size mismatch");
+  if (budget_ <= 0.0) return 0.0;
+  double paid = 0.0;
+  for (NodeId t = 0; t < n_; ++t) {
+    for (NodeId s = 0; s < n_; ++s) {
+      const double dist = dist_[static_cast<std::size_t>(t) * n_ + s];
+      if (s != t && d.at(s, t) > 0.0 && dist < lp::kInfinity) {
+        paid += d.at(s, t) * dist;
+      }
+    }
+  }
+  return paid / budget_;
 }
 
 namespace {

@@ -82,8 +82,15 @@ class OptuEngine {
   /// the matrix at one slot moves a little between calls, while
   /// neighbouring slots differ in every rhs. The caller picks which slots
   /// to solve and in what order (see failure::evaluateFailure).
+  ///
+  /// When `weights` is non-null it receives, by edge id, the LP's capacity
+  /// prices pi_e = max(0, -y_e), y_e the optimal dual of e's capacity row
+  /// (0 for an edge without one), ready for OptuDualBound; it is left
+  /// empty when d is solved as a min cut. The value, the pivots and the
+  /// slot's retained basis do not depend on it.
   [[nodiscard]] double utilizationAt(std::size_t slot,
-                                     const tm::TrafficMatrix& d);
+                                     const tm::TrafficMatrix& d,
+                                     std::vector<double>* weights = nullptr);
 
   /// OPTU(d) plus the optimal aggregate flows: flows[t] maps EdgeId to the
   /// flow toward t (empty vector for inactive destinations).
@@ -130,13 +137,18 @@ class OptuEngine {
   /// Caller holds mutex_.
   Template& serialFor(const std::vector<char>& active,
                       const tm::TrafficMatrix& d);
-  /// Applies the current failed-edge set to a template (skeleton + session).
+  /// Applies the current failed-edge set to a template (skeleton, and the
+  /// serial session once built).
   void applyFailures(Template& t) const;
   /// Points the session's conservation rhs at d (validates routability).
   void applyDemand(lp::SimplexSolver& solver, const Template& t,
                    const tm::TrafficMatrix& d) const;
+  /// Solves and returns alpha; fills `weights` as utilizationAt documents
+  /// when non-null.
   [[nodiscard]] static double solveAlpha(lp::SimplexSolver& solver,
-                                         const Template& t);
+                                         const Template& t,
+                                         std::vector<double>* weights =
+                                             nullptr);
   /// OPTU of a matrix whose only active destination is `dest`, by the
   /// parametric min cut (see optu.cpp). Reads failed_: caller holds mutex_
   /// or runs inside utilizationBatch.
@@ -164,6 +176,33 @@ class OptuEngine {
   std::unordered_map<std::string, std::unique_ptr<Template>> cache_;
   /// Per-edge failed mask (empty = intact network); see setFailedEdges.
   std::vector<char> failed_;
+};
+
+/// Weak-duality lower bound on the unrestricted OPTU over g (Theorem 5 of
+/// the technical report, Appendix C). Under edge weights pi >= 0, every
+/// unit of (s,t) demand crosses at least dist_pi(s,t) of weight, and a
+/// routing at utilization alpha puts at most alpha*c_e on edge e, so
+///
+///     OPTU(d) >= sum d(s,t)*dist_pi(s,t) / sum_e pi_e*c_e
+///
+/// for *any* pi >= 0 -- nothing about pi's origin needs trusting. With an
+/// optimal LP's capacity prices (OptuEngine::utilizationAt) the bound is
+/// tight for that LP's own matrix. Distances run over edges with capacity
+/// > 0, as SPF does, so a degraded graph (failed links at capacity 0)
+/// bounds the post-failure optimum. A pair g cannot connect contributes 0,
+/// and the bound is 0 when sum pi*c is.
+class OptuDualBound {
+ public:
+  /// `pi` by edge id, >= 0. Runs one reverse Dijkstra per node.
+  OptuDualBound(const Graph& g, const std::vector<double>& pi);
+
+  /// The bound for matrix d (d must match g's node count).
+  [[nodiscard]] double of(const tm::TrafficMatrix& d) const;
+
+ private:
+  int n_ = 0;
+  std::vector<double> dist_;  ///< [t*n+s] dist_pi(s,t), infinity if cut off
+  double budget_ = 0.0;       ///< sum_e pi_e * c_e over usable edges
 };
 
 /// OPTU restricted to the DAG set. Throws std::runtime_error if some demand

@@ -22,7 +22,8 @@ using LinkLoads = std::vector<double>;
                                      const tm::TrafficMatrix& d);
 
 /// Load per edge for a single destination's demands (column t of `d`).
-/// `loads` is accumulated into (callers zero it as needed).
+/// `loads` is accumulated into (callers zero it as needed). A column
+/// without positive demand returns after one scan, without the DAG walk.
 void accumulateDestinationLoads(const Graph& g, const RoutingConfig& cfg,
                                 const tm::TrafficMatrix& d, NodeId t,
                                 LinkLoads& loads);

@@ -140,6 +140,30 @@ TEST(Dijkstra, HopDistancesIgnoreWeights) {
   EXPECT_DOUBLE_EQ(shortestPathsTo(g, c).dist[a], 1.0);
 }
 
+TEST(Dijkstra, ExplicitWeightsAllowZeroAndSkipFailedLinks) {
+  // a <-> b <-> c plus a <-> c; lengths come from the vector, not
+  // Edge::weight, and a zero-capacity edge is withdrawn as in SPF.
+  Graph g;
+  const NodeId a = g.addNode();
+  const NodeId b = g.addNode();
+  const NodeId c = g.addNode();
+  const EdgeId ab = g.addLink(a, b, 1.0, 7.0);
+  const EdgeId bc = g.addLink(b, c, 1.0, 7.0);
+  const EdgeId ac = g.addLink(a, c, 1.0, 1.0);
+  std::vector<double> w(g.numEdges(), 5.0);
+  w[ab] = 0.0;
+  w[bc] = 2.0;
+  w[ac] = 4.0;
+  EXPECT_DOUBLE_EQ(shortestPathsTo(g, c, w).dist[a], 2.0);  // via b
+  EXPECT_DOUBLE_EQ(shortestPathsTo(g, c, w).dist[b], 2.0);
+  EXPECT_DOUBLE_EQ(shortestPathsTo(g, b, w).dist[a], 0.0);
+  g.setCapacity(bc, 0.0);
+  EXPECT_DOUBLE_EQ(shortestPathsTo(g, c, w).dist[a], 4.0);  // direct
+  EXPECT_DOUBLE_EQ(shortestPathsTo(g, c, w).dist[b], 9.0);  // b -> a -> c
+  EXPECT_THROW(shortestPathsTo(g, c, std::vector<double>(2, 1.0)),
+               std::invalid_argument);
+}
+
 TEST(Dijkstra, EcmpNextHopsOnDiamond) {
   // a -> {b,c} -> d with equal weights: a has two ECMP next-hops.
   Graph g;
