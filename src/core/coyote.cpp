@@ -93,9 +93,15 @@ CoyoteResult coyoteWithBounds(const Graph& g,
 
 CoyoteResult coyoteOblivious(const Graph& g,
                              std::shared_ptr<const DagSet> dags,
-                             const CoyoteOptions& opt) {
+                             const CoyoteOptions& opt,
+                             std::vector<tm::TrafficMatrix>* normalized) {
   routing::PerformanceEvaluator pool(g, std::move(dags), opt.lp);
-  pool.addPool(tm::obliviousPool(g.numNodes(), opt.oblivious_pool));
+  if (normalized != nullptr && !normalized->empty()) {
+    pool.addNormalized(*normalized);
+  } else {
+    pool.addPool(tm::obliviousPool(g.numNodes(), opt.oblivious_pool));
+    if (normalized != nullptr) *normalized = pool.matrices();
+  }
   return optimizeAgainstPool(g, pool, /*box=*/nullptr, opt);
 }
 

@@ -18,7 +18,7 @@
 // feasible point of the search space (Sec. V-B).
 #pragma once
 
-#include <optional>
+#include <vector>
 
 #include "core/splitting_optimizer.hpp"
 #include "lp/lp.hpp"
@@ -70,9 +70,14 @@ struct CoyoteResult {
     const Graph& g, std::shared_ptr<const DagSet> dags,
     const tm::DemandBounds& box, const CoyoteOptions& opt = {});
 
-/// Fully demands-oblivious COYOTE (the "oblivious" line).
-[[nodiscard]] CoyoteResult coyoteOblivious(const Graph& g,
-                                           std::shared_ptr<const DagSet> dags,
-                                           const CoyoteOptions& opt = {});
+/// Fully demands-oblivious COYOTE (the "oblivious" line). `normalized`,
+/// when non-null, caches the oblivious pool's normalized matrices across
+/// calls over the same graph, DAG set, oblivious_pool and lp options: an
+/// empty cache is filled from this call's normalization, and a filled one
+/// seeds the optimization pool instead, so no normalization LP runs.
+[[nodiscard]] CoyoteResult coyoteOblivious(
+    const Graph& g, std::shared_ptr<const DagSet> dags,
+    const CoyoteOptions& opt = {},
+    std::vector<tm::TrafficMatrix>* normalized = nullptr);
 
 }  // namespace coyote::core

@@ -783,7 +783,7 @@ void runFailure(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   block["evaluated"] = res.evaluated;
   block["disconnecting"] = res.disconnecting;
   block["disconnected_pairs"] = res.disconnected_pairs;
-  block["pool_size"] = eval.poolSize();
+  block["pool_size"] = static_cast<int>(eval.intact().pool().size());
   json::Value per_scheme = json::Value::object();
   std::string summary;
   for (const auto& [key, st] : res.schemes) {
@@ -837,7 +837,8 @@ void runServe(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   out.comment("%s, %s base matrix -- online TE daemon replay: %zu events, "
               "margin %.1f, pool %d",
               s.topology.label().c_str(), s.demand.name(), trace.size(),
-              s.fixed_margin, service.poolSize());
+              s.fixed_margin,
+              static_cast<int>(service.intact().pool().size()));
 
   const auto opOf = [](const std::string& line) -> std::string {
     try {
@@ -919,9 +920,9 @@ void runServe(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   json::Value block = json::Value::object();
   block["events"] = static_cast<int>(trace.size());
   block["trace_seed"] = static_cast<double>(s.serve_seed);
-  block["pool_size"] = service.poolSize();
+  block["pool_size"] = static_cast<int>(service.intact().pool().size());
   block["errors"] = errors;
-  block["final_margin"] = service.margin();
+  block["final_margin"] = service.intact().options().margin;
   block["final_failed_links"] =
       static_cast<int>(service.failedLinks().size());
   // Splitting-optimizer budget the warm-seeded reoptimize events never

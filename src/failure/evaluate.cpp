@@ -19,73 +19,90 @@ constexpr double kBoundSlack = 1e-9;
 
 }  // namespace
 
-FailureEvaluator::FailureEvaluator(const Graph& g,
-                                   std::shared_ptr<const DagSet> dags,
-                                   const tm::TrafficMatrix& base_tm,
-                                   FailureEvalOptions opt)
+IntactSchemes::IntactSchemes(const Graph& g,
+                             std::shared_ptr<const DagSet> dags,
+                             tm::TrafficMatrix base, FailureEvalOptions opt)
     : g_(g),
       dags_(std::move(dags)),
-      base_(base_tm),
+      base_(std::move(base)),
       opt_(std::move(opt)),
-      schemes_(opt_.schemes.empty()
-                   ? te::SchemeRegistry::builtin().defaults()
-                   : opt_.schemes),
-      pool_(tm::cornerPool(tm::marginBounds(base_tm, opt_.margin),
-                           opt_.pool)) {
+      box_(tm::marginBounds(base_, opt_.margin)),
+      pool_(tm::cornerPool(box_, opt_.pool)),
+      own_pool_(opt_.threads == 0
+                    ? nullptr
+                    : std::make_unique<util::ThreadPool>(opt_.threads)) {
   require(dags_ != nullptr, "null dag set");
-  require(opt_.margin >= 1.0, "margin must be >= 1");
-  require(!schemes_.empty(), "empty scheme list");
-
-  // The intact (offline) configuration of every kRepairDags scheme, in
-  // list order, with the caller's optimizer options passed through
-  // unmodified (including any oracle_rounds request). Margin-dependent
-  // schemes are optimized against the operator's uncertainty box over the
-  // same corner pool the sweep evaluates with. kReconverge schemes carry
-  // no intact config here: their post-failure routing is recomputed from
-  // the degraded graph alone (Scheme::reconverge), so computing one would
-  // be pure startup waste (invcap-ecmp's would rebuild a whole augmented
-  // DAG set).
-  const tm::DemandBounds box = tm::marginBounds(base_tm, opt_.margin);
-  intact_.reserve(schemes_.size());
-  for (const te::Scheme* s : schemes_) {
-    if (s->reaction() == te::FailureReaction::kReconverge) {
-      intact_.emplace_back(std::nullopt);
-    } else if (s->marginDependent()) {
-      routing::PerformanceEvaluator eval(g_, dags_, opt_.coyote.lp);
-      if (opt_.threads != 0) eval.setThreads(opt_.threads);
-      eval.addPool(pool_);
-      const te::SchemeContext ctx{g_, dags_, base_, opt_.coyote, &box,
-                                  &eval};
-      intact_.emplace_back(s->compute(ctx));
-    } else {
-      const te::SchemeContext ctx{g_,      dags_,  base_, opt_.coyote,
-                                  nullptr, nullptr};
-      intact_.emplace_back(s->compute(ctx));
-    }
+  require(base_.numNodes() == g_.numNodes(),
+          "base matrix / graph node count mismatch");
+  require(opt_.coyote.oracle_rounds == 0,
+          "intact schemes run without oracle rounds");
+  if (opt_.schemes.empty()) {
+    opt_.schemes = te::SchemeRegistry::builtin().defaults();
   }
-  if (opt_.threads != 0) {
-    own_pool_ = std::make_unique<util::ThreadPool>(opt_.threads);
-  }
-  // Every failed set contains the empty one: the intact pool's OPTU is a
-  // floor for every failure.
-  routing::OptuEngine engine(g_, opt_.coyote.lp);  // unrestricted OPTU
-  intact_optu_ = engine.utilizationBatch(
-      pool_, own_pool_ ? *own_pool_ : util::ThreadPool::global());
 }
 
-const routing::RoutingConfig& FailureEvaluator::intactRouting(
+int IntactSchemes::compute(bool warm) {
+  std::vector<std::optional<routing::RoutingConfig>> prev;
+  prev.swap(configs_);
+  configs_.reserve(opt_.schemes.size());
+  int saved = 0;
+  for (std::size_t i = 0; i < opt_.schemes.size(); ++i) {
+    const te::Scheme* s = opt_.schemes[i];
+    if (s->reaction() == te::FailureReaction::kReconverge) {
+      configs_.emplace_back(std::nullopt);
+      continue;
+    }
+    core::CoyoteOptions copt = opt_.coyote;
+    if (warm && i < prev.size() && prev[i].has_value()) {
+      copt.warm_init = &*prev[i];
+    }
+    te::SchemeContext ctx{g_,      dags_,   base_,  copt,
+                          nullptr, nullptr, &saved, &oblivious_pool_};
+    std::optional<routing::PerformanceEvaluator> eval;
+    if (s->marginDependent()) {
+      eval.emplace(g_, dags_, opt_.coyote.lp);
+      if (opt_.threads != 0) eval->setThreads(opt_.threads);
+      eval->addPool(pool_);
+      ctx.box = &box_;
+      ctx.pool = &*eval;
+    }
+    configs_.emplace_back(s->compute(ctx));
+  }
+  return saved;
+}
+
+void IntactSchemes::moveBox(tm::TrafficMatrix base, double margin) {
+  box_ = tm::marginBounds(base, margin);
+  base_ = std::move(base);
+  opt_.margin = margin;
+  pool_ = tm::cornerPool(box_, opt_.pool);
+}
+
+const routing::RoutingConfig& IntactSchemes::intactRouting(
     const std::string& key) const {
-  for (std::size_t i = 0; i < schemes_.size(); ++i) {
-    if (key != schemes_[i]->key()) continue;
-    if (!intact_[i].has_value()) {
+  for (std::size_t i = 0; i < opt_.schemes.size(); ++i) {
+    if (key != opt_.schemes[i]->key()) continue;
+    if (!configs_[i].has_value()) {
       throw std::invalid_argument("scheme '" + key +
                                   "' reconverges; it keeps no intact "
                                   "config here");
     }
-    return *intact_[i];
+    return *configs_[i];
   }
   throw std::invalid_argument("scheme '" + key +
                               "' is not in this evaluator's list");
+}
+
+FailureEvaluator::FailureEvaluator(const Graph& g,
+                                   std::shared_ptr<const DagSet> dags,
+                                   const tm::TrafficMatrix& base_tm,
+                                   FailureEvalOptions opt)
+    : intact_(g, std::move(dags), base_tm, std::move(opt)) {
+  intact_.compute(/*warm=*/false);
+  // Every failed set contains the empty one: the intact pool's OPTU is a
+  // floor for every failure.
+  routing::OptuEngine engine(g, intact_.options().coyote.lp);
+  intact_optu_ = engine.utilizationBatch(intact_.pool(), intact_.threadPool());
 }
 
 double nodeCutBound(const Graph& g, const tm::TrafficMatrix& d) {
@@ -113,20 +130,22 @@ double nodeCutBound(const Graph& g, const tm::TrafficMatrix& d) {
   return bound;
 }
 
-FailureOutcome evaluateFailure(const IntactState& state,
+FailureOutcome evaluateFailure(const IntactSchemes& intact,
                                const FailureScenario& f,
                                const std::vector<double>& floor,
                                routing::OptuEngine& engine) {
-  const int n = static_cast<int>(state.schemes.size());
-  const std::size_t m = state.pool.size();
+  const Graph& g = intact.graph();
+  const std::vector<const te::Scheme*>& schemes = intact.options().schemes;
+  const int n = static_cast<int>(schemes.size());
+  const std::size_t m = intact.pool().size();
   require(floor.empty() || floor.size() == m, "floor/pool size mismatch");
   FailureOutcome out;
   out.label = f.label;
   out.ratio.assign(n, 0.0);
   out.routable.assign(n, 0);
 
-  const Graph degraded = degradedGraph(state.g, f);
-  out.disconnected_pairs = disconnectedPairs(degraded, state.base);
+  const Graph degraded = degradedGraph(g, f);
+  out.disconnected_pairs = disconnectedPairs(degraded, intact.base());
   if (out.disconnected_pairs > 0) return out;  // reported, not evaluated
   out.evaluated = true;
 
@@ -135,23 +154,23 @@ FailureOutcome evaluateFailure(const IntactState& state,
   // repaired DAG set is shared by every kRepairDags scheme (and skipped
   // entirely when the selection is all-reconverge).
   bool any_repair = false;
-  for (const te::Scheme* s : state.schemes) {
+  for (const te::Scheme* s : schemes) {
     any_repair |= s->reaction() == te::FailureReaction::kRepairDags;
   }
   const std::shared_ptr<const DagSet> repaired =
-      any_repair ? repairDags(state.g, state.dags, failedEdgeMask(state.g, f))
+      any_repair ? repairDags(g, intact.dags(), failedEdgeMask(g, f))
                  : nullptr;
   std::vector<routing::RoutingConfig> cfgs;
   cfgs.reserve(n);
   for (int s = 0; s < n; ++s) {
-    if (state.schemes[s]->reaction() == te::FailureReaction::kReconverge) {
-      cfgs.push_back(state.schemes[s]->reconverge(degraded));
+    if (schemes[s]->reaction() == te::FailureReaction::kReconverge) {
+      cfgs.push_back(schemes[s]->reconverge(degraded));
     } else {
-      cfgs.push_back(repairRouting(state.g, *state.intact[s], repaired));
+      cfgs.push_back(repairRouting(g, *intact.configs()[s], repaired));
     }
   }
   for (int s = 0; s < n; ++s) {
-    out.routable[s] = routesAllDemands(cfgs[s], state.base);
+    out.routable[s] = routesAllDemands(cfgs[s], intact.base());
   }
 
   // MxLU of every (slot, routable scheme), each slot's OPTU_f lower bound,
@@ -161,13 +180,13 @@ FailureOutcome evaluateFailure(const IntactState& state,
   std::vector<double> upper(m, 0.0);
   out.bound.assign(m, 0.0);
   for (std::size_t j = 0; j < m; ++j) {
-    out.bound[j] = nodeCutBound(degraded, state.pool[j]);
+    out.bound[j] = nodeCutBound(degraded, intact.pool()[j]);
     if (!floor.empty()) out.bound[j] = std::max(out.bound[j], floor[j]);
     lower[j] = out.bound[j] * (1.0 - kBoundSlack);
     for (int s = 0; s < n; ++s) {
       if (!out.routable[s]) continue;
       mxlu[j * n + s] =
-          routing::maxLinkUtilization(degraded, cfgs[s], state.pool[j]);
+          routing::maxLinkUtilization(degraded, cfgs[s], intact.pool()[j]);
       if (lower[j] > 0.0) {
         upper[j] = std::max(upper[j], mxlu[j * n + s] / lower[j]);
       }
@@ -184,7 +203,7 @@ FailureOutcome evaluateFailure(const IntactState& state,
   // network (the failure enters the engine as a bounds mutation; see
   // OptuEngine::setFailedEdges), solved only where a slot can still raise
   // some scheme's worst ratio.
-  engine.setFailedEdges(directedEdges(state.g, f));
+  engine.setFailedEdges(directedEdges(g, f));
   std::vector<char> solved(m, 0);
   std::vector<double> pi;
   for (const std::size_t j : order) {
@@ -199,7 +218,7 @@ FailureOutcome evaluateFailure(const IntactState& state,
       ++out.slots_skipped;
       continue;
     }
-    const double optu = engine.utilizationAt(j, state.pool[j], &pi);
+    const double optu = engine.utilizationAt(j, intact.pool()[j], &pi);
     ++out.slots_solved;
     solved[j] = 1;
     out.bound[j] = optu;
@@ -215,7 +234,7 @@ FailureOutcome evaluateFailure(const IntactState& state,
     const routing::OptuDualBound dual(degraded, pi);
     for (std::size_t k = 0; k < m; ++k) {
       if (solved[k]) continue;
-      const double b = dual.of(state.pool[k]);
+      const double b = dual.of(intact.pool()[k]);
       out.bound[k] = std::max(out.bound[k], b);
       lower[k] = std::max(lower[k], b * (1.0 - kBoundSlack));
     }
@@ -225,11 +244,12 @@ FailureOutcome evaluateFailure(const IntactState& state,
 
 FailureSweepResult FailureEvaluator::evaluate(
     const std::vector<FailureScenario>& failures) const {
-  const int n = static_cast<int>(schemes_.size());
+  const std::vector<const te::Scheme*>& schemes = intact_.options().schemes;
+  const int n = static_cast<int>(schemes.size());
   FailureSweepResult result;
   result.outcomes.resize(failures.size());
   result.schemes.reserve(n);
-  for (const te::Scheme* s : schemes_) {
+  for (const te::Scheme* s : schemes) {
     result.schemes.emplace_back(s->key(), SchemeFailureStats{});
   }
 
@@ -239,16 +259,14 @@ FailureSweepResult FailureEvaluator::evaluate(
   // counts) are bit-identical for any COYOTE_THREADS.
   const std::size_t chunks =
       (failures.size() + kFailureChunk - 1) / kFailureChunk;
-  util::ThreadPool& tp = own_pool_ ? *own_pool_ : util::ThreadPool::global();
-  const IntactState state{g_, *dags_, base_, schemes_, intact_, pool_};
-  tp.parallelFor(chunks, [&](std::size_t c) {
-    routing::OptuEngine engine(g_, opt_.coyote.lp);  // unrestricted OPTU
+  intact_.threadPool().parallelFor(chunks, [&](std::size_t c) {
+    routing::OptuEngine engine(intact_.graph(), intact_.options().coyote.lp);
     const std::size_t begin = c * kFailureChunk;
     const std::size_t end =
         std::min(failures.size(), begin + kFailureChunk);
     for (std::size_t i = begin; i < end; ++i) {
       result.outcomes[i] =
-          evaluateFailure(state, failures[i], intact_optu_, engine);
+          evaluateFailure(intact_, failures[i], intact_optu_, engine);
     }
   });
 

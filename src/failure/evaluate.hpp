@@ -97,7 +97,7 @@ struct FailureEvalOptions {
 };
 
 /// One failure scenario's verdict. The per-scheme vectors are parallel to
-/// the evaluator's scheme list (FailureEvaluator::schemes(), same order).
+/// the evaluator's scheme list (IntactSchemes::options().schemes).
 struct FailureOutcome {
   std::string label;
   /// (s,t) pairs with base demand the surviving *graph* cannot connect.
@@ -148,16 +148,67 @@ struct FailureSweepResult {
 [[nodiscard]] double nodeCutBound(const Graph& g, const tm::TrafficMatrix& d);
 
 /// What post-failure evaluations hold fixed across failed sets: the
-/// intact network and base demand, the schemes with their intact routings
-/// (parallel to `schemes`, disengaged for kReconverge schemes), and the
-/// corner pool the ruler maximizes over.
-struct IntactState {
-  const Graph& g;
-  const DagSet& dags;
-  const tm::TrafficMatrix& base;
-  const std::vector<const te::Scheme*>& schemes;
-  const std::vector<std::optional<routing::RoutingConfig>>& intact;
-  const std::vector<tm::TrafficMatrix>& pool;
+/// intact network and base demand, the schemes with their intact configs,
+/// and the uncertainty box with its raw corner pool (the matrices the
+/// ruler maximizes over). FailureEvaluator and serve::TeService share it.
+///
+/// kReconverge schemes keep no intact config (their post-failure routing
+/// comes from the degraded graph alone). The oblivious pool depends on
+/// neither box nor warm seed, so the first compute() that needs it keeps
+/// its normalized matrices (SchemeContext::oblivious_pool) for every later
+/// one. Nothing else is kept: no evaluator, no OPTU engine, no corner-pool
+/// normalization (serve moves the box on every demand and margin event).
+class IntactSchemes {
+ public:
+  /// Resolves the scheme list (empty: the registry defaults) and builds the
+  /// box and corner pool; no config exists until compute(). Requires
+  /// coyote.oracle_rounds == 0: cutting-plane rounds would grow a
+  /// cache-seeded pool, so cached and fresh runs could differ.
+  IntactSchemes(const Graph& g, std::shared_ptr<const DagSet> dags,
+                tm::TrafficMatrix base, FailureEvalOptions opt);
+
+  /// (Re)computes every intact config from the current base matrix and
+  /// box; with `warm`, each optimizer run starts from the scheme's previous
+  /// config (coyote.warm_init). Returns the splitting iterations the
+  /// patience early stop saved.
+  int compute(bool warm);
+  /// Moves the box to `margin` around `base` and rebuilds the corner pool;
+  /// the configs stay until the next compute().
+  void moveBox(tm::TrafficMatrix base, double margin);
+
+  [[nodiscard]] const Graph& graph() const { return g_; }
+  [[nodiscard]] const DagSet& dags() const { return *dags_; }
+  [[nodiscard]] const tm::TrafficMatrix& base() const { return base_; }
+  /// With the resolved scheme list and the current margin.
+  [[nodiscard]] const FailureEvalOptions& options() const { return opt_; }
+  /// Parallel to options().schemes; disengaged for kReconverge schemes.
+  [[nodiscard]] const std::vector<std::optional<routing::RoutingConfig>>&
+  configs() const {
+    return configs_;
+  }
+  /// The config of the scheme with this registry key; throws
+  /// std::invalid_argument for a key outside the list or a kReconverge
+  /// scheme.
+  [[nodiscard]] const routing::RoutingConfig& intactRouting(
+      const std::string& key) const;
+  [[nodiscard]] const std::vector<tm::TrafficMatrix>& pool() const {
+    return pool_;
+  }
+  /// util::ThreadPool::global(), or a private pool of options().threads.
+  [[nodiscard]] util::ThreadPool& threadPool() const {
+    return own_pool_ ? *own_pool_ : util::ThreadPool::global();
+  }
+
+ private:
+  const Graph& g_;
+  std::shared_ptr<const DagSet> dags_;
+  tm::TrafficMatrix base_;
+  FailureEvalOptions opt_;
+  tm::DemandBounds box_;
+  std::vector<tm::TrafficMatrix> pool_;
+  std::vector<std::optional<routing::RoutingConfig>> configs_;
+  std::vector<tm::TrafficMatrix> oblivious_pool_;  ///< empty until needed
+  std::unique_ptr<util::ThreadPool> own_pool_;
 };
 
 /// Evaluates the schemes with f's links failed: derives the surviving
@@ -165,8 +216,8 @@ struct IntactState {
 /// and prunes the ruler (file comment). `floor` is empty or holds one OPTU
 /// lower bound per pool slot from an earlier evaluation on the same pool
 /// whose failed set f's contains. `engine` is an unrestricted OptuEngine
-/// over state.g; it is switched to f's failed set here.
-[[nodiscard]] FailureOutcome evaluateFailure(const IntactState& state,
+/// over intact.graph(); it is switched to f's failed set here.
+[[nodiscard]] FailureOutcome evaluateFailure(const IntactSchemes& intact,
                                              const FailureScenario& f,
                                              const std::vector<double>& floor,
                                              routing::OptuEngine& engine);
@@ -185,29 +236,12 @@ class FailureEvaluator {
   /// the thread count) so results never depend on parallelism.
   static constexpr int kFailureChunk = 4;
 
-  [[nodiscard]] int poolSize() const { return static_cast<int>(pool_.size()); }
-  [[nodiscard]] const std::vector<const te::Scheme*>& schemes() const {
-    return schemes_;
-  }
-  /// Intact routing of the scheme with this registry key; throws
-  /// std::invalid_argument for a key outside the evaluator's scheme list
-  /// or for a kReconverge scheme (those recompute their post-failure
-  /// routing from the degraded graph alone and keep no intact config).
-  [[nodiscard]] const routing::RoutingConfig& intactRouting(
-      const std::string& key) const;
+  [[nodiscard]] const IntactSchemes& intact() const { return intact_; }
 
  private:
-  const Graph& g_;
-  std::shared_ptr<const DagSet> dags_;
-  tm::TrafficMatrix base_;
-  FailureEvalOptions opt_;
-  std::vector<const te::Scheme*> schemes_;
-  std::vector<tm::TrafficMatrix> pool_;  ///< raw box corners (unnormalized)
-  /// Parallel to schemes_; disengaged for kReconverge schemes.
-  std::vector<std::optional<routing::RoutingConfig>> intact_;
+  IntactSchemes intact_;
   /// OPTU of every pool slot on the intact network: every failure's floor.
   std::vector<double> intact_optu_;
-  std::unique_ptr<util::ThreadPool> own_pool_;
 };
 
 }  // namespace coyote::failure

@@ -50,19 +50,23 @@ double PerformanceEvaluator::normalizationOf(const tm::TrafficMatrix& d) const {
   return engine_->utilization(d);
 }
 
+int PerformanceEvaluator::insert(tm::TrafficMatrix scaled) {
+  // Deduplicate: corner pools at margin 1 collapse to the base matrix, and
+  // the cutting-plane loop must detect an oracle returning a known matrix.
+  for (const auto& existing : pool_) {
+    if (nearlyEqual(existing, scaled)) return -1;
+  }
+  pool_.push_back(std::move(scaled));
+  return size() - 1;
+}
+
 int PerformanceEvaluator::addMatrix(const tm::TrafficMatrix& d) {
   require(d.numNodes() == g_.numNodes(), "matrix/graph size mismatch");
   const double optu = normalizationOf(d);
   if (optu <= 1e-12) return -1;
   tm::TrafficMatrix scaled = d;
   scaled.scale(1.0 / optu);
-  // Deduplicate: corner pools at margin 1 collapse to the base matrix, and
-  // the cutting-plane loop must detect an oracle returning a known matrix.
-  for (int i = 0; i < size(); ++i) {
-    if (nearlyEqual(pool_[i], scaled)) return -1;
-  }
-  pool_.push_back(std::move(scaled));
-  return size() - 1;
+  return insert(std::move(scaled));
 }
 
 void PerformanceEvaluator::addPool(std::vector<tm::TrafficMatrix> pool) {
@@ -77,16 +81,15 @@ void PerformanceEvaluator::addPool(std::vector<tm::TrafficMatrix> pool) {
   std::vector<double> optu = engine_->utilizationBatch(pool, threadPool());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (optu[i] <= 1e-12) continue;
-    tm::TrafficMatrix& scaled = pool[i];
-    scaled.scale(1.0 / optu[i]);
-    bool dup = false;
-    for (const auto& existing : pool_) {
-      if (nearlyEqual(existing, scaled)) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) pool_.push_back(std::move(scaled));
+    pool[i].scale(1.0 / optu[i]);
+    insert(std::move(pool[i]));
+  }
+}
+
+void PerformanceEvaluator::addNormalized(std::vector<tm::TrafficMatrix> pool) {
+  for (tm::TrafficMatrix& d : pool) {
+    require(d.numNodes() == g_.numNodes(), "matrix/graph size mismatch");
+    insert(std::move(d));
   }
 }
 

@@ -63,10 +63,18 @@ class PerformanceEvaluator {
   /// normalized in place: pass an rvalue to hold each matrix only once.
   void addPool(std::vector<tm::TrafficMatrix> pool);
 
+  /// Adds matrices already normalized to OPTU == 1 (another evaluator's
+  /// matrices() over the same graph and DAG set), deduplicated like
+  /// addPool; solves no LP.
+  void addNormalized(std::vector<tm::TrafficMatrix> pool);
+
   [[nodiscard]] int size() const { return static_cast<int>(pool_.size()); }
   /// i-th matrix, normalized to OPTU == 1.
   [[nodiscard]] const tm::TrafficMatrix& matrix(int i) const {
     return pool_.at(i);
+  }
+  [[nodiscard]] const std::vector<tm::TrafficMatrix>& matrices() const {
+    return pool_;
   }
 
   /// PERF(cfg, pool) = max_i MxLU(cfg, matrix(i)).
@@ -91,6 +99,9 @@ class PerformanceEvaluator {
  private:
   /// OPTU of d under the configured normalization; 0 for zero demand.
   double normalizationOf(const tm::TrafficMatrix& d) const;
+  /// Appends a normalized matrix unless it duplicates a pooled one;
+  /// returns its index, or -1 if ignored.
+  int insert(tm::TrafficMatrix scaled);
 
   const Graph& g_;
   std::shared_ptr<const DagSet> dags_;

@@ -89,7 +89,8 @@ class ObliviousScheme final : public Scheme {
            "standing in for all matrices";
   }
   routing::RoutingConfig compute(const SchemeContext& ctx) const override {
-    core::CoyoteResult res = core::coyoteOblivious(ctx.g, ctx.dags, ctx.coyote);
+    core::CoyoteResult res = core::coyoteOblivious(ctx.g, ctx.dags, ctx.coyote,
+                                                   ctx.oblivious_pool);
     if (ctx.splitting_iters_saved != nullptr) {
       *ctx.splitting_iters_saved += res.splitting_iters_saved;
     }
@@ -160,7 +161,8 @@ class SemiObliviousScheme final : public Scheme {
     // middle point between 'base' (fully demand-aware) and 'partial'
     // (box-aware): the structure is oblivious, only the rates adapt, and
     // nothing depends on the margin.
-    core::CoyoteResult obl = core::coyoteOblivious(ctx.g, ctx.dags, ctx.coyote);
+    core::CoyoteResult obl = core::coyoteOblivious(ctx.g, ctx.dags, ctx.coyote,
+                                                   ctx.oblivious_pool);
     routing::PerformanceEvaluator eval(ctx.g, ctx.dags, ctx.coyote.lp);
     eval.addMatrix(ctx.base_tm);
     int used = 0;

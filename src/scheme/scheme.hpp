@@ -28,6 +28,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/coyote.hpp"
 #include "graph/dag.hpp"
@@ -51,7 +52,7 @@ struct SchemeContext {
   /// Optimizer options, final: schemes use them as-is (in particular
   /// `oracle_rounds` -- the caller decides whether the exact slave-LP
   /// cutting-plane oracle runs; NetworkSweep derives it from its
-  /// exact_oracle flag, the failure evaluator passes its options through).
+  /// exact_oracle flag, failure::IntactSchemes requires 0).
   core::CoyoteOptions coyote;
   const tm::DemandBounds* box = nullptr;            ///< margin-dependent only
   routing::PerformanceEvaluator* pool = nullptr;    ///< margin-dependent only
@@ -62,6 +63,10 @@ struct SchemeContext {
   /// `reoptimize` reports how much of the budget the previous ratios
   /// saved. Other schemes leave it untouched.
   int* splitting_iters_saved = nullptr;
+  /// When non-null, core::coyoteOblivious's cache of the normalized
+  /// oblivious pool, shared by every scheme that optimizes against it.
+  /// Valid for one graph, DAG set and `coyote` minus warm_init.
+  std::vector<tm::TrafficMatrix>* oblivious_pool = nullptr;
 };
 
 /// How a scheme reacts to a link failure in deployment.

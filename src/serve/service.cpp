@@ -6,8 +6,6 @@
 
 #include "core/dag_builder.hpp"
 #include "failure/scenario.hpp"
-#include "routing/evaluator.hpp"
-#include "util/require.hpp"
 
 namespace coyote::serve {
 
@@ -48,71 +46,14 @@ const json::Value& member(const json::Value& request, const char* key) {
 
 TeService::TeService(Graph g, tm::TrafficMatrix base_tm, ServeOptions opt)
     : g_(std::move(g)),
-      dags_(core::augmentedDagsShared(g_)),
-      base_(std::move(base_tm)),
-      opt_(std::move(opt)),
-      margin_(opt_.margin),
-      schemes_(opt_.schemes.empty()
-                   ? te::SchemeRegistry::builtin().defaults()
-                   : opt_.schemes) {
-  require(margin_ >= 1.0, "margin must be >= 1");
-  require(!schemes_.empty(), "empty scheme list");
-  require(base_.numNodes() == g_.numNodes(),
-          "base matrix / graph node count mismatch");
-  rebuildPool();
-  computeSchemes(/*warm=*/false);
-  engine_ = std::make_unique<routing::OptuEngine>(g_, opt_.coyote.lp);
-  if (opt_.threads != 0) {
-    own_pool_ = std::make_unique<util::ThreadPool>(opt_.threads);
-  }
+      intact_(g_, core::augmentedDagsShared(g_), std::move(base_tm),
+              std::move(opt)) {
+  intact_.compute(/*warm=*/false);
+  engine_ = std::make_unique<routing::OptuEngine>(g_,
+                                                  intact_.options().coyote.lp);
 }
 
 TeService::~TeService() = default;
-
-void TeService::rebuildPool() {
-  box_.emplace(tm::marginBounds(base_, margin_));
-  pool_ = tm::cornerPool(*box_, opt_.pool);
-  floor_.clear();  // bounds on the old pool's matrices
-}
-
-void TeService::computeSchemes(bool warm) {
-  // The failure evaluator's startup, kept warm-restartable: margin-
-  // dependent schemes are optimized against the current box over the
-  // same corner pool events are evaluated with; kReconverge schemes
-  // keep no intact config (their post-event routing is recomputed from
-  // the degraded graph alone). On the warm ("reoptimize") path each
-  // optimizer-backed scheme is seeded from its previous configuration --
-  // the base matrix and margin usually moved only a little, so the
-  // search restarts next to the optimum and the patience early stop
-  // banks most of the iteration budget (totalled in reopt_saved_iters_).
-  const std::vector<std::optional<routing::RoutingConfig>> prev =
-      std::move(intact_);
-  intact_.clear();
-  intact_.reserve(schemes_.size());
-  int saved = 0;
-  for (std::size_t i = 0; i < schemes_.size(); ++i) {
-    const te::Scheme* s = schemes_[i];
-    core::CoyoteOptions copt = opt_.coyote;
-    if (warm && i < prev.size() && prev[i].has_value()) {
-      copt.warm_init = &*prev[i];
-    }
-    if (s->reaction() == te::FailureReaction::kReconverge) {
-      intact_.emplace_back(std::nullopt);
-    } else if (s->marginDependent()) {
-      routing::PerformanceEvaluator eval(g_, dags_, opt_.coyote.lp);
-      if (opt_.threads != 0) eval.setThreads(opt_.threads);
-      eval.addPool(pool_);
-      te::SchemeContext ctx{g_, dags_, base_, copt, &*box_, &eval};
-      if (warm) ctx.splitting_iters_saved = &saved;
-      intact_.emplace_back(s->compute(ctx));
-    } else {
-      te::SchemeContext ctx{g_, dags_, base_, copt, nullptr, nullptr};
-      if (warm) ctx.splitting_iters_saved = &saved;
-      intact_.emplace_back(s->compute(ctx));
-    }
-  }
-  reopt_saved_iters_ += saved;
-}
 
 std::vector<std::string> TeService::failedLinks() const {
   std::vector<std::string> out;
@@ -133,9 +74,8 @@ failure::FailureOutcome TeService::evaluateLinks(
   const bool floor_holds = std::includes(links.begin(), links.end(),
                                          floor_failed_.begin(),
                                          floor_failed_.end());
-  return failure::evaluateFailure(
-      {g_, *dags_, base_, schemes_, intact_, pool_}, f,
-      floor_holds ? floor_ : kNoFloor, engine);
+  return failure::evaluateFailure(intact_, f, floor_holds ? floor_ : kNoFloor,
+                                  engine);
 }
 
 failure::FailureOutcome TeService::evaluateResident() {
@@ -160,11 +100,12 @@ void TeService::addEvalPayload(json::Value& response,
   if (!ev.evaluated) return;
   json::Value ratios = json::Value::object();
   json::Value unroutable = json::Value::array();
-  for (std::size_t i = 0; i < schemes_.size(); ++i) {
+  const std::vector<const te::Scheme*>& schemes = intact_.options().schemes;
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
     if (ev.routable[i]) {
-      ratios[schemes_[i]->key()] = ev.ratio[i];
+      ratios[schemes[i]->key()] = ev.ratio[i];
     } else {
-      unroutable.push_back(schemes_[i]->key());
+      unroutable.push_back(schemes[i]->key());
     }
   }
   response["ratios"] = std::move(ratios);
@@ -228,11 +169,13 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     resp["ok"] = true;
     resp["nodes"] = g_.numNodes();
     resp["links"] = static_cast<int>(failure::physicalLinks(g_).size());
-    resp["margin"] = margin_;
-    resp["pool_size"] = poolSize();
+    resp["margin"] = intact_.options().margin;
+    resp["pool_size"] = static_cast<int>(intact_.pool().size());
     resp["events"] = static_cast<long>(seq_);
     json::Value keys = json::Value::array();
-    for (const te::Scheme* s : schemes_) keys.push_back(s->key());
+    for (const te::Scheme* s : intact_.options().schemes) {
+      keys.push_back(s->key());
+    }
     resp["schemes"] = std::move(keys);
     json::Value failed = json::Value::array();
     for (const std::string& label : failedLinks()) failed.push_back(label);
@@ -282,11 +225,13 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
         entries.push_back({{*s, *t}, v});
       }
     }
-    if (scale != nullptr) base_.scale(scale->asNumber());
+    tm::TrafficMatrix base = intact_.base();
+    if (scale != nullptr) base.scale(scale->asNumber());
     for (const auto& [pair, v] : entries) {
-      base_.set(pair.first, pair.second, v);
+      base.set(pair.first, pair.second, v);
     }
-    rebuildPool();
+    intact_.moveBox(std::move(base), intact_.options().margin);
+    floor_.clear();  // bounds on the old pool's matrices
     resp["ok"] = true;
     addEvalPayload(resp, evaluateResident(), failed_);
     return resp;
@@ -322,10 +267,10 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     if (!value.isNumber() || !(value.asNumber() >= 1.0)) {
       throw std::invalid_argument("'value' must be a number >= 1");
     }
-    margin_ = value.asNumber();
-    rebuildPool();
+    intact_.moveBox(intact_.base(), value.asNumber());
+    floor_.clear();
     resp["ok"] = true;
-    resp["margin"] = margin_;
+    resp["margin"] = value.asNumber();
     addEvalPayload(resp, evaluateResident(), failed_);
     return resp;
   }
@@ -335,7 +280,7 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
   }
 
   if (op == "reoptimize") {
-    computeSchemes(/*warm=*/true);
+    reopt_saved_iters_ += intact_.compute(/*warm=*/true);
     resp["ok"] = true;
     addEvalPayload(resp, evaluateResident(), failed_);
     return resp;
@@ -366,7 +311,6 @@ std::string TeService::handleLine(const std::string& line) {
 std::vector<std::string> TeService::handleScript(
     const std::vector<std::string>& lines) {
   std::vector<std::string> out(lines.size());
-  util::ThreadPool& tp = own_pool_ ? *own_pool_ : util::ThreadPool::global();
 
   const auto parseWhatIf = [](const std::string& line,
                               json::Value* request) -> bool {
@@ -402,8 +346,8 @@ std::vector<std::string> TeService::handleScript(
     for (std::size_t k = 0; k < run.size(); ++k) seqs[k] = ++seq_;
     const std::size_t chunks =
         (run.size() + kWhatIfChunk - 1) / kWhatIfChunk;
-    tp.parallelFor(chunks, [&](std::size_t c) {
-      routing::OptuEngine engine(g_, opt_.coyote.lp);
+    intact_.threadPool().parallelFor(chunks, [&](std::size_t c) {
+      routing::OptuEngine engine(g_, intact_.options().coyote.lp);
       const std::size_t begin = c * kWhatIfChunk;
       const std::size_t end =
           std::min(run.size(), begin + kWhatIfChunk);

@@ -1,8 +1,8 @@
 // Online TE daemon core: a long-running service over warm LP sessions.
 //
 // Everything else in this repo is one-shot (build network -> optimize ->
-// evaluate -> exit); TeService is the deployment shape -- ROADMAP item 1.
-// One service instance keeps a topology, a scheme set and the retained
+// evaluate -> exit); TeService is the deployment shape. One service
+// instance keeps a topology, its failure::IntactSchemes and the retained
 // warm LP sessions resident and answers a stream of events, each as a
 // warm re-solve, never a rebuild:
 //
@@ -21,7 +21,7 @@
 //    on top of the current state without mutating it;
 //  * reoptimize             -- the one explicitly heavy event: every
 //    scheme's intact configuration is recomputed from the current base
-//    matrix and margin.
+//    matrix and margin, warm (IntactSchemes::compute).
 //
 // The split between evaluation and optimization is deliberate and
 // mirrors deployment: demand/link/margin events re-*evaluate* the
@@ -70,46 +70,21 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/coyote.hpp"
 #include "failure/evaluate.hpp"
 #include "graph/graph.hpp"
-#include "routing/config.hpp"
 #include "routing/optu.hpp"
-#include "scheme/registry.hpp"
 #include "tm/traffic_matrix.hpp"
-#include "tm/uncertainty.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace coyote::serve {
 
-struct ServeOptions {
-  /// Uncertainty margin of the initial evaluation box (movable at
-  /// runtime via the "margin" op).
-  double margin = 2.0;
-  /// Corner-pool shape (small, like the failure sweeps: every matrix
-  /// costs one OPTU re-solve per event).
-  tm::PoolOptions pool;
-  /// Optimizer options for computing the schemes' intact configs.
-  core::CoyoteOptions coyote;
-  /// 0 = the process-wide util::ThreadPool; otherwise a private pool of
-  /// exactly that many threads. Responses are identical either way.
-  unsigned threads = 0;
-  /// Schemes kept resident, in response order; empty selects
-  /// te::SchemeRegistry::builtin().defaults() (the paper's four).
-  std::vector<const te::Scheme*> schemes;
-
+/// The failure sweeps' options; `margin` is only the initial one (see the
+/// "margin" op) and `schemes` are kept resident in response order.
+struct ServeOptions : failure::FailureEvalOptions {
   ServeOptions() {
-    pool.source_hotspots = false;
-    pool.max_hotspots = 8;
-    pool.random_corners = 4;
-    pool.pair_hotspots = 4;
-    pool.seed = 1;
-    coyote.splitting.iterations = 300;
     // Early stop for the resident optimizer: a "reoptimize" seeded from
     // the previous ratios converges in a fraction of the budget, and the
     // skipped iterations are reported in the serve summary
@@ -148,11 +123,10 @@ class TeService {
   static constexpr int kWhatIfChunk = 4;
 
   [[nodiscard]] long long eventsHandled() const { return seq_; }
-  [[nodiscard]] int poolSize() const { return static_cast<int>(pool_.size()); }
-  [[nodiscard]] const std::vector<const te::Scheme*>& schemes() const {
-    return schemes_;
+  /// The resident schemes, base matrix, margin and corner pool.
+  [[nodiscard]] const failure::IntactSchemes& intact() const {
+    return intact_;
   }
-  [[nodiscard]] double margin() const { return margin_; }
   /// Currently failed physical links as "A-B" labels, in canonical order.
   [[nodiscard]] std::vector<std::string> failedLinks() const;
   /// Splitting-optimizer iterations saved across every "reoptimize"
@@ -172,13 +146,6 @@ class TeService {
   /// evaluateLinks(failed_) on the resident engine; records its bounds as
   /// the floor of later evaluations.
   [[nodiscard]] failure::FailureOutcome evaluateResident();
-  /// (Re)computes every scheme's intact configuration from the current
-  /// base matrix / margin (kReconverge schemes keep none). With `warm`
-  /// (the "reoptimize" path) each optimizer-backed scheme is seeded from
-  /// its previous configuration and the patience savings accumulate into
-  /// reopt_saved_iters_; the constructor's initial computation is cold.
-  void computeSchemes(bool warm);
-  void rebuildPool();
 
   [[nodiscard]] util::json::Value dispatch(const util::json::Value& request,
                                            long long seq);
@@ -193,15 +160,7 @@ class TeService {
                       const std::vector<EdgeId>& links) const;
 
   Graph g_;
-  std::shared_ptr<const DagSet> dags_;
-  tm::TrafficMatrix base_;
-  ServeOptions opt_;
-  double margin_;
-  std::vector<const te::Scheme*> schemes_;
-  /// Parallel to schemes_; disengaged for kReconverge schemes.
-  std::vector<std::optional<routing::RoutingConfig>> intact_;
-  std::optional<tm::DemandBounds> box_;
-  std::vector<tm::TrafficMatrix> pool_;  ///< corner pool of the current box
+  failure::IntactSchemes intact_;
   std::vector<EdgeId> failed_;  ///< failed links (canonical ids, ascending)
   /// The resident ruler: unrestricted OPTU whose simplex sessions, and
   /// one basis per pool position, stay warm across the whole event stream.
@@ -210,7 +169,6 @@ class TeService {
   /// with floor_failed_ failed; empty once the pool changes.
   std::vector<double> floor_;
   std::vector<EdgeId> floor_failed_;
-  std::unique_ptr<util::ThreadPool> own_pool_;
   long long seq_ = 0;
   long long reopt_saved_iters_ = 0;  ///< see reoptimizeSavedIters()
 };

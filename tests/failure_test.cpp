@@ -585,7 +585,7 @@ TEST(FailureEvaluator, PrunedRulerMatchesSolvesOfEverySlot) {
   opt.coyote.splitting.iterations = 120;
   const FailureEvaluator eval(ref.g, dags, ref.base, opt);
   const FailureSweepResult res = eval.evaluate(ref.fails);
-  ASSERT_EQ(static_cast<int>(ref.pool.size()), eval.poolSize());
+  ASSERT_EQ(ref.pool.size(), eval.intact().pool().size());
 
   int compared = 0;
   for (std::size_t i = 0; i < ref.fails.size(); ++i) {
@@ -595,13 +595,16 @@ TEST(FailureEvaluator, PrunedRulerMatchesSolvesOfEverySlot) {
     const Graph degraded = degradedGraph(ref.g, ref.fails[i]);
     const auto repaired =
         repairDags(ref.g, *dags, failedEdgeMask(ref.g, ref.fails[i]));
-    for (std::size_t s = 0; s < eval.schemes().size(); ++s) {
+    const std::vector<const te::Scheme*>& schemes =
+        eval.intact().options().schemes;
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
       if (!o.routable[s]) continue;
-      const te::Scheme& scheme = *eval.schemes()[s];
+      const te::Scheme& scheme = *schemes[s];
       const routing::RoutingConfig cfg =
           scheme.reaction() == te::FailureReaction::kReconverge
               ? scheme.reconverge(degraded)
-              : repairRouting(ref.g, eval.intactRouting(scheme.key()),
+              : repairRouting(ref.g,
+                              eval.intact().intactRouting(scheme.key()),
                               repaired);
       double want = 0.0;
       for (std::size_t j = 0; j < ref.pool.size(); ++j) {
@@ -619,6 +622,143 @@ TEST(FailureEvaluator, PrunedRulerMatchesSolvesOfEverySlot) {
   // and the solved slots' dual bounds skip 511 of 612 here.
   EXPECT_GE(5 * res.slots_skipped, 4 * (res.slots_solved + res.slots_skipped))
       << res.slots_solved << " solved, " << res.slots_skipped << " skipped";
+}
+
+// ---------------------------------------------------------------------------
+// The intact-scheme builder shared by FailureEvaluator and serve.
+// ---------------------------------------------------------------------------
+
+/// Mismatched entries of two configurations over g (compared with ==, no
+/// tolerance).
+int mismatches(const Graph& g, const routing::RoutingConfig& a,
+               const routing::RoutingConfig& b) {
+  int bad = 0;
+  for (NodeId t = 0; t < g.numNodes(); ++t) {
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+      bad += a.ratio(t, e) != b.ratio(t, e);
+    }
+  }
+  return bad;
+}
+
+TEST(IntactSchemes, ConfigsEqualFreshPerSchemeComputes) {
+  const Graph g = topo::makeZoo("Abilene");
+  const auto dags = core::augmentedDagsShared(g);
+  const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+  FailureEvalOptions opt;
+  opt.coyote.splitting.iterations = 60;
+  opt.coyote.splitting.patience = 10;
+  opt.schemes = te::SchemeRegistry::builtin().all();
+  ASSERT_EQ(opt.schemes.size(), 6u);
+
+  // Every scheme computed on its own: a fresh evaluator per
+  // margin-dependent scheme and no shared oblivious-pool cache.
+  int manual_saved = 0;
+  const auto manual =
+      [&](const tm::TrafficMatrix& b, double margin,
+          const std::vector<std::optional<routing::RoutingConfig>>* prev) {
+        const tm::DemandBounds box = tm::marginBounds(b, margin);
+        std::vector<std::optional<routing::RoutingConfig>> out;
+        for (std::size_t i = 0; i < opt.schemes.size(); ++i) {
+          const te::Scheme* s = opt.schemes[i];
+          if (s->reaction() == te::FailureReaction::kReconverge) {
+            out.emplace_back();
+            continue;
+          }
+          core::CoyoteOptions copt = opt.coyote;
+          if (prev != nullptr) copt.warm_init = &*(*prev)[i];
+          routing::PerformanceEvaluator eval(g, dags, copt.lp);
+          te::SchemeContext ctx{g, dags, b, copt};
+          ctx.splitting_iters_saved = &manual_saved;
+          if (s->marginDependent()) {
+            eval.addPool(tm::cornerPool(box, opt.pool));
+            ctx.box = &box;
+            ctx.pool = &eval;
+          }
+          out.emplace_back(s->compute(ctx));
+        }
+        return out;
+      };
+  const auto expectEqual =
+      [&](const std::vector<std::optional<routing::RoutingConfig>>& want,
+          const IntactSchemes& intact) {
+        ASSERT_EQ(intact.configs().size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const char* key = opt.schemes[i]->key();
+          ASSERT_EQ(intact.configs()[i].has_value(), want[i].has_value())
+              << key;
+          if (want[i].has_value()) {
+            EXPECT_EQ(mismatches(g, *intact.configs()[i], *want[i]), 0) << key;
+          }
+        }
+      };
+
+  IntactSchemes intact(g, dags, base, opt);
+  const int cold_saved = intact.compute(/*warm=*/false);
+  const auto cold = manual(base, 2.0, nullptr);
+  expectEqual(cold, intact);
+  EXPECT_EQ(cold_saved, manual_saved);
+
+  // Move the box (a demand and a margin event at once), then recompute
+  // warm: each optimizer run starts from the previous configuration.
+  tm::TrafficMatrix moved = base;
+  moved.scale(1.1);
+  intact.moveBox(moved, 2.5);
+  EXPECT_EQ(intact.options().margin, 2.5);
+  manual_saved = 0;
+  const int warm_saved = intact.compute(/*warm=*/true);
+  expectEqual(manual(moved, 2.5, &cold), intact);
+  EXPECT_EQ(warm_saved, manual_saved);
+  EXPECT_GT(warm_saved, 0);
+}
+
+TEST(IntactSchemes, ObliviousPoolIsNormalizedOnce) {
+  const Graph g = topo::makeZoo("Abilene");
+  const auto dags = core::augmentedDagsShared(g);
+  const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+  FailureEvalOptions opt;
+  opt.coyote.splitting.iterations = 30;
+  opt.schemes =
+      te::SchemeRegistry::builtin().parseList("oblivious,semi-oblivious");
+
+  const auto delta = [](const auto& run) {
+    const lp::StatsSnapshot before = lp::statsSnapshot();
+    run();
+    const lp::StatsSnapshot d = lp::statsSnapshot() - before;
+    return std::make_pair(d.solves, d.iterations);
+  };
+  // The two normalizations a compute() may need: the oblivious pool's
+  // (both schemes optimize against it) and the base matrix's alone
+  // (semi-oblivious re-tunes its splits for it).
+  const auto pool_lp = delta([&] {
+    routing::PerformanceEvaluator eval(g, dags, opt.coyote.lp);
+    eval.addPool(tm::obliviousPool(g.numNodes(), opt.coyote.oblivious_pool));
+  });
+  const auto base_lp = delta([&] {
+    routing::PerformanceEvaluator eval(g, dags, opt.coyote.lp);
+    EXPECT_EQ(eval.addMatrix(base), 0);
+  });
+  ASSERT_GT(pool_lp.first, 0);
+  ASSERT_GT(base_lp.first, 0);
+
+  IntactSchemes intact(g, dags, base, opt);
+  // The first compute normalizes the oblivious pool once, not once per
+  // scheme...
+  const auto first = delta([&] { intact.compute(/*warm=*/false); });
+  EXPECT_EQ(first.first, pool_lp.first + base_lp.first);
+  EXPECT_EQ(first.second, pool_lp.second + base_lp.second);
+  // ...and a recompute reuses it: only the base matrix is normalized.
+  const auto second = delta([&] { intact.compute(/*warm=*/true); });
+  EXPECT_EQ(second, base_lp);
+}
+
+TEST(IntactSchemes, RejectsOracleRounds) {
+  const Graph g = topo::runningExample();
+  FailureEvalOptions opt;
+  opt.coyote.oracle_rounds = 1;
+  EXPECT_THROW(IntactSchemes(g, core::augmentedDagsShared(g),
+                             tm::uniformMatrix(g, 1.0), opt),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -387,11 +387,12 @@ TEST(Schemes, FailureEvaluatorSweepsCustomListsWithKeyedStats) {
     EXPECT_TRUE(o.routable[1]) << o.label;
     EXPECT_EQ(o.ratio[0], o.ratio[1]) << o.label;
   }
-  EXPECT_NO_THROW((void)eval.intactRouting("semi-oblivious"));
-  EXPECT_THROW((void)eval.intactRouting("partial"), std::invalid_argument);
+  const failure::IntactSchemes& intact = eval.intact();
+  EXPECT_NO_THROW((void)intact.intactRouting("semi-oblivious"));
+  EXPECT_THROW((void)intact.intactRouting("partial"), std::invalid_argument);
   // Reconverge schemes keep no intact config (their post-failure routing
   // is recomputed from the degraded graph alone).
-  EXPECT_THROW((void)eval.intactRouting("ecmp"), std::invalid_argument);
+  EXPECT_THROW((void)intact.intactRouting("ecmp"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

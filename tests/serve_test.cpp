@@ -141,7 +141,7 @@ TEST(TeService, ProtocolRoundTrip) {
   // margin move: box and pool change, configurations stay.
   resp = service.handle(parsed(R"({"op":"margin","value":1.5})"));
   ASSERT_TRUE(resp["ok"].asBool());
-  EXPECT_EQ(service.margin(), 1.5);
+  EXPECT_EQ(service.intact().options().margin, 1.5);
 
   // demand update: absolute entries, re-evaluated warm.
   json::Value dem = json::Value::object();
