@@ -62,11 +62,15 @@ void BM_RatioForThreadScaling(benchmark::State& state) {
   }();
   static const auto cfg = routing::RoutingConfig::uniform(g, dags);
   static const double serial_ratio = [] {
-    eval->setThreads(1);
-    return eval->ratioFor(cfg);
+    util::ThreadPool one(1);
+    eval->setThreadPool(one);
+    const double r = eval->ratioFor(cfg);
+    eval->setThreadPool(util::ThreadPool::global());
+    return r;
   }();
 
-  eval->setThreads(static_cast<unsigned>(state.range(0)));
+  util::ThreadPool tp(static_cast<unsigned>(state.range(0)));
+  eval->setThreadPool(tp);
   for (auto _ : state) {
     const double r = eval->ratioFor(cfg);
     if (r != serial_ratio) {
@@ -75,6 +79,7 @@ void BM_RatioForThreadScaling(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(r);
   }
+  eval->setThreadPool(util::ThreadPool::global());  // tp dies here
   state.SetItemsProcessed(state.iterations() * eval->size());
   state.SetLabel("pool=" + std::to_string(eval->size()) + " matrices");
 }
@@ -94,9 +99,10 @@ void BM_AddPoolThreadScaling(benchmark::State& state) {
   popt.seed = 5;
   const auto pool =
       tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0), popt);
+  util::ThreadPool tp(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     routing::PerformanceEvaluator eval(g, dags);
-    eval.setThreads(static_cast<unsigned>(state.range(0)));
+    eval.setThreadPool(tp);
     eval.addPool(pool);
     benchmark::DoNotOptimize(eval.size());
   }

@@ -58,10 +58,11 @@ void BM_OptuSingleSinkPool(benchmark::State& state) {
   opt.random_sparse = 0;
   const std::vector<tm::TrafficMatrix> pool =
       tm::obliviousPool(g.numNodes(), opt);
+  util::ThreadPool one(1);
   for (auto _ : state) {
     const lp::StatsSnapshot before = lp::statsSnapshot();
     routing::PerformanceEvaluator eval(g, dags);
-    eval.setThreads(1);
+    eval.setThreadPool(one);
     eval.addPool(pool);
     if ((lp::statsSnapshot() - before).solves != 0) {
       state.SkipWithError("a single-destination normalization ran an LP");

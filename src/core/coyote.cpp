@@ -35,6 +35,9 @@ CoyoteResult optimizeAgainstPool(const Graph& g,
   if (pool.size() > 1) saved += opt.splitting.iterations - used;
 
   CoyoteResult out{cfg, 0.0, 0};
+  // The result is never worse than ECMP (Sec. V-B), by exact ratio with
+  // oracle rounds and by pool ratio without.
+  const routing::RoutingConfig ecmp = routing::ecmpConfig(g, dags);
 
   // Cutting-plane rounds with the exact slave-LP separation oracle: add the
   // worst-case matrix the oracle finds, re-optimize, and keep the best
@@ -45,6 +48,8 @@ CoyoteResult optimizeAgainstPool(const Graph& g,
   // evaluator's OPTU engine -- the rounds append state instead of
   // rebuilding it.
   if (opt.oracle_rounds > 0) {
+    // Rounds stop once the exact ratio is within 2% of the pool ratio.
+    constexpr double kOracleTolerance = 0.02;
     routing::WorstCaseOracle oracle(g, dags, box, opt.lp);
     double best_exact = std::numeric_limits<double>::infinity();
     for (int round = 0; round < opt.oracle_rounds; ++round) {
@@ -54,7 +59,7 @@ CoyoteResult optimizeAgainstPool(const Graph& g,
         out.routing = cfg;
       }
       const double pool_ratio = pool.ratioFor(cfg);
-      if (wc.ratio <= pool_ratio * (1.0 + opt.oracle_tolerance)) break;
+      if (wc.ratio <= pool_ratio * (1.0 + kOracleTolerance)) break;
       if (pool.addMatrix(wc.demand) < 0) break;  // duplicate/degenerate
       ++out.oracle_rounds_used;
       cfg = optimizeSplitting(g, pool, cfg, opt.splitting, &used);
@@ -66,16 +71,9 @@ CoyoteResult optimizeAgainstPool(const Graph& g,
       best_exact = final_exact;
       out.routing = cfg;
     }
-    if (opt.ensure_not_worse_than_ecmp) {
-      const routing::RoutingConfig ecmp = routing::ecmpConfig(g, dags);
-      const double ecmp_exact = oracle.find(ecmp).ratio;
-      if (ecmp_exact < best_exact) out.routing = ecmp;
-    }
-  } else if (opt.ensure_not_worse_than_ecmp) {
-    const routing::RoutingConfig ecmp = routing::ecmpConfig(g, dags);
-    if (pool.ratioFor(ecmp) < pool.ratioFor(out.routing)) {
-      out.routing = ecmp;
-    }
+    if (oracle.find(ecmp).ratio < best_exact) out.routing = ecmp;
+  } else if (pool.ratioFor(ecmp) < pool.ratioFor(out.routing)) {
+    out.routing = ecmp;
   }
   out.pool_ratio = pool.ratioFor(out.routing);
   out.splitting_iters_saved = saved;

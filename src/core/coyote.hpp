@@ -32,12 +32,9 @@ struct CoyoteOptions {
   /// Extra cutting-plane rounds driven by the exact slave-LP oracle
   /// (0 = pool-only; exact separation is practical on small networks).
   int oracle_rounds = 0;
-  double oracle_tolerance = 0.02;
   tm::PoolOptions corner_pool;
   tm::ObliviousPoolOptions oblivious_pool;
   lp::SimplexOptions lp;
-  /// Keep the better of {optimized config, ECMP} on the pool.
-  bool ensure_not_worse_than_ecmp = true;
   /// Optional warm seed for the splitting optimizer: when non-null and
   /// living over the same DAG set as the optimization pool, the search
   /// starts from this configuration instead of uniform splitting (the

@@ -122,7 +122,8 @@ LocalSearchResult localSearchWeights(const Graph& g,
     if (critical.empty()) break;
 
     out.utilization = evalWeights(g, out.weights, critical);
-    if (out.utilization <= opt.target_bound) break;  // Alg. 1 line 9
+    constexpr double kTargetBound = 1.05;  // Alg. 1's B
+    if (out.utilization <= kTargetBound) break;  // Alg. 1 line 9
 
     // FORTZTHORUP (Alg. 1 line 10): first-improvement single-weight moves.
     int moves = 0;

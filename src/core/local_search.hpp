@@ -25,7 +25,6 @@ enum class WorstCaseOracle {
 struct LocalSearchOptions {
   int max_rounds = 4;           ///< outer iterations of Algorithm 1
   int max_moves_per_round = 24; ///< accepted single-weight moves per round
-  double target_bound = 1.05;   ///< stop when normalized utilization <= B
   int max_weight = 64;          ///< OSPF weights stay integral in [1, max]
   WorstCaseOracle oracle = WorstCaseOracle::kCornerPool;
   tm::PoolOptions pool;         ///< corners used by the pool oracle

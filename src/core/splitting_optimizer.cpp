@@ -202,8 +202,8 @@ routing::RoutingConfig optimizeSplitting(
     // ---- Softmax constraint weights (annealed temperature).
     const double anneal = static_cast<double>(iter) / std::max(1, opt.iterations - 1);
     const double tau =
-        umax * (opt.temperature_start +
-                (opt.temperature_end - opt.temperature_start) * anneal);
+        umax * (kTemperatureStart +
+                (kTemperatureEnd - kTemperatureStart) * anneal);
     const double temp = std::max(tau, 1e-9);
     double wsum = 0.0;
     for (std::size_t i = 0; i < P; ++i) {
@@ -256,7 +256,7 @@ routing::RoutingConfig optimizeSplitting(
     // ---- Multiplicative update per (destination, node) simplex.
     // Step size decays over the run so late iterations settle onto the
     // (annealed, nearly hard-max) optimum instead of oscillating.
-    const double lr = opt.learning_rate * (1.0 - 0.9 * anneal);
+    const double lr = kLearningRate * (1.0 - 0.9 * anneal);
     const bool condense = opt.method == SplitMethod::kGpCondensation;
     for (NodeId t = 0; t < n; ++t) {
       double* phi_t = &phi.at(t, 0);

@@ -53,14 +53,16 @@ namespace coyote::core {
 
 enum class SplitMethod { kGpCondensation, kMirrorDescent };
 
+/// Step size of the multiplicative update (decayed over the run).
+inline constexpr double kLearningRate = 0.35;
+/// Softmax temperature as a fraction of the current max utilization;
+/// annealed linearly to kTemperatureEnd over the run.
+inline constexpr double kTemperatureStart = 0.15;
+inline constexpr double kTemperatureEnd = 0.003;
+
 struct SplittingOptions {
   SplitMethod method = SplitMethod::kGpCondensation;
   int iterations = 600;
-  double learning_rate = 0.35;
-  /// Softmax temperature as a fraction of the current max utilization;
-  /// annealed linearly to temperature_end over the run.
-  double temperature_start = 0.15;
-  double temperature_end = 0.003;
   /// Ratios below this are clamped (and renormalized) at the end; keeps the
   /// configurations implementable with few virtual links.
   double prune_below = 1e-4;

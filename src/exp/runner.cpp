@@ -784,6 +784,9 @@ void runFailure(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   block["disconnecting"] = res.disconnecting;
   block["disconnected_pairs"] = res.disconnected_pairs;
   block["pool_size"] = static_cast<int>(eval.intact().pool().size());
+  // The ruler's bound-and-prune work: slot LPs solved and pruned.
+  block["lp_ruler_solved"] = res.slots_solved;
+  block["lp_ruler_skipped"] = res.slots_skipped;
   json::Value per_scheme = json::Value::object();
   std::string summary;
   for (const auto& [key, st] : res.schemes) {

@@ -15,7 +15,10 @@ NetworkSweep::NetworkSweep(const Graph& g, std::shared_ptr<const DagSet> dags,
       schemes_(schemes.empty() ? te::SchemeRegistry::builtin().defaults()
                                : std::move(schemes)),
       optu_engine_(std::make_shared<routing::OptuEngine>(g, dags_,
-                                                         opt_.coyote.lp)) {
+                                                         opt_.coyote.lp)),
+      thread_pool_(opt_.threads == 0
+                       ? nullptr
+                       : std::make_unique<util::ThreadPool>(opt_.threads)) {
   require(!schemes_.empty(), "empty scheme list");
   // Margin-independent schemes are computed once, in list order (each
   // scheme's LP/optimizer work is a self-contained stage, so the sequence
@@ -57,7 +60,7 @@ SchemeRow NetworkSweep::run(double margin) const {
   routing::PerformanceEvaluator pool(g_, dags_, opt_.coyote.lp,
                                      routing::Normalization::kWithinDags,
                                      optu_engine_);
-  if (opt_.threads != 0) pool.setThreads(opt_.threads);
+  if (thread_pool_) pool.setThreadPool(*thread_pool_);
   pool.addPool(tm::cornerPool(box, opt_.pool));
 
   core::CoyoteOptions copt = opt_.coyote;

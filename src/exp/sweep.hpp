@@ -27,6 +27,7 @@
 #include "routing/worst_case.hpp"
 #include "scheme/registry.hpp"
 #include "tm/uncertainty.hpp"
+#include "util/thread_pool.hpp"
 
 namespace coyote::exp {
 
@@ -58,7 +59,7 @@ struct SweepOptions {
   /// under uncertainty; affordable up to ~15-node networks.
   bool exact_eval = false;
   /// 0 = the process-wide util::ThreadPool; otherwise the per-margin pool
-  /// evaluator runs on a private pool of exactly that many threads.
+  /// evaluators run on one private pool of exactly that many threads.
   /// Results are bit-identical either way (tests sweep this knob).
   unsigned threads = 0;
 
@@ -110,6 +111,9 @@ class NetworkSweep {
   SweepOptions opt_;
   std::vector<const te::Scheme*> schemes_;
   std::shared_ptr<routing::OptuEngine> optu_engine_;
+  /// Private pool of opt_.threads threads, lent to every margin's
+  /// evaluator; null for the process-wide pool.
+  std::unique_ptr<util::ThreadPool> thread_pool_;
   /// Parallel to schemes_; disengaged for margin-dependent schemes.
   std::vector<std::optional<routing::RoutingConfig>> intact_;
 };

@@ -1,23 +1,16 @@
 #include "failure/evaluate.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "routing/evaluator.hpp"
 #include "routing/optu.hpp"
 #include "routing/propagation.hpp"
 #include "util/percentile.hpp"
+#include "util/prune.hpp"
 #include "util/require.hpp"
 
 namespace coyote::failure {
-
-namespace {
-
-/// Relative slack taken off every OPTU lower bound before pruning with it.
-constexpr double kBoundSlack = 1e-9;
-
-}  // namespace
 
 IntactSchemes::IntactSchemes(const Graph& g,
                              std::shared_ptr<const DagSet> dags,
@@ -61,7 +54,7 @@ int IntactSchemes::compute(bool warm) {
     std::optional<routing::PerformanceEvaluator> eval;
     if (s->marginDependent()) {
       eval.emplace(g_, dags_, opt_.coyote.lp);
-      if (opt_.threads != 0) eval->setThreads(opt_.threads);
+      eval->setThreadPool(threadPool());
       eval->addPool(pool_);
       ctx.box = &box_;
       ctx.pool = &*eval;
@@ -173,72 +166,65 @@ FailureOutcome evaluateFailure(const IntactSchemes& intact,
     out.routable[s] = routesAllDemands(cfgs[s], intact.base());
   }
 
-  // MxLU of every (slot, routable scheme), each slot's OPTU_f lower bound,
-  // and the resulting upper bound on the slot's worst ratio.
+  // MxLU of every (slot, routable scheme) and each slot's initial upper
+  // bound on its worst ratio, from its OPTU_f lower bound out.bound[j]
+  // shrunk by the prune slack.
   std::vector<double> mxlu(m * n, 0.0);
-  std::vector<double> lower(m, 0.0);
   std::vector<double> upper(m, 0.0);
   out.bound.assign(m, 0.0);
   for (std::size_t j = 0; j < m; ++j) {
     out.bound[j] = nodeCutBound(degraded, intact.pool()[j]);
     if (!floor.empty()) out.bound[j] = std::max(out.bound[j], floor[j]);
-    lower[j] = out.bound[j] * (1.0 - kBoundSlack);
+    const double lower = out.bound[j] * (1.0 - util::kPruneSlack);
     for (int s = 0; s < n; ++s) {
       if (!out.routable[s]) continue;
       mxlu[j * n + s] =
           routing::maxLinkUtilization(degraded, cfgs[s], intact.pool()[j]);
-      if (lower[j] > 0.0) {
-        upper[j] = std::max(upper[j], mxlu[j * n + s] / lower[j]);
-      }
+      if (lower > 0.0) upper[j] = std::max(upper[j], mxlu[j * n + s] / lower);
     }
   }
-  std::vector<std::size_t> order(m);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return upper[a] > upper[b];
-                   });
 
   // The common post-failure ruler: unrestricted OPTU on the surviving
   // network (the failure enters the engine as a bounds mutation; see
-  // OptuEngine::setFailedEdges), solved only where a slot can still raise
-  // some scheme's worst ratio.
+  // OptuEngine::setFailedEdges), solved in the initial `upper` order only
+  // where a slot can still raise some scheme's worst ratio.
   engine.setFailedEdges(directedEdges(g, f));
   std::vector<char> solved(m, 0);
   std::vector<double> pi;
-  for (const std::size_t j : order) {
-    bool needed = false;
-    if (lower[j] > 0.0) {  // else a zero matrix, whose MxLU is 0 too
-      for (int s = 0; s < n; ++s) {
-        needed |=
-            out.routable[s] && mxlu[j * n + s] / lower[j] > out.ratio[s];
-      }
-    }
-    if (!needed) {
-      ++out.slots_skipped;
-      continue;
-    }
-    const double optu = engine.utilizationAt(j, intact.pool()[j], &pi);
-    ++out.slots_solved;
-    solved[j] = 1;
-    out.bound[j] = optu;
-    for (int s = 0; s < n; ++s) {
-      if (out.routable[s]) {
-        out.ratio[s] = std::max(out.ratio[s], mxlu[j * n + s] / optu);
-      }
-    }
-    if (pi.empty()) continue;  // solved as a min cut: no LP duals
-    // The solve's capacity prices bound every unsolved slot's OPTU_f
-    // (routing::OptuDualBound), raising the floors the later `needed`
-    // tests and the caller's next evaluation prune with.
-    const routing::OptuDualBound dual(degraded, pi);
-    for (std::size_t k = 0; k < m; ++k) {
-      if (solved[k]) continue;
-      const double b = dual.of(intact.pool()[k]);
-      out.bound[k] = std::max(out.bound[k], b);
-      lower[k] = std::max(lower[k], b * (1.0 - kBoundSlack));
-    }
-  }
+  const util::PruneCounts counts = util::boundAndPrune(
+      m, [&](std::size_t j) { return upper[j]; },
+      [&](std::size_t j) {
+        const double lower = out.bound[j] * (1.0 - util::kPruneSlack);
+        if (lower <= 0.0) return false;  // a zero matrix, whose MxLU is 0 too
+        for (int s = 0; s < n; ++s) {
+          if (out.routable[s] && mxlu[j * n + s] / lower > out.ratio[s]) {
+            return true;
+          }
+        }
+        return false;
+      },
+      [&](std::size_t j) {
+        const double optu = engine.utilizationAt(j, intact.pool()[j], &pi);
+        solved[j] = 1;
+        out.bound[j] = optu;
+        for (int s = 0; s < n; ++s) {
+          if (out.routable[s]) {
+            out.ratio[s] = std::max(out.ratio[s], mxlu[j * n + s] / optu);
+          }
+        }
+        if (pi.empty()) return;  // solved as a min cut: no LP duals
+        // The solve's capacity prices bound every unsolved slot's OPTU_f
+        // (routing::OptuDualBound), raising the floors the later `needed`
+        // tests and the caller's next evaluation prune with.
+        const routing::OptuDualBound dual(degraded, pi);
+        for (std::size_t k = 0; k < m; ++k) {
+          if (!solved[k]) {
+            out.bound[k] = std::max(out.bound[k], dual.of(intact.pool()[k]));
+          }
+        }
+      });
+  out.slots_solved = counts.solved;
+  out.slots_skipped = counts.skipped;
   return out;
 }
 

@@ -26,23 +26,24 @@
 // fixed-size chunks -- each chunk one engine with its own warm chain -- so
 // results are bit-identical for any COYOTE_THREADS.
 //
-// Bound and prune (evaluateFailure). Only the maximum over the pool is
+// Bound and prune (evaluateFailure, on util::boundAndPrune, the driver
+// the pruned worst-case scan shares). Only the maximum over the pool is
 // reported, so most slots' OPTU_f LPs cannot change the answer. Each slot j
 // gets a lower bound L_j on OPTU_f: the larger of its floor (below) and
-// nodeCutBound, shrunk by a 1e-9 relative slack so round-off in a bound
-// can never prune the true maximizer. MxLU_s(j) / L_j then bounds scheme
-// s's ratio at slot j from above. Slots are visited by max_s of that
-// initial bound, largest first (ties by slot index), and a slot's LP runs
-// only if its bound beats the best ratio found so far for some routable
-// scheme. A skipped slot's true ratio is at most the running best, so the
-// maximum is unchanged, and every reported ratio still comes from an LP
-// optimum.
+// nodeCutBound, shrunk by util::kPruneSlack (1e-9, relative) so round-off
+// in a bound can never prune the true maximizer. MxLU_s(j) / L_j then
+// bounds scheme s's ratio at slot j from above. Slots are visited by max_s
+// of that initial bound, largest first (ties by slot index), and a slot's
+// LP runs only if its bound beats the best ratio found so far for some
+// routable scheme. A skipped slot's true ratio is at most the running
+// best, so the maximum is unchanged, and every reported ratio still comes
+// from an LP optimum.
 //
 // Dual bounds. Every slot solved by the LP also exports its capacity
 // prices pi (OptuEngine::utilizationAt), and by weak duality
 // routing::OptuDualBound(degraded, pi) bounds the OPTU_f of *every* slot
 // from below -- for any pi >= 0, so nothing about the LP needs trusting.
-// After each such solve, every unsolved slot's bound (and L_j, with the
+// After each such solve, every unsolved slot's bound (so L_j, with the
 // same slack) is raised to it. The visiting order stays the initial one;
 // the raised bounds only make later slots' tests stricter.
 //

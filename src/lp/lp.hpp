@@ -118,9 +118,13 @@ struct SimplexOptions {
   /// Switch to Bland's rule after this many non-improving pivots (0: at
   /// the first degenerate pivot).
   int stall_limit = 2000;
-  double feas_tol = 1e-7;
-  double opt_tol = 1e-8;
 };
+
+/// Primal feasibility tolerance, relative to 1 + the largest |rhs|.
+inline constexpr double kFeasTol = 1e-7;
+/// Optimality (reduced-cost) tolerance; the dual simplex scales it by
+/// 1 + the largest |cost|.
+inline constexpr double kOptTol = 1e-8;
 
 /// A simplex basis: one status entry per column (structural variables
 /// first, then one logical/slack column per row). Retained by

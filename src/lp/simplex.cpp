@@ -425,7 +425,7 @@ class SimplexSolver::Impl {
   [[nodiscard]] double feasScale() const {
     double nb = 0.0;
     for (const double v : rhs_) nb = std::max(nb, std::abs(v));
-    return opt_.feas_tol * (1.0 + nb);
+    return kFeasTol * (1.0 + nb);
   }
 
   /// Total bound violation of the basic variables.
@@ -465,11 +465,11 @@ class SimplexSolver::Impl {
   /// the violation magnitude (0 = not attractive) and sets `dir`.
   [[nodiscard]] double violation(int col, double rc, double* dir) const {
     const std::int8_t s = status(col);
-    if (s == Basis::kAtLower && rc < -opt_.opt_tol) {
+    if (s == Basis::kAtLower && rc < -kOptTol) {
       *dir = 1.0;
       return -rc;
     }
-    if (s == Basis::kAtUpper && rc > opt_.opt_tol) {
+    if (s == Basis::kAtUpper && rc > kOptTol) {
       *dir = -1.0;
       return rc;
     }
@@ -881,7 +881,7 @@ class SimplexSolver::Impl {
 
     double cmax = 0.0;
     for (int j = 0; j < n_; ++j) cmax = std::max(cmax, std::abs(cost_[j]));
-    const double dtol = opt_.opt_tol * (1.0 + cmax);
+    const double dtol = kOptTol * (1.0 + cmax);
 
     std::vector<double> y(m_), rho(m_), alpha(m_);
     std::vector<double> rc(static_cast<std::size_t>(n_) + m_, 0.0);

@@ -30,18 +30,6 @@ bool nearlyEqual(const tm::TrafficMatrix& a, const tm::TrafficMatrix& b) {
 
 }  // namespace
 
-util::ThreadPool& PerformanceEvaluator::threadPool() const {
-  return own_pool_ ? *own_pool_ : util::ThreadPool::global();
-}
-
-void PerformanceEvaluator::setThreads(unsigned threads) {
-  threads_ = threads;
-  // Built here, in the only mutating entry point, so the const evaluation
-  // paths (ratioFor/worst) stay safe for concurrent callers.
-  own_pool_ =
-      threads == 0 ? nullptr : std::make_unique<util::ThreadPool>(threads);
-}
-
 double PerformanceEvaluator::normalizationOf(const tm::TrafficMatrix& d) const {
   if (d.total() <= 0.0) return 0.0;
   // The shared engine retains the constraint matrix and basis between

@@ -86,15 +86,16 @@ class PerformanceEvaluator {
   [[nodiscard]] const Graph& graph() const { return g_; }
   [[nodiscard]] std::shared_ptr<const DagSet> dagsPtr() const { return dags_; }
 
-  /// Caps the threads used by addPool/ratioFor/worst and by
-  /// core::optimizeSplitting against this pool. 0 (the default) uses the
-  /// process-wide util::ThreadPool::global(); any other value runs on a
-  /// private pool of exactly that many threads. Results are bit-identical
-  /// for every setting (reduction order is serial).
-  void setThreads(unsigned threads);
-  [[nodiscard]] unsigned threads() const { return threads_; }
-  /// The pool that setThreads selects.
-  [[nodiscard]] util::ThreadPool& threadPool() const;
+  /// Runs addPool/ratioFor/worst and core::optimizeSplitting against this
+  /// pool on `pool` (borrowed; it must outlive the evaluator) instead of
+  /// the process-wide util::ThreadPool::global(). Results are bit-identical
+  /// for every pool (reduction order is serial).
+  void setThreadPool(util::ThreadPool& pool) { thread_pool_ = &pool; }
+  /// The pool set by setThreadPool, else util::ThreadPool::global().
+  [[nodiscard]] util::ThreadPool& threadPool() const {
+    return thread_pool_ != nullptr ? *thread_pool_
+                                   : util::ThreadPool::global();
+  }
 
  private:
   /// OPTU of d under the configured normalization; 0 for zero demand.
@@ -107,8 +108,7 @@ class PerformanceEvaluator {
   std::shared_ptr<const DagSet> dags_;
   std::shared_ptr<OptuEngine> engine_;
   std::vector<tm::TrafficMatrix> pool_;
-  unsigned threads_ = 0;
-  std::unique_ptr<util::ThreadPool> own_pool_;
+  util::ThreadPool* thread_pool_ = nullptr;
 };
 
 }  // namespace coyote::routing

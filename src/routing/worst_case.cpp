@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "routing/propagation.hpp"
+#include "util/prune.hpp"
 #include "util/thread_pool.hpp"
 
 namespace coyote::routing {
@@ -286,10 +287,11 @@ class WorstCaseOracle::Impl {
     return resolveEdge(coef, arg);
   }
 
-  /// The one-shot bound-and-prune scan: one serial session solves the
-  /// unsolved edge with the largest Theorem-5 bound (lowest id on ties),
-  /// folds its capacity-row duals into every unsolved edge's bound, and
-  /// stops once no bound can beat the best ratio. Every solve warm-starts
+  /// The one-shot bound-and-prune scan on util::boundAndPrune: one serial
+  /// session solves the unsolved edge with the largest Theorem-5 bound
+  /// (lowest id on ties), folds its capacity-row duals into every unsolved
+  /// edge's bound, and skips every edge whose bound cannot beat the best
+  /// ratio (after the first skip, all of them). Every solve warm-starts
   /// from the first solved edge's optimal basis -- fewer pivots than
   /// chaining through the previously solved edge, whose objective was
   /// picked for being different. The winner's demand comes from its own
@@ -326,43 +328,40 @@ class WorstCaseOracle::Impl {
     lp::Basis first;
     EdgeId best_edge = kInvalidEdge;
     lp::LpResult best;
-    for (;;) {
-      EdgeId next = kInvalidEdge;
-      for (EdgeId e = 0; e < m; ++e) {
-        if (bound[e] >= 0.0 && (next == kInvalidEdge || bound[e] > bound[next])) {
-          next = e;
-        }
-      }
-      if (next == kInvalidEdge ||
-          (best_edge != kInvalidEdge &&
-           bound[next] * (1.0 + kPruneSlack) < ratio[best_edge])) {
-        break;
-      }
-      bound[next] = -1.0;
-      setEdgeObjective(session, coef, next);
-      if (!first.empty()) session.solver.setBasis(first);
-      lp::LpResult res = session.solver.solve();
-      requireOptimal(res, next);
-      if (first.empty()) first = res.basis;
-      ratio[next] = res.objective;
-      std::vector<double> pi = capacityWeights(res);
-      bounds.setWeights(pi);
-      const int k = static_cast<int>(weights.size());
-      bound_by[next] = k;
-      if (cert != nullptr) weights.push_back(std::move(pi));
-      if (best_edge == kInvalidEdge || ratio[next] > ratio[best_edge] ||
-          (ratio[next] == ratio[best_edge] && next < best_edge)) {
-        best_edge = next;
-        best = std::move(res);
-      }
-      for (EdgeId e = 0; e < m; ++e) {
-        const double b = bound[e] >= 0.0 ? bounds.bound(e) : bound[e];
-        if (b < bound[e]) {
-          bound[e] = b;
-          bound_by[e] = k;
-        }
-      }
-    }
+    util::boundAndPrune(
+        static_cast<std::size_t>(m), [&](std::size_t e) { return bound[e]; },
+        [&](std::size_t e) {
+          return bound[e] >= 0.0 &&
+                 (best_edge == kInvalidEdge ||
+                  bound[e] * (1.0 + util::kPruneSlack) >= ratio[best_edge]);
+        },
+        [&](std::size_t i) {
+          const auto next = static_cast<EdgeId>(i);
+          bound[next] = -1.0;
+          setEdgeObjective(session, coef, next);
+          if (!first.empty()) session.solver.setBasis(first);
+          lp::LpResult res = session.solver.solve();
+          requireOptimal(res, next);
+          if (first.empty()) first = res.basis;
+          ratio[next] = res.objective;
+          std::vector<double> pi = capacityWeights(res);
+          bounds.setWeights(pi);
+          const int k = static_cast<int>(weights.size());
+          bound_by[next] = k;
+          if (cert != nullptr) weights.push_back(std::move(pi));
+          if (best_edge == kInvalidEdge || ratio[next] > ratio[best_edge] ||
+              (ratio[next] == ratio[best_edge] && next < best_edge)) {
+            best_edge = next;
+            best = std::move(res);
+          }
+          for (EdgeId e = 0; e < m; ++e) {
+            const double b = bound[e] >= 0.0 ? bounds.bound(e) : bound[e];
+            if (b < bound[e]) {
+              bound[e] = b;
+              bound_by[e] = k;
+            }
+          }
+        });
 
     // Argmax in edge order, as find() reduces. An unsolved edge can only
     // win at ratio 0 (pruned edges sit strictly below the best), where
@@ -386,25 +385,6 @@ class WorstCaseOracle::Impl {
       return {tm::TrafficMatrix(g_.numNodes()), 0.0, edge};
     }
     return resolveEdge(LoadCoefficients(g_, cfg), edge);
-  }
-
-  void setFailedEdges(const std::vector<EdgeId>& edges) {
-    std::vector<char> mask(g_.numEdges(), 0);
-    for (const EdgeId e : edges) {
-      require(e >= 0 && e < g_.numEdges(), "failed edge out of range");
-      mask[e] = 1;
-    }
-    for (EdgeId e = 0; e < g_.numEdges(); ++e) {
-      if (cap_row_[e] < 0) continue;
-      const double rhs = mask[e] ? 0.0 : g_.edge(e).capacity;
-      if (problem_.rowRhs(cap_row_[e]) == rhs) continue;
-      // Template plus every retained session: fresh sessions clone the
-      // template, retained ones keep their bases as warm starts.
-      problem_.setConstraintRhs(cap_row_[e], rhs);
-      for (const auto& session : sessions_) {
-        session->solver.setRhs(cap_row_[e], rhs);
-      }
-    }
   }
 
  private:
@@ -525,11 +505,6 @@ class WorstCaseOracle::Impl {
   }
 
  private:
-  /// Stop slack of the pruned scan: an edge is skipped only when its
-  /// bound, inflated by this relative margin against round-off, still
-  /// falls short of the best ratio.
-  static constexpr double kPruneSlack = 1e-9;
-
   /// Demand matrix of an optimal slave-LP vertex.
   [[nodiscard]] tm::TrafficMatrix demandOf(const std::vector<double>& x) const {
     const int n = g_.numNodes();
@@ -649,9 +624,9 @@ class WorstCaseOracle::Impl {
       for (const EdgeId e : dag.edges()) gvar[e] = -1;
     }
 
-    // Capacity of every edge (row index kept for setFailedEdges). The
-    // buckets were appended in destination order above, matching the
-    // dense scan's term order.
+    // Capacity of every edge (row index kept for the pruned scan's rhs and
+    // duals). The buckets were appended in destination order above,
+    // matching the dense scan's term order.
     cap_row_.assign(g_.numEdges(), -1);
     for (EdgeId e = 0; e < g_.numEdges(); ++e) {
       if (cap_terms[e].empty()) continue;
@@ -708,9 +683,7 @@ class WorstCaseOracle::Impl {
     // away, while the neighboring edge's basis prices a fully different
     // objective. Each edge belongs to exactly one chunk, so the slot is
     // touched by a single pool worker and the scan stays bit-identical
-    // for any thread count. After a setFailedEdges rhs mutation the
-    // memoized basis is typically primal-infeasible and re-enters through
-    // the dual simplex.
+    // for any thread count.
     lp::Basis& memo = edge_basis_[target];
     if (!memo.empty()) session.solver.setBasis(memo);
     const lp::LpResult res = session.solver.solve();
@@ -757,10 +730,6 @@ WorstCaseResult WorstCaseOracle::find(const RoutingConfig& cfg) {
 WorstCaseResult WorstCaseOracle::findForEdge(const RoutingConfig& cfg,
                                              EdgeId edge) {
   return impl_->findForEdge(cfg, edge);
-}
-
-void WorstCaseOracle::setFailedEdges(const std::vector<EdgeId>& edges) {
-  impl_->setFailedEdges(edges);
 }
 
 WorstCaseResult findWorstCaseDemandForEdge(const Graph& g,

@@ -27,11 +27,13 @@
 // The one-shot findWorstCaseDemand instead runs a serial bound-and-prune
 // scan (Theorem 5 / Appendix C of the technical report): the capacity-row
 // duals pi >= 0 of any solved edge bound *every* edge's LP by weak
-// duality, so it solves edges in decreasing-bound order and stops once no
-// remaining bound can beat the best ratio found. The same scan, run by
-// certifyObliviousRatio / certifyBoxRatio, turns the weights it collected
-// into a Theorem-5 certificate per edge that dual_certificate.hpp checks
-// without the solver. See docs/lp-engine.md, "Pruned worst-case scan".
+// duality, so util::boundAndPrune (util/prune.hpp, the rule the
+// post-failure ruler shares) solves edges in decreasing-bound order and
+// skips every edge whose bound cannot beat the best ratio found. The same
+// scan, run by certifyObliviousRatio / certifyBoxRatio, turns the weights
+// it collected into a Theorem-5 certificate per edge that
+// dual_certificate.hpp checks without the solver. See docs/lp-engine.md,
+// "Pruned worst-case scan".
 //
 // Exact evaluation is practical for small/medium networks and is used by
 // tests, ablations and Table I's exact rows; the figure benches default to
@@ -91,16 +93,6 @@ class WorstCaseOracle {
   [[nodiscard]] WorstCaseResult findForEdge(const RoutingConfig& cfg,
                                             EdgeId edge);
 
-  /// Switches the oracle to a post-failure network: the capacity rows of
-  /// the given (directed) edges get rhs 0, so no witness flow may cross
-  /// them -- the adversary is confined to the surviving network. A
-  /// rhs mutation on the retained template and sessions, not a rebuild:
-  /// subsequent find() calls warm-start from the pre-failure bases.
-  /// Passing {} restores the intact capacities. Routings evaluated under
-  /// failures must place no traffic on the failed edges (ratio 0 there;
-  /// see failure::repairRouting) -- their DAG set stays the oracle's.
-  void setFailedEdges(const std::vector<EdgeId>& edges);
-
   /// Edges per warm-start chain in find(). Fixed (not derived from the
   /// thread count) so results never depend on parallelism.
   static constexpr int kEdgeChunk = 8;
@@ -113,9 +105,10 @@ class WorstCaseOracle {
 
 /// Worst case over all demand matrices (box == nullptr, the oblivious case)
 /// or over the scaled uncertainty box. One-shot: a serial bound-and-prune
-/// scan on one solver session. It solves the edge with the largest dual
-/// bound next, tightens every unsolved edge's bound with the new duals,
-/// and stops once no bound can beat the best ratio. The ratio equals the
+/// scan (util::boundAndPrune) on one solver session. It solves the edge
+/// with the largest dual bound next, tightens every unsolved edge's bound
+/// with the new duals, and skips the edges whose bound cannot beat the
+/// best ratio. The ratio equals the
 /// maximum of findWorstCaseDemandForEdge over the edges; ties go to the
 /// lowest edge id among the solved edges. Throws std::runtime_error if a
 /// slave LP ends non-optimal. Callers with repeated queries should hold an

@@ -20,6 +20,15 @@ namespace {
 using util::rng::nextInt;
 using util::rng::nextUnit;
 
+/// At most this many links are down at once; at the cap, flap events
+/// restore a failed link instead of failing another.
+constexpr int kMaxConcurrentFailures = 2;
+/// Event mix in percent; the remaining 5% are reoptimize events.
+constexpr int kWhatIfPct = 40;
+constexpr int kDemandPct = 20;
+constexpr int kLinkPct = 25;
+constexpr int kMarginPct = 10;
+
 json::Value linkValue(const Graph& g, EdgeId link) {
   json::Value v = json::Value::array();
   v.push_back(g.nodeName(g.edge(link).src));
@@ -43,13 +52,6 @@ std::vector<std::string> generateTrace(const Graph& g,
   const std::vector<EdgeId> links = failure::physicalLinks(g);
   require(!links.empty(), "trace generation needs at least one physical link");
   require(opt.events >= 0, "negative event count");
-  require(opt.what_if_pct >= 0 && opt.demand_pct >= 0 && opt.link_pct >= 0 &&
-              opt.margin_pct >= 0,
-          "negative mix percentage");
-  require(opt.what_if_pct + opt.demand_pct + opt.link_pct + opt.margin_pct <=
-              100,
-          "event mix over 100%");
-  require(opt.max_concurrent_failures >= 1, "max_concurrent_failures < 1");
 
   std::vector<std::pair<NodeId, NodeId>> pairs = base.nonZeroPairs();
   if (pairs.empty()) {
@@ -72,7 +74,7 @@ std::vector<std::string> generateTrace(const Graph& g,
 
   for (int i = 0; i < opt.events; ++i) {
     const int r = nextInt(state, 100);
-    if (r < opt.what_if_pct) {
+    if (r < kWhatIfPct) {
       const int k = std::min(1 + nextInt(state, 2),
                              static_cast<int>(links.size()));
       std::vector<EdgeId> chosen;
@@ -89,7 +91,7 @@ std::vector<std::string> generateTrace(const Graph& g,
       for (const EdgeId link : chosen) arr.push_back(linkValue(g, link));
       req["links"] = std::move(arr);
       out.push_back(req.dump(0));
-    } else if (r < opt.what_if_pct + opt.demand_pct) {
+    } else if (r < kWhatIfPct + kDemandPct) {
       const auto [s, t] = pairs[nextInt(
           state, static_cast<int>(pairs.size()))];
       const double current = base.at(s, t);
@@ -105,9 +107,9 @@ std::vector<std::string> generateTrace(const Graph& g,
       set.push_back(std::move(entry));
       req["set"] = std::move(set);
       out.push_back(req.dump(0));
-    } else if (r < opt.what_if_pct + opt.demand_pct + opt.link_pct) {
+    } else if (r < kWhatIfPct + kDemandPct + kLinkPct) {
       const bool at_cap =
-          static_cast<int>(failed.size()) >= opt.max_concurrent_failures ||
+          static_cast<int>(failed.size()) >= kMaxConcurrentFailures ||
           static_cast<int>(failed.size()) >= static_cast<int>(links.size());
       const bool restore =
           !failed.empty() && (at_cap || nextInt(state, 2) == 0);
@@ -125,9 +127,7 @@ std::vector<std::string> generateTrace(const Graph& g,
         failed.push_back(link);
         out.push_back(linkEvent(g, link, /*up=*/false));
       }
-    } else if (r <
-               opt.what_if_pct + opt.demand_pct + opt.link_pct +
-                   opt.margin_pct) {
+    } else if (r < kWhatIfPct + kDemandPct + kLinkPct + kMarginPct) {
       json::Value req = json::Value::object();
       req["op"] = "margin";
       req["value"] = kMargins[nextInt(state, 4)];

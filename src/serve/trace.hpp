@@ -7,9 +7,10 @@
 // committed seed reproduces the exact event stream CI benchmarks and the
 // bit-identity tests replay.
 //
-// The default mix models an operator day: mostly read-only what-if
-// probes, with demand drift, link flaps (failures that later heal),
-// occasional margin moves, and rare explicit reoptimizations.
+// The fixed mix models an operator day: mostly read-only what-if probes
+// (40%), with demand drift (20%), link flaps (25%; failures that later
+// heal, at most two links down at once), margin moves (10%), and rare
+// explicit reoptimizations (5%).
 #pragma once
 
 #include <cstdint>
@@ -24,22 +25,13 @@ namespace coyote::serve {
 struct TraceOptions {
   int events = 500;
   std::uint64_t seed = 1;
-  /// At most this many links are down at once; at the cap, flap events
-  /// restore a failed link instead of failing another.
-  int max_concurrent_failures = 2;
-  /// Event mix in percent; must sum to <= 100 (the remainder becomes
-  /// reoptimize events).
-  int what_if_pct = 40;
-  int demand_pct = 20;
-  int link_pct = 25;
-  int margin_pct = 10;
 };
 
 /// One protocol line per event (compact JSON, see service.hpp for the
 /// grammar). `base` seeds the demand events: "set" entries are absolute
 /// values derived from base entries, so replaying the trace against the
 /// same base matrix is self-consistent. Throws std::invalid_argument for
-/// graphs without physical links or a mix over 100%.
+/// graphs without physical links or a negative event count.
 [[nodiscard]] std::vector<std::string> generateTrace(
     const Graph& g, const tm::TrafficMatrix& base, const TraceOptions& opt);
 

@@ -283,11 +283,13 @@ TEST(SplittingKernel, EvaluatorThreadCapKeepsResultsBitIdentical) {
       tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0)));
   const auto init = routing::RoutingConfig::uniform(g, dags);
   const SplittingOptions opt = kernelOptions();
-  eval.setThreads(1);
+  util::ThreadPool one(1);
+  eval.setThreadPool(one);
   const auto serial = optimizeSplitting(g, eval, init, opt);
   for (const unsigned threads : {2U, 8U}) {
     SCOPED_TRACE(threads);
-    eval.setThreads(threads);
+    util::ThreadPool tp(threads);
+    eval.setThreadPool(tp);
     ASSERT_EQ(eval.threadPool().threadCount(), threads);
     EXPECT_EQ(differingRatios(g, optimizeSplitting(g, eval, init, opt), serial),
               0);

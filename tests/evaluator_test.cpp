@@ -124,10 +124,13 @@ TEST(PerformanceEvaluator, WorstReturnsArgmaxOfPerMatrixUtilization) {
 TEST(PerformanceEvaluator, AddPoolIsBitIdenticalAcrossThreadCounts) {
   const AbileneFixture f;
   const auto pool = f.cornerPool(2.0);
+  std::vector<std::unique_ptr<util::ThreadPool>> tps;
   std::vector<std::unique_ptr<routing::PerformanceEvaluator>> evals;
   for (const unsigned threads : {1u, 2u, 8u}) {
+    tps.push_back(std::make_unique<util::ThreadPool>(threads));
     auto e = std::make_unique<routing::PerformanceEvaluator>(f.g, f.dags);
-    e->setThreads(threads);
+    e->setThreadPool(*tps.back());
+    ASSERT_EQ(&e->threadPool(), tps.back().get());
     e->addPool(pool);
     evals.push_back(std::move(e));
   }
@@ -144,18 +147,22 @@ TEST(PerformanceEvaluator, AddPoolIsBitIdenticalAcrossThreadCounts) {
 
 TEST(PerformanceEvaluator, RatioForIsBitIdenticalAcrossThreadCounts) {
   const AbileneFixture f;
+  util::ThreadPool one(1);
   routing::PerformanceEvaluator eval(f.g, f.dags);
-  eval.setThreads(1);
+  EXPECT_EQ(&eval.threadPool(), &util::ThreadPool::global());
+  eval.setThreadPool(one);
   eval.addPool(f.cornerPool(2.0));
   ASSERT_GT(eval.size(), 1);
 
   const auto ecmp = routing::ecmpConfig(f.g, f.dags);
   const auto uniform = routing::RoutingConfig::uniform(f.g, f.dags);
   for (const auto* cfg : {&ecmp, &uniform}) {
-    eval.setThreads(1);
+    eval.setThreadPool(one);
     const auto serial = eval.worst(*cfg);
     for (const unsigned threads : {2u, 8u}) {
-      eval.setThreads(threads);
+      util::ThreadPool tp(threads);
+      eval.setThreadPool(tp);
+      ASSERT_EQ(&eval.threadPool(), &tp);
       const auto parallel = eval.worst(*cfg);
       EXPECT_EQ(parallel.first, serial.first) << threads << " threads";
       // Bit-identical, not just close: reduction order is serial.

@@ -124,6 +124,17 @@ TEST(ExperimentRunner, EveryKindEmitsItsDocumentAndOneTextLinePerRow) {
     if (result.document.find("network") != nullptr) {
       EXPECT_EQ(result.document.stringOr("network", ""), s.topology.label());
     }
+    // The ruler visits every pool slot of every evaluated failure once:
+    // each is either solved or pruned.
+    if (c.kind == ScenarioKind::kFailure) {
+      const json::Value& f = *result.document.find("failures");
+      ASSERT_NE(f.find("lp_ruler_solved"), nullptr);
+      ASSERT_NE(f.find("lp_ruler_skipped"), nullptr);
+      EXPECT_GT(f.numberOr("lp_ruler_solved", 0.0), 0.0);
+      EXPECT_EQ(f.numberOr("lp_ruler_solved", 0.0) +
+                    f.numberOr("lp_ruler_skipped", 0.0),
+                f.numberOr("evaluated", 0.0) * f.numberOr("pool_size", 0.0));
+    }
   }
   EXPECT_EQ(covered.size(), 12u);  // one case per ScenarioKind
 }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/coyote.hpp"
 #include "core/dag_builder.hpp"
@@ -20,7 +21,6 @@
 #include "lp/stats.hpp"
 #include "routing/optu.hpp"
 #include "routing/propagation.hpp"
-#include "routing/worst_case.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 #include "util/rng.hpp"
@@ -386,48 +386,6 @@ TEST(OptuDualBound, NeverExceedsOptuAndOwnPricesAreTight) {
   EXPECT_GT(cross, 0);
 }
 
-TEST(PostFailureRatio, WorstCaseOracleAgreesUnderFailure) {
-  // The exact slave-LP oracle with zeroed capacity rows must agree with a
-  // brute-force check: worst demand for the repaired uniform config on the
-  // running example, within the margin-2 box around the uniform matrix.
-  const Graph g = topo::runningExample();
-  const auto dags = core::augmentedDagsShared(g);
-  const auto uniform = routing::RoutingConfig::uniform(g, dags);
-  const tm::TrafficMatrix base = tm::uniformMatrix(g, 1.0);
-  const tm::DemandBounds box = tm::marginBounds(base, 2.0);
-
-  const auto fails = singleLinkFailures(g);
-  routing::WorstCaseOracle oracle(g, dags, &box);
-  const routing::WorstCaseResult intact = oracle.find(uniform);
-  EXPECT_GT(intact.ratio, 0.0);
-
-  for (const FailureScenario& f : fails) {
-    if (!degradedGraph(g, f).stronglyConnected()) continue;
-    const auto repaired = repairDags(g, *dags, failedEdgeMask(g, f));
-    // Re-express over the oracle's DAG set: surviving ratios, zero on
-    // failed/pruned edges (repairRouting normalized them already).
-    const auto post = repairRouting(g, uniform, repaired);
-    auto over_original = routing::RoutingConfig(g, dags);
-    for (NodeId t = 0; t < g.numNodes(); ++t) {
-      for (const EdgeId e : (*repaired)[t].edges()) {
-        over_original.setRatio(t, e, post.ratio(t, e));
-      }
-    }
-    oracle.setFailedEdges(directedEdges(g, f));
-    const routing::WorstCaseResult wc = oracle.find(over_original);
-    // The witness demand must be routable on the survivors and its ratio
-    // reproducible by plain propagation.
-    const Graph degraded = degradedGraph(g, f);
-    const double mxlu =
-        routing::maxLinkUtilization(degraded, over_original, wc.demand);
-    EXPECT_NEAR(mxlu, wc.ratio, 1e-6) << f.label;
-    oracle.setFailedEdges({});
-  }
-  // After restoring, the oracle reproduces its intact answer.
-  const routing::WorstCaseResult again = oracle.find(uniform);
-  EXPECT_NEAR(again.ratio, intact.ratio, 1e-9);
-}
-
 // ---------------------------------------------------------------------------
 // The four-scheme failure evaluator.
 // ---------------------------------------------------------------------------
@@ -693,23 +651,32 @@ TEST(IntactSchemes, ConfigsEqualFreshPerSchemeComputes) {
         }
       };
 
-  IntactSchemes intact(g, dags, base, opt);
-  const int cold_saved = intact.compute(/*warm=*/false);
   const auto cold = manual(base, 2.0, nullptr);
-  expectEqual(cold, intact);
-  EXPECT_EQ(cold_saved, manual_saved);
-
-  // Move the box (a demand and a margin event at once), then recompute
-  // warm: each optimizer run starts from the previous configuration.
+  const int cold_manual_saved = std::exchange(manual_saved, 0);
+  // The box moved (a demand and a margin event at once), recomputed warm:
+  // each optimizer run starts from the previous configuration.
   tm::TrafficMatrix moved = base;
   moved.scale(1.1);
-  intact.moveBox(moved, 2.5);
-  EXPECT_EQ(intact.options().margin, 2.5);
-  manual_saved = 0;
-  const int warm_saved = intact.compute(/*warm=*/true);
-  expectEqual(manual(moved, 2.5, &cold), intact);
-  EXPECT_EQ(warm_saved, manual_saved);
-  EXPECT_GT(warm_saved, 0);
+  const auto warm = manual(moved, 2.5, &cold);
+
+  // threads = 2: compute() lends its private pool to every margin-dependent
+  // scheme's evaluator, and no bit moves.
+  for (const unsigned threads : {0u, 2u}) {
+    SCOPED_TRACE(threads);
+    FailureEvalOptions topt = opt;
+    topt.threads = threads;
+    IntactSchemes intact(g, dags, base, topt);
+    const int cold_saved = intact.compute(/*warm=*/false);
+    expectEqual(cold, intact);
+    EXPECT_EQ(cold_saved, cold_manual_saved);
+
+    intact.moveBox(moved, 2.5);
+    EXPECT_EQ(intact.options().margin, 2.5);
+    const int warm_saved = intact.compute(/*warm=*/true);
+    expectEqual(warm, intact);
+    EXPECT_EQ(warm_saved, manual_saved);
+    EXPECT_GT(warm_saved, 0);
+  }
 }
 
 TEST(IntactSchemes, ObliviousPoolIsNormalizedOnce) {

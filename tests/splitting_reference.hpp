@@ -179,8 +179,8 @@ inline routing::RoutingConfig referenceOptimizeSplitting(
     // ---- Softmax constraint weights (annealed temperature).
     const double anneal = static_cast<double>(iter) / std::max(1, opt.iterations - 1);
     const double tau =
-        umax * (opt.temperature_start +
-                (opt.temperature_end - opt.temperature_start) * anneal);
+        umax * (core::kTemperatureStart +
+                (core::kTemperatureEnd - core::kTemperatureStart) * anneal);
     double wsum = 0.0;
     for (int i = 0; i < pool.size(); ++i) {
       for (EdgeId e = 0; e < m; ++e) {
@@ -224,7 +224,7 @@ inline routing::RoutingConfig referenceOptimizeSplitting(
     // ---- Multiplicative update per (destination, node) simplex.
     // Step size decays over the run so late iterations settle onto the
     // (annealed, nearly hard-max) optimum instead of oscillating.
-    const double lr = opt.learning_rate * (1.0 - 0.9 * anneal);
+    const double lr = core::kLearningRate * (1.0 - 0.9 * anneal);
     for (NodeId t = 0; t < n; ++t) {
       const Dag& dag = dags[t];
       for (NodeId u = 0; u < n; ++u) {
