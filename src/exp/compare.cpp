@@ -11,8 +11,6 @@ namespace coyote::exp {
 
 namespace json = util::json;
 
-bool isRunMetadata(const std::string& key);  // defined below
-
 namespace {
 
 void addFinding(CompareReport* report, CompareFinding::Kind kind,
@@ -27,16 +25,26 @@ bool numbersDiffer(double a, double b, double rel_tol) {
   return std::fabs(a - b) / scale > rel_tol;
 }
 
-/// Solver-work telemetry (schema coyote-bench/2; since coyote-bench/4 this
-/// also covers the per-scheme lp_scheme_solves/lp_scheme_pivots row
-/// objects): deterministic for one binary but sensitive to toolchain/libm
-/// differences, so it is reported informationally instead of gated as
-/// drift.
-bool isLpTelemetry(const std::string& key) { return key.rfind("lp_", 0) == 0; }
+// Top-level members that legitimately differ between two runs of the
+// same source tree: provenance, machine, options, wall time and prose.
+// Everything else -- rows, ok, the kind-specific summary fields like
+// 'verified', 'fake_nodes', 'ecmp_gap_percent', and the `lp_*` work
+// counts -- is deterministic and gated.
+bool isRunMetadata(const std::string& key) {
+  static const char* const kKeys[] = {
+      "schema", "scenario", "kind",    "description", "tags",
+      "git",    "threads",  "timing",  "network",     "networks",
+      "demand_model",       "full",    "exact",       "schemes",
+  };
+  for (const char* k : kKeys) {
+    if (key == k) return true;
+  }
+  return false;
+}
 
 /// Memory telemetry (schema coyote-bench/6): peak-RSS probes are
-/// allocator- and machine-sensitive, so like `lp_*` they are reported
-/// informationally instead of gated as drift.
+/// allocator- and machine-sensitive, so they are reported informationally
+/// instead of gated as drift.
 bool isMemTelemetry(const std::string& key) {
   return key.rfind("mem_", 0) == 0;
 }
@@ -52,7 +60,7 @@ void reportCandidateOnly(const json::Value& base, const json::Value& cand,
   if (!base.isObject() || !cand.isObject()) return;
   for (const auto& [key, value] : cand.asObject()) {
     (void)value;
-    if (isLpTelemetry(key) || isMemTelemetry(key)) continue;
+    if (isMemTelemetry(key)) continue;
     if (skip_metadata && isRunMetadata(key)) continue;
     if (base.find(key) == nullptr) {
       addFinding(report, CompareFinding::Kind::kInfo, scenario,
@@ -100,7 +108,7 @@ void compareValues(const json::Value& base, const json::Value& cand,
     }
     case json::Value::Type::kObject: {
       for (const auto& [key, value] : base.asObject()) {
-        if (isLpTelemetry(key) || isMemTelemetry(key)) continue;
+        if (isMemTelemetry(key)) continue;
         const json::Value* other = cand.find(key);
         if (other == nullptr) {
           addFinding(report, CompareFinding::Kind::kDrift, scenario,
@@ -124,43 +132,21 @@ void compareValues(const json::Value& base, const json::Value& cand,
 
 }  // namespace
 
-// Top-level members that legitimately differ between two runs of the
-// same source tree: provenance, machine, options, and prose. Everything
-// else (rows, ok, and the kind-specific summary fields like 'verified',
-// 'fake_nodes', 'ecmp_gap_percent') is deterministic and gated --
-// except `lp_*` solver telemetry (see isLpTelemetry) and candidate-only
-// keys, which future schema revisions or extra --schemes selections may
-// add: the drift walk is baseline-driven, so those are surfaced as
-// non-failing [INFO] findings (reportCandidateOnly) and newer candidates
-// stay forward-compatible.
-bool isRunMetadata(const std::string& key) {
-  static const char* const kKeys[] = {
-      "schema", "scenario", "kind",    "description", "tags",
-      "git",    "threads",  "timing",  "network",     "networks",
-      "demand_model",       "full",    "exact",       "schemes",
-  };
-  for (const char* k : kKeys) {
-    if (key == k) return true;
-  }
-  return false;
-}
-
 void compareDocuments(const json::Value& baseline, const json::Value& cand,
                       const CompareOptions& opt, CompareReport* report) {
   const std::string scenario = baseline.stringOr("scenario", "<unnamed>");
   ++report->compared;
 
   // Result drift: every deterministic field the baseline recorded must be
-  // reproduced -- the rows plus any kind-specific summary members.
+  // reproduced -- the rows, any kind-specific summary members and the
+  // lp_* work counts.
   if (baseline.find("rows") == nullptr || cand.find("rows") == nullptr) {
     addFinding(report, CompareFinding::Kind::kMalformed, scenario,
                "missing 'rows' array");
   }
   if (baseline.isObject()) {
     for (const auto& [key, value] : baseline.asObject()) {
-      if (isRunMetadata(key) || isLpTelemetry(key) || isMemTelemetry(key)) {
-        continue;
-      }
+      if (isRunMetadata(key) || isMemTelemetry(key)) continue;
       const json::Value* other = cand.find(key);
       if (other == nullptr) {
         addFinding(report, CompareFinding::Kind::kDrift, scenario,
@@ -173,104 +159,20 @@ void compareDocuments(const json::Value& baseline, const json::Value& cand,
                         /*skip_metadata=*/true, report);
   }
 
-  // Informational lp_pivots delta (never gated): the warm-start engine's
-  // whole point is driving this number down, so surface it per scenario.
-  {
-    const double base_pivots = baseline.numberOr("lp_pivots", -1.0);
-    const double cand_pivots = cand.numberOr("lp_pivots", -1.0);
-    if (base_pivots >= 0.0 && cand_pivots >= 0.0) {
-      std::ostringstream msg;
-      msg << "lp_pivots " << json::formatNumber(base_pivots) << " -> "
-          << json::formatNumber(cand_pivots);
-      if (base_pivots > 0.0) {
-        msg.precision(3);
-        msg << " (" << (cand_pivots >= base_pivots ? "+" : "")
-            << 100.0 * (cand_pivots / base_pivots - 1.0) << "%)";
-      }
-      addFinding(report, CompareFinding::Kind::kInfo, scenario, msg.str());
-    }
-  }
-
-  // Informational peak-RSS delta (never gated, like lp_pivots): memory
-  // growth across schema coyote-bench/6 runs is worth eyes, not a gate.
-  {
-    const double base_mem = baseline.numberOr("mem_peak_rss_mb", -1.0);
-    const double cand_mem = cand.numberOr("mem_peak_rss_mb", -1.0);
-    if (base_mem >= 0.0 && cand_mem >= 0.0) {
-      std::ostringstream msg;
-      msg.precision(4);
-      msg << "mem_peak_rss_mb " << base_mem << " -> " << cand_mem;
-      if (base_mem > 0.0) {
-        msg.precision(3);
-        msg << " (" << (cand_mem >= base_mem ? "+" : "")
-            << 100.0 * (cand_mem / base_mem - 1.0) << "%)";
-      }
-      addFinding(report, CompareFinding::Kind::kInfo, scenario, msg.str());
-    }
-  }
-
-  // Timing regression: gate on the median over repetitions.
-  const json::Value* base_timing = baseline.find("timing");
-  const json::Value* cand_timing = cand.find("timing");
-  if (base_timing == nullptr || cand_timing == nullptr) {
-    addFinding(report, CompareFinding::Kind::kMalformed, scenario,
-               "missing 'timing' object");
-    return;
-  }
-  const double base_median = base_timing->numberOr("median_seconds", -1.0);
-  const double cand_median = cand_timing->numberOr("median_seconds", -1.0);
-  if (base_median < 0.0 || cand_median < 0.0) {
-    addFinding(report, CompareFinding::Kind::kMalformed, scenario,
-               "missing 'timing.median_seconds'");
-    return;
-  }
-  const double gate_base = std::max(base_median, opt.min_gate_seconds);
-  if (gate_base > 0.0 &&
-      cand_median > gate_base * (1.0 + opt.max_regression)) {
+  // Informational peak-RSS delta (never gated): memory growth across
+  // schema coyote-bench/6 runs is worth eyes, not a gate.
+  const double base_mem = baseline.numberOr("mem_peak_rss_mb", -1.0);
+  const double cand_mem = cand.numberOr("mem_peak_rss_mb", -1.0);
+  if (base_mem >= 0.0 && cand_mem >= 0.0) {
     std::ostringstream msg;
-    msg.precision(3);
-    msg << "median " << base_median << "s -> " << cand_median << "s (+"
-        << 100.0 * (cand_median / gate_base - 1.0) << "% over the gated "
-        << gate_base << "s, limit +" << 100.0 * opt.max_regression << "%)";
-    addFinding(report, CompareFinding::Kind::kRegression, scenario,
-               msg.str());
-  }
-
-  // Serve-daemon gates (kServe scenarios publish events_per_second and
-  // event_p99_ms under "timing"). Silent when either side lacks the keys
-  // so pre-serve baselines keep comparing cleanly; timing is run
-  // metadata, so these fields are never drift-gated.
-  const double base_p99 = base_timing->numberOr("event_p99_ms", -1.0);
-  const double cand_p99 = cand_timing->numberOr("event_p99_ms", -1.0);
-  if (base_p99 >= 0.0 && cand_p99 >= 0.0) {
-    // Floor the gate like median_seconds: sub-floor latencies are noise.
-    const double gate_p99 = std::max(base_p99, 1000.0 * opt.min_gate_seconds);
-    if (gate_p99 > 0.0 && cand_p99 > gate_p99 * (1.0 + opt.max_regression)) {
-      std::ostringstream msg;
+    msg.precision(4);
+    msg << "mem_peak_rss_mb " << base_mem << " -> " << cand_mem;
+    if (base_mem > 0.0) {
       msg.precision(3);
-      msg << "event p99 " << base_p99 << "ms -> " << cand_p99 << "ms (+"
-          << 100.0 * (cand_p99 / gate_p99 - 1.0) << "% over the gated "
-          << gate_p99 << "ms, limit +" << 100.0 * opt.max_regression << "%)";
-      addFinding(report, CompareFinding::Kind::kRegression, scenario,
-                 msg.str());
+      msg << " (" << (cand_mem >= base_mem ? "+" : "")
+          << 100.0 * (cand_mem / base_mem - 1.0) << "%)";
     }
-  }
-  const double base_eps = base_timing->numberOr("events_per_second", -1.0);
-  const double cand_eps = cand_timing->numberOr("events_per_second", -1.0);
-  if (base_eps > 0.0 && cand_eps >= 0.0) {
-    // Throughputs above 1/min_gate_seconds mean sub-floor per-event cost;
-    // cap the gate there so noise-level traces cannot fail the gate.
-    const double gate_eps = std::min(base_eps, 1.0 / opt.min_gate_seconds);
-    if (cand_eps < gate_eps / (1.0 + opt.max_regression)) {
-      std::ostringstream msg;
-      msg.precision(3);
-      msg << "throughput " << base_eps << " -> " << cand_eps
-          << " events/s (-" << 100.0 * (1.0 - cand_eps / gate_eps)
-          << "% under the gated " << gate_eps << " events/s, limit -"
-          << 100.0 * (1.0 - 1.0 / (1.0 + opt.max_regression)) << "%)";
-      addFinding(report, CompareFinding::Kind::kRegression, scenario,
-                 msg.str());
-    }
+    addFinding(report, CompareFinding::Kind::kInfo, scenario, msg.str());
   }
 }
 
@@ -322,14 +224,10 @@ CompareReport compareBenchDirs(const std::string& baseline_dir,
   for (const auto& [name, base_path] : baseline_files) {
     const auto it = candidate_files.find(name);
     if (it == candidate_files.end()) {
-      // A baseline scenario the candidate never produced is a hard
-      // failure under require_all (the default): a run that silently
-      // drops a gated scenario -- a deregistered serve replay, a
-      // filter typo -- must not pass as "no regressions found".
-      if (opt.require_all) {
-        addFinding(&report, CompareFinding::Kind::kMissing, name,
-                   "present in baseline but not in candidate");
-      }
+      // A run that silently drops a gated scenario -- a deregistered
+      // serve replay, a filter typo -- must not pass as "no drift found".
+      addFinding(&report, CompareFinding::Kind::kMissing, name,
+                 "present in baseline but not in candidate");
       continue;
     }
     json::Value base, cand;
@@ -354,34 +252,22 @@ CompareReport compareBenchDirs(const std::string& baseline_dir,
 std::string CompareReport::text() const {
   std::ostringstream out;
   out << "compared " << compared << " scenario(s): ";
-  int regressions = 0, drifts = 0, infos = 0, other = 0;
+  int drifts = 0, other = 0;
   for (const CompareFinding& f : findings) {
-    switch (f.kind) {
-      case CompareFinding::Kind::kRegression:
-        ++regressions;
-        break;
-      case CompareFinding::Kind::kDrift:
-        ++drifts;
-        break;
-      case CompareFinding::Kind::kInfo:
-        ++infos;
-        break;
-      default:
-        ++other;
+    if (f.kind == CompareFinding::Kind::kDrift) {
+      ++drifts;
+    } else if (f.kind != CompareFinding::Kind::kInfo) {
+      ++other;
     }
   }
   if (pass()) {
     out << "OK\n";
   } else {
-    out << regressions << " regression(s), " << drifts << " drift(s), "
-        << other << " other problem(s)\n";
+    out << drifts << " drift(s), " << other << " other problem(s)\n";
   }
   for (const CompareFinding& f : findings) {
     const char* kind = "";
     switch (f.kind) {
-      case CompareFinding::Kind::kRegression:
-        kind = "REGRESSION";
-        break;
       case CompareFinding::Kind::kDrift:
         kind = "DRIFT";
         break;

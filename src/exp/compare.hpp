@@ -1,11 +1,16 @@
 // Diffs two directories of BENCH_<scenario>.json files (see runner.hpp):
-// the committed baseline snapshot vs a fresh run. Two failure classes:
+// the committed baseline snapshot vs a fresh run. One rule: every
+// deterministic field the baseline recorded -- the rows, the kind-specific
+// summary members and every `lp_*` work count -- must be reproduced within
+// `ratio_tolerance` (relative); anything else is result drift. Rows and
+// pivot counts are deterministic for a given binary and thread count, so
+// drift means behavior changed, not noise.
 //
-//  * timing regression -- a scenario's median wall time exceeds the
-//    baseline's by more than `max_regression` (relative; 0.25 = +25%).
-//  * result drift -- any numeric row field differs from the baseline by
-//    more than `ratio_tolerance` (relative). Rows are deterministic for a
-//    given source tree, so drift means behavior changed, not noise.
+// Machine-dependent data is never gated: run metadata (provenance, thread
+// count, the `timing` block with its wall times, latencies and
+// throughputs) is skipped, and `mem_*` peak-RSS probes are reported as
+// [INFO]. Wall time is compared only between runs on one machine
+// (`benchmark/run.py --ab`), never against a committed baseline.
 //
 // This is the library behind the bench_compare CLI that the CI bench-smoke
 // job runs; it is pure (no exit()) so tests can exercise it directly.
@@ -19,25 +24,16 @@
 namespace coyote::exp {
 
 struct CompareOptions {
-  /// Fail when candidate median_seconds > baseline * (1 + max_regression).
-  double max_regression = 0.25;
-  /// Relative tolerance for numeric row fields; exceeding it is "drift".
+  /// Relative tolerance for gated numeric fields; exceeding it is "drift".
   double ratio_tolerance = 1e-9;
-  /// Fail when a baseline scenario has no candidate file.
-  bool require_all = true;
-  /// Timing floor: the gate compares against max(baseline median,
-  /// min_gate_seconds), so sub-millisecond scenarios (where a single
-  /// scheduler preemption exceeds any relative threshold) only fail on
-  /// absolute blowups, while genuine hangs are still caught.
-  double min_gate_seconds = 0.01;
 };
 
 struct CompareFinding {
   std::string scenario;
   std::string what;  ///< human-readable, one line
-  /// kInfo findings (e.g. per-scenario lp_pivots deltas) are printed but
-  /// never fail the gate.
-  enum class Kind { kRegression, kDrift, kMissing, kMalformed, kInfo } kind;
+  /// kInfo findings (e.g. per-scenario mem_peak_rss_mb deltas) are printed
+  /// but never fail the gate.
+  enum class Kind { kDrift, kMissing, kMalformed, kInfo } kind;
 };
 
 struct CompareReport {
@@ -60,7 +56,8 @@ void compareDocuments(const util::json::Value& baseline,
                       const CompareOptions& opt, CompareReport* report);
 
 /// Compares every BENCH_*.json under `baseline_dir` against its
-/// counterpart in `candidate_dir`.
+/// counterpart in `candidate_dir`; a baseline scenario the candidate
+/// never produced is a hard kMissing failure.
 [[nodiscard]] CompareReport compareBenchDirs(const std::string& baseline_dir,
                                              const std::string& candidate_dir,
                                              const CompareOptions& opt = {});

@@ -122,9 +122,9 @@ class KindOutput {
 
   json::Value rows = json::Value::array();
   json::Value extra = json::Value::object();
-  /// Members merged into the machine-dependent "timing" block (exempt
-  /// from the bench_compare drift gate; kServe puts throughput and
-  /// latency percentiles here, where they are regression-gated instead).
+  /// Members merged into the machine-dependent "timing" block (never
+  /// gated by bench_compare; kServe puts throughput and latency
+  /// percentiles here).
   json::Value timing_extra = json::Value::object();
   bool ok = true;
 
@@ -182,9 +182,9 @@ json::Value schemeRowJson(const std::vector<const te::Scheme*>& schemes,
   for (std::size_t i = 0; i < schemes.size(); ++i) {
     row[schemes[i]->key()] = r.ratio[i];
   }
-  // Solver-work telemetry; `lp_`-prefixed fields (the per-margin totals
-  // and the per-scheme breakdown objects) are exempt from the
-  // bench_compare drift gate (pivot counts are toolchain-sensitive).
+  // Solver-work counts (the per-margin totals and the per-scheme
+  // breakdown objects); deterministic, so bench_compare gates them like
+  // the ratios.
   row["lp_solves"] = static_cast<double>(r.lp_solves);
   row["lp_pivots"] = static_cast<double>(r.lp_pivots);
   json::Value solves = json::Value::object();
@@ -209,7 +209,6 @@ void runSchemes(const Scenario& s, const RunOptions& opt, KindOutput& out) {
 
   SweepOptions sopt = s.sweep;
   sopt.exact_oracle = sopt.exact_oracle || opt.exact;
-  if (opt.exact && s.exact_env_upgrades_eval) sopt.exact_eval = true;
 
   out.comment("%s, %s base matrix", s.topology.label().c_str(),
               s.demand.name());
@@ -248,7 +247,7 @@ void runTable(const Scenario& s, const RunOptions& opt, KindOutput& out) {
     SweepOptions sopt = s.sweep;
     sopt.exact_eval =
         (s.exact_node_limit > 0 && g.numNodes() <= s.exact_node_limit) ||
-        (opt.exact && s.exact_env_upgrades_eval);
+        opt.exact;
     sopt.exact_oracle = sopt.exact_eval || opt.exact;
 
     const NetworkSweep sweep(g, dags, base, sopt, schemes);
@@ -984,9 +983,9 @@ void runScaling(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   columns.push_back({"mem_peak_rss_mb", "RSS-MiB", 8, 1});
   out.table(std::move(columns));
 
-  // Per-rung wall-clock goes under "timing" (machine-dependent, exempt
-  // from the drift gate); the rows keep only deterministic fields plus
-  // the lp_* / mem_* telemetry the gate already exempts.
+  // Per-rung wall-clock goes under "timing" (machine-dependent, never
+  // gated); the rows keep only deterministic fields plus the mem_*
+  // telemetry the gate reports as [INFO].
   json::Value rung_seconds = json::Value::array();
   for (const TopologySpec& spec : s.ladder) {
     const util::Timer rung_timer;
@@ -1124,8 +1123,8 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   doc["exact"] = opt_.exact;
   doc["ok"] = result.ok;
   // Per-scenario LP work (one repetition's worth). The counts are
-  // deterministic for a binary (and for any thread count); all lp_*
-  // fields are exempt from the bench_compare drift gate. The wall-clock
+  // deterministic for a binary (and for any thread count), so
+  // bench_compare gates every lp_* field like the rows. The wall-clock
   // share of the solver lands under "timing" with the other
   // machine-dependent data.
   doc["lp_solves"] = static_cast<double>(lp_delta.solves);
@@ -1142,7 +1141,7 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   // Process peak RSS after the scenario ran (schema coyote-bench/6).
   // Monotonic over the process, so in a multi-scenario run each value
   // upper-bounds the scenario's own footprint; `mem_`-prefixed fields are
-  // exempt from the drift gate and surfaced as [INFO] deltas instead.
+  // never gated and surface as [INFO] deltas instead.
   doc["mem_peak_rss_mb"] = util::peakRssMb();
   doc["rows"] = std::move(output.rows);
   for (auto& [key, value] : output.extra.asObject()) {
@@ -1163,8 +1162,8 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
       last_elapsed > 0.0 ? std::max(0.0, lp_delta.seconds / last_elapsed)
                          : 0.0;
   // Kind-specific timing (kServe: events/sec and latency percentiles);
-  // lives here with the other machine-dependent data so the drift gate
-  // skips it, while bench_compare applies explicit regression gates.
+  // lives here with the other machine-dependent data, which
+  // bench_compare never gates.
   for (const auto& [key, value] : output.timing_extra.asObject()) {
     timing[key] = value;
   }

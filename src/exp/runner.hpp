@@ -1,7 +1,7 @@
 // Executes scenarios from the ScenarioRegistry: streams each scenario's
 // text rows, times repetitions, and emits one self-describing
 // BENCH_<scenario>.json per scenario (the format bench_compare and the CI
-// perf gate consume; schema documented in EXPERIMENTS.md).
+// result gate consume; schema documented in EXPERIMENTS.md).
 //
 // A scenario kind records each result once, as a BENCH row; the text
 // table is rendered from those rows (every uncommented line is one row,

@@ -424,7 +424,6 @@ ScenarioRegistry::ScenarioRegistry() {
     s.sweep.coyote.oblivious_pool.random_sparse = 8;
     s.sweep.coyote.splitting.iterations = 250;
     s.exact_node_limit = 14;
-    s.exact_env_upgrades_eval = true;
     add(std::move(s));
   }
 
@@ -645,8 +644,8 @@ ScenarioRegistry::ScenarioRegistry() {
   {
     TopologySpec re;
     re.kind = TopologySpec::Kind::kRunningExample;
-    // The CI bench-smoke gate replays this one (events/sec + p50/p99
-    // land in the BENCH timing block, gated by bench_compare).
+    // The CI bench-smoke gate replays this one (its rows and lp_* counts
+    // are gated; events/sec + p50/p99 land in the BENCH timing block).
     serveScenario("serve-running-example", re, DemandSpec::Model::kUniform,
                   200, /*smoke=*/true);
   }

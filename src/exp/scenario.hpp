@@ -122,9 +122,6 @@ struct Scenario {
   std::vector<double> full_margins;  ///< --full / COYOTE_FULL grid
   SweepOptions sweep;
 
-  /// COYOTE_EXACT / --exact also switches the exact whole-box evaluation
-  /// on (Table I behavior), not just the oracle cutting planes.
-  bool exact_env_upgrades_eval = false;
   /// Networks with <= `exact_node_limit` nodes use the exact slave-LP
   /// adversary for evaluation and the oracle (Table I's exact rows); 0 = off.
   int exact_node_limit = 0;

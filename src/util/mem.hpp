@@ -11,8 +11,8 @@ namespace coyote::util {
 /// platform has no getrusage). Monotonic over the process lifetime, so a
 /// sequence of probes yields "peak RSS so far" -- each scaling rung's
 /// value upper-bounds its own footprint plus everything before it.
-/// `mem_`-prefixed BENCH fields carry these values and are exempt from
-/// the bench_compare drift gate (allocator- and machine-sensitive).
+/// `mem_`-prefixed BENCH fields carry these values; bench_compare never
+/// gates them (allocator- and machine-sensitive).
 inline double peakRssMb() {
 #if defined(_WIN32)
   return 0.0;

@@ -423,7 +423,7 @@ TEST(SchemeRunner, EmitsSchemaFourRowsForSelectedSchemes) {
     EXPECT_GE(row.numberOr("semi-oblivious", -1.0), 1.0 - 1e-7);
     EXPECT_EQ(row.find("ecmp"), nullptr);   // not selected, not emitted
     EXPECT_EQ(row.find("partial"), nullptr);
-    // Per-scheme LP telemetry rides under lp_-prefixed (gate-exempt) keys.
+    // Per-scheme LP work counts ride under lp_-prefixed keys.
     const util::json::Value* pivots = row.find("lp_scheme_pivots");
     ASSERT_NE(pivots, nullptr);
     EXPECT_NE(pivots->find("semi-oblivious"), nullptr);

@@ -1,7 +1,9 @@
-// Perf-regression gate: diffs two directories of BENCH_<scenario>.json
-// files (see exp/compare.hpp) and exits non-zero on median wall-time
-// regressions beyond the threshold or on result drift. CI's bench-smoke
-// job runs this against the committed bench/baselines/ snapshot.
+// Result gate: diffs two directories of BENCH_<scenario>.json files (see
+// exp/compare.hpp) and exits non-zero when a row field or an lp_* work
+// count drifts beyond --ratio-tol or a baseline scenario is missing. Wall
+// time is never gated. CI's bench-smoke job runs this against the
+// committed bench/baselines*/ snapshots and across thread counts.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -17,20 +19,12 @@ int usage(const char* argv0, int code) {
       out,
       "usage: %s <baseline-dir> <candidate-dir> [options]\n"
       "\n"
-      "  --threshold <frac>   allowed relative median-seconds growth before\n"
-      "                       a scenario counts as regressed (default 0.25;\n"
-      "                       1.0 allows a 2x slowdown)\n"
-      "  --ratio-tol <frac>   relative tolerance for numeric row fields\n"
-      "                       (default 1e-9; rows are deterministic, so any\n"
-      "                       larger difference is result drift)\n"
-      "  --min-seconds <s>    timing floor: regressions are measured against\n"
-      "                       max(baseline median, this), so sub-millisecond\n"
-      "                       scenarios don't fail on scheduler noise\n"
-      "                       (default 0.01)\n"
-      "  --allow-missing      don't fail when a baseline scenario has no\n"
-      "                       candidate file\n"
+      "  --ratio-tol <frac>   relative tolerance for row fields and lp_* work\n"
+      "                       counts (default 1e-9; both are deterministic,\n"
+      "                       so any larger difference is result drift)\n"
       "\n"
-      "exit status: 0 = pass, 1 = regression/drift found, 2 = usage error\n",
+      "exit status: 0 = pass, 1 = drift or missing scenario, 2 = usage "
+      "error\n",
       argv0);
   return code;
 }
@@ -51,25 +45,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto nextDouble = [&]() {
+    if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
+    if (arg == "--ratio-tol") {
       const char* s = next();
       char* end = nullptr;
-      const double v = std::strtod(s, &end);
-      if (end == s || *end != '\0') {
-        std::fprintf(stderr, "%s: not a number: %s\n", arg.c_str(), s);
-        std::exit(2);
+      opt.ratio_tolerance = std::strtod(s, &end);
+      // NaN would pass every comparison and switch the gate off.
+      if (end == s || *end != '\0' || !std::isfinite(opt.ratio_tolerance) ||
+          opt.ratio_tolerance < 0.0) {
+        std::fprintf(stderr, "--ratio-tol: not a finite number >= 0: %s\n",
+                     s);
+        return 2;
       }
-      return v;
-    };
-    if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
-    if (arg == "--threshold") {
-      opt.max_regression = nextDouble();
-    } else if (arg == "--ratio-tol") {
-      opt.ratio_tolerance = nextDouble();
-    } else if (arg == "--min-seconds") {
-      opt.min_gate_seconds = nextDouble();
-    } else if (arg == "--allow-missing") {
-      opt.require_all = false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return usage(argv[0], 2);
@@ -78,11 +65,6 @@ int main(int argc, char** argv) {
     }
   }
   if (dirs.size() != 2) return usage(argv[0], 2);
-  if (opt.max_regression < 0.0 || opt.ratio_tolerance < 0.0 ||
-      opt.min_gate_seconds < 0.0) {
-    std::fprintf(stderr, "thresholds must be >= 0\n");
-    return 2;
-  }
 
   const exp::CompareReport report =
       exp::compareBenchDirs(dirs[0], dirs[1], opt);

@@ -1,7 +1,8 @@
 // Unified experiment CLI over the scenario registry: list/filter/run any
 // of the paper's figure/table scenarios plus the extension grid, with
-// machine-readable BENCH_<scenario>.json output for the CI perf gate
-// (bench_compare). See EXPERIMENTS.md.
+// machine-readable BENCH_<scenario>.json output for the CI result gate
+// (bench_compare, which gates rows and lp_* counts, never wall time). See
+// EXPERIMENTS.md.
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>

@@ -16,10 +16,12 @@
 //
 //   coyote_serve --topo Geant --generate 500 --seed 1   seeded mixed trace
 //   coyote_serve --topo Geant --flap-trace 40           link-flap trace
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -117,7 +119,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--margin") {
       margin = std::atof(next());
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::atoi(next()));
+      // Strict, before any pool exists: "abc" must not silently mean 0
+      // (the default), nor -1 wrap to a pool of 2^32 - 1 workers.
+      const char* s = next();
+      char* end = nullptr;
+      errno = 0;
+      const long n = std::strtol(s, &end, 10);
+      if (end == s || *end != '\0' || errno != 0 || n < 0 ||
+          n > static_cast<long>(std::numeric_limits<unsigned>::max())) {
+        std::fprintf(stderr, "--threads: not a non-negative integer: %s\n",
+                     s);
+        return 2;
+      }
+      threads = static_cast<unsigned>(n);
     } else if (arg == "--replay") {
       replay_file = next();
     } else if (arg == "--generate") {
