@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <random>
 
 #include "routing/ecmp.hpp"
-#include "routing/evaluator.hpp"
 #include "routing/optu.hpp"
 #include "routing/propagation.hpp"
-#include "routing/worst_case.hpp"
 
 namespace coyote::core {
 namespace {
+
+/// The corner pool each round's critical matrix is picked from.
+constexpr tm::PoolOptions kPool{};
+/// Seed of the move-order shuffle.
+constexpr std::uint64_t kSeed = 11;
 
 /// Integral inverse-capacity starting weights (Cisco default, scaled).
 std::vector<double> initialWeights(const Graph& g) {
@@ -57,7 +61,6 @@ LocalSearchResult localSearchWeights(const Graph& g,
                                      const tm::DemandBounds& box,
                                      const LocalSearchOptions& opt) {
   require(opt.max_rounds >= 1, "need at least one round");
-  require(opt.max_weight >= 2, "max_weight too small");
 
   LocalSearchResult out;
   out.weights = initialWeights(g);
@@ -67,7 +70,7 @@ LocalSearchResult localSearchWeights(const Graph& g,
   // OPTU == 1 (the normalization is weight-independent, unlike the
   // DAG-restricted one, so it stays comparable as the weights move).
   std::vector<tm::TrafficMatrix> pool;
-  for (const auto& d : tm::cornerPool(box, opt.pool)) {
+  for (const auto& d : tm::cornerPool(box, kPool)) {
     const double optu = routing::optimalUtilizationUnrestricted(g, d);
     if (optu <= 1e-12) continue;
     tm::TrafficMatrix scaled = d;
@@ -84,40 +87,26 @@ LocalSearchResult localSearchWeights(const Graph& g,
   std::vector<char> in_critical(pool.size(), 0);
 
   Graph scratch;
-  std::mt19937_64 rng(opt.seed);
+  std::mt19937_64 rng(kSeed);
   for (int round = 0; round < opt.max_rounds; ++round) {
     ++out.rounds;
 
-    // WORSTCASEDM (Alg. 1 line 7) for the current ECMP routing.
-    if (opt.oracle == WorstCaseOracle::kExactLp) {
-      const routing::RoutingConfig ecmp = ecmpFor(g, out.weights, scratch);
-      const routing::WorstCaseResult wc =
-          routing::findWorstCaseDemand(scratch, ecmp, &box);
-      if (wc.ratio > 0.0) {
-        const double optu =
-            routing::optimalUtilizationUnrestricted(g, wc.demand);
-        if (optu > 1e-12) {
-          tm::TrafficMatrix scaled = wc.demand;
-          scaled.scale(1.0 / optu);
-          critical.push_back(std::move(scaled));
-        }
+    // WORSTCASEDM (Alg. 1 line 7) for the current ECMP routing: the
+    // pool matrix it loads most that is not yet in T.
+    const routing::RoutingConfig ecmp = ecmpFor(g, out.weights, scratch);
+    int worst_idx = -1;
+    double worst = -1.0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (in_critical[i]) continue;
+      const double u = routing::maxLinkUtilization(scratch, ecmp, pool[i]);
+      if (u > worst) {
+        worst = u;
+        worst_idx = static_cast<int>(i);
       }
-    } else {
-      const routing::RoutingConfig ecmp = ecmpFor(g, out.weights, scratch);
-      int worst_idx = -1;
-      double worst = -1.0;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (in_critical[i]) continue;
-        const double u = routing::maxLinkUtilization(scratch, ecmp, pool[i]);
-        if (u > worst) {
-          worst = u;
-          worst_idx = static_cast<int>(i);
-        }
-      }
-      if (worst_idx >= 0) {
-        in_critical[worst_idx] = 1;
-        critical.push_back(pool[worst_idx]);
-      }
+    }
+    if (worst_idx >= 0) {
+      in_critical[worst_idx] = 1;
+      critical.push_back(pool[worst_idx]);
     }
     if (critical.empty()) break;
 
@@ -137,12 +126,12 @@ LocalSearchResult localSearchWeights(const Graph& g,
         const double w0 = out.weights[e];
         const double candidates[] = {w0 + 1.0, w0 - 1.0, w0 * 2.0,
                                      std::round(w0 / 2.0), 1.0,
-                                     static_cast<double>(opt.max_weight)};
+                                     static_cast<double>(kMaxWeight)};
         double best_w = w0;
         double best_u = out.utilization;
         for (const double wc : candidates) {
           const double w =
-              std::clamp(wc, 1.0, static_cast<double>(opt.max_weight));
+              std::clamp(wc, 1.0, static_cast<double>(kMaxWeight));
           if (w == w0) continue;
           out.weights[e] = w;
           const double u = evalWeights(g, out.weights, critical);

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "core/local_search.hpp"
 #include "core/splitting_optimizer.hpp"
@@ -1044,22 +1045,23 @@ void runKind(const Scenario& s, const RunOptions& opt, KindOutput& out) {
 
 }  // namespace
 
-double ScenarioResult::minSeconds() const {
-  double m = std::numeric_limits<double>::infinity();
-  for (const double s : seconds) m = std::min(m, s);
-  return seconds.empty() ? 0.0 : m;
-}
-
-double ScenarioResult::medianSeconds() const {
-  std::vector<double> sorted = seconds;
-  std::sort(sorted.begin(), sorted.end());
-  return util::medianOf(sorted);
-}
-
 std::string gitDescribe() {
   std::string out;
 #if !defined(_WIN32)
-  if (FILE* pipe = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
+  // The source tree is compiled in, so the answer does not depend on the
+  // working directory. Single-quoted for the shell: '\'' closes the
+  // quote, adds a literal quote and reopens it.
+  std::string dir;
+  for (const char c : std::string_view(COYOTE_SOURCE_DIR)) {
+    if (c == '\'') {
+      dir += "'\\''";
+    } else {
+      dir += c;
+    }
+  }
+  const std::string command =
+      "git -C '" + dir + "' describe --always --dirty 2>/dev/null";
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
     char buf[128];
     while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
     ::pclose(pipe);
@@ -1075,42 +1077,29 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   ScenarioResult result;
   result.id = s.id;
 
-  KindOutput output(false);
-  const int total = std::max(1, opt_.repeat) + std::max(0, opt_.warmup);
-  const int warmup = std::max(0, opt_.warmup);
-  const lp::StatsSnapshot lp_start = lp::statsSnapshot();
-  lp::StatsSnapshot lp_delta;   // last repetition (all reps do equal work)
-  double last_elapsed = 0.0;
-  for (int rep = 0; rep < total; ++rep) {
-    // Deterministic results: print during the first execution only.
-    const bool print = opt_.print && rep == 0;
-    const lp::StatsSnapshot lp_before = lp::statsSnapshot();
-    const util::Timer timer;
-    output = KindOutput(print);
-    runKind(s, opt_, output);
-    const double elapsed = timer.elapsedSeconds();
-    lp_delta = lp::statsSnapshot() - lp_before;
-    last_elapsed = elapsed;
-    if (print) std::printf("# elapsed: %.1fs\n", elapsed);
-    if (rep >= warmup) result.seconds.push_back(elapsed);
-  }
+  KindOutput output(opt_.print);
+  const lp::StatsSnapshot lp_before = lp::statsSnapshot();
+  const util::Timer timer;
+  runKind(s, opt_, output);
+  const double elapsed = timer.elapsedSeconds();
+  const lp::StatsSnapshot lp_delta = lp::statsSnapshot() - lp_before;
+  if (opt_.print) std::printf("# elapsed: %.1fs\n", elapsed);
   result.ok = output.ok;
 
   // An LP hitting its iteration limit means some reported objective is not
   // the optimum -- a silent correctness failure, surfaced here as a hard
   // per-scenario error rather than a quietly-wrong BENCH row.
-  const lp::StatsSnapshot lp_total = lp::statsSnapshot() - lp_start;
-  if (lp_total.iter_limit_solves > 0) {
+  if (lp_delta.iter_limit_solves > 0) {
     std::fprintf(stderr,
                  "scenario %s: %lld LP solve(s) hit the iteration limit "
                  "(objectives are not optimal); failing the scenario\n",
                  s.id.c_str(),
-                 static_cast<long long>(lp_total.iter_limit_solves));
+                 static_cast<long long>(lp_delta.iter_limit_solves));
     result.ok = false;
   }
 
   json::Value doc = json::Value::object();
-  doc["schema"] = "coyote-bench/6";
+  doc["schema"] = "coyote-bench/7";
   doc["scenario"] = s.id;
   doc["kind"] = kindName(s.kind);
   doc["description"] = s.description;
@@ -1122,11 +1111,10 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   doc["full"] = opt_.full;
   doc["exact"] = opt_.exact;
   doc["ok"] = result.ok;
-  // Per-scenario LP work (one repetition's worth). The counts are
-  // deterministic for a binary (and for any thread count), so
-  // bench_compare gates every lp_* field like the rows. The wall-clock
-  // share of the solver lands under "timing" with the other
-  // machine-dependent data.
+  // Per-scenario LP work. The counts are deterministic for a binary (and
+  // for any thread count), so bench_compare gates every lp_* field like
+  // the rows. The wall-clock share of the solver lands under "timing"
+  // with the other machine-dependent data.
   doc["lp_solves"] = static_cast<double>(lp_delta.solves);
   doc["lp_pivots"] = static_cast<double>(lp_delta.iterations);
   doc["lp_phase1_pivots"] = static_cast<double>(lp_delta.phase1_iters);
@@ -1148,19 +1136,12 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
     doc[key] = value;
   }
   json::Value timing = json::Value::object();
-  timing["repeat"] = std::max(1, opt_.repeat);
-  timing["warmup"] = warmup;
-  json::Value secs = json::Value::array();
-  for (const double sec : result.seconds) secs.push_back(sec);
-  timing["seconds"] = std::move(secs);
-  timing["min_seconds"] = result.minSeconds();
-  timing["median_seconds"] = result.medianSeconds();
+  timing["seconds"] = elapsed;
   // Solver seconds (summed across worker threads) per wall-clock second:
   // can exceed 1.0 when COYOTE_THREADS > 1 and the LP chunks run
   // concurrently -- it is a utilization measure, not a percentage.
   timing["lp_time_frac"] =
-      last_elapsed > 0.0 ? std::max(0.0, lp_delta.seconds / last_elapsed)
-                         : 0.0;
+      elapsed > 0.0 ? std::max(0.0, lp_delta.seconds / elapsed) : 0.0;
   // Kind-specific timing (kServe: events/sec and latency percentiles);
   // lives here with the other machine-dependent data, which
   // bench_compare never gates.

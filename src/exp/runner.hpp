@@ -1,5 +1,5 @@
 // Executes scenarios from the ScenarioRegistry: streams each scenario's
-// text rows, times repetitions, and emits one self-describing
+// text rows, times the run, and emits one self-describing
 // BENCH_<scenario>.json per scenario (the format bench_compare and the CI
 // result gate consume; schema documented in EXPERIMENTS.md).
 //
@@ -26,12 +26,6 @@ struct RunOptions {
   /// paper's four.
   /// Unknown keys are a hard error (the CLI validates before running).
   std::vector<std::string> schemes;
-  int repeat = 1;        ///< timed repetitions per scenario (>= 1)
-  /// Untimed repetitions before the timed ones. Rows print during the
-  /// very first repetition only, so with warmup >= 1 the timed reps are
-  /// free of stdout I/O — use `--warmup 1` whenever timings will be
-  /// compared (CI and the baseline-refresh command both do).
-  int warmup = 0;
   std::string json_dir;  ///< where BENCH_<id>.json files go; empty = none
   bool print = true;     ///< stream the text view of the rows to stdout
 };
@@ -40,19 +34,14 @@ struct ScenarioResult {
   std::string id;
   bool ok = true;                ///< false e.g. when fig12's lie check fails
   util::json::Value document;    ///< the full BENCH JSON document
-  std::vector<double> seconds;   ///< wall time of each timed repetition
-
-  [[nodiscard]] double minSeconds() const;
-  [[nodiscard]] double medianSeconds() const;
 };
 
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(RunOptions opt) : opt_(std::move(opt)) {}
 
-  /// Runs one scenario (warmup + timed repetitions; rows are printed
-  /// during the first execution only -- results are deterministic).
-  /// Library errors propagate as exceptions.
+  /// Runs one scenario once, timed, printing its rows as they are
+  /// recorded. Library errors propagate as exceptions.
   [[nodiscard]] ScenarioResult run(const Scenario& s) const;
 
   /// Runs every scenario in order, writing BENCH_<id>.json into json_dir
@@ -65,7 +54,9 @@ class ExperimentRunner {
   RunOptions opt_;
 };
 
-/// `git describe --always --dirty`, or "unknown" outside a work tree.
+/// `git describe --always --dirty` of the source tree this library was
+/// built from (whatever the working directory), or "unknown" when that
+/// tree is not a git checkout.
 [[nodiscard]] std::string gitDescribe();
 
 }  // namespace coyote::exp

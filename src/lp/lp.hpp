@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -137,26 +138,59 @@ struct Basis {
   [[nodiscard]] bool empty() const { return status.empty(); }
 };
 
-/// Work counters of one solve (also aggregated globally; see stats.hpp).
-struct SolveStats {
-  int iterations = 0;        ///< simplex pivots + bound flips, both phases
-  int refactorizations = 0;  ///< basis refactorizations performed
-  int phase1_iters = 0;      ///< iterations spent restoring feasibility
-  int pricing_hits = 0;      ///< enterings served from the devex candidate
-                             ///< list without any column scan
-  int degen_rescues = 0;     ///< ratio-test degeneracy rescues: Harris picks
-                             ///< that stepped past the textbook minimum-ratio
-                             ///< blocker for a larger pivot, plus bounded-
-                             ///< perturbation (tolerance-expansion) resets
-  int lu_updates = 0;        ///< Forrest-Tomlin basis updates applied
-  std::int64_t lu_fill = 0;  ///< summed nonzeros of fresh LU factorizations
-                             ///< (the factor fill-in measure)
-  int dual_pivots = 0;       ///< dual-simplex pivots (warm rhs/bound repair;
-                             ///< also counted in `iterations`)
-  int decomp_rounds = 0;     ///< OPTU block-decomposition price rounds that
-                             ///< seeded this solve (recorded by
-                             ///< routing::OptuEngine; always 0 for plain
-                             ///< solver sessions)
+/// The one record of LP work: a solve's counters (LpResult::stats) and the
+/// process-wide total they are added into (stats.hpp), whose differences
+/// are what consumers report. Every count is deterministic for a given
+/// binary and problem; only `seconds` is wall-clock noise.
+struct StatsSnapshot {
+  std::int64_t solves = 0;            ///< completed solve() calls
+  std::int64_t iterations = 0;        ///< pivots + bound flips, both phases
+  std::int64_t phase1_iters = 0;      ///< iterations restoring feasibility
+  std::int64_t refactorizations = 0;  ///< basis refactorizations performed
+  std::int64_t iter_limit_solves = 0; ///< solves that hit max_iterations
+  std::int64_t pricing_hits = 0;      ///< enterings served from the devex
+                                      ///< candidate list without a column scan
+  std::int64_t degen_rescues = 0;     ///< ratio-test degeneracy rescues: Harris
+                                      ///< picks that stepped past the textbook
+                                      ///< minimum-ratio blocker for a larger
+                                      ///< pivot, plus bounded-perturbation
+                                      ///< (tolerance-expansion) resets
+  std::int64_t lu_updates = 0;        ///< Forrest-Tomlin basis updates applied
+  std::int64_t lu_fill = 0;           ///< summed nonzeros of fresh LU
+                                      ///< factorizations (the fill-in measure)
+  std::int64_t dual_pivots = 0;       ///< dual-simplex pivots (warm rhs/bound
+                                      ///< repair; also counted in `iterations`)
+  std::int64_t decomp_rounds = 0;     ///< OPTU block-decomposition price rounds
+                                      ///< (recorded by routing::OptuEngine into
+                                      ///< the total; 0 in a solve's record)
+  double seconds = 0.0;               ///< wall time inside solve()
+
+  StatsSnapshot& operator+=(const StatsSnapshot& o) {
+    return combine(o, std::plus<>{});
+  }
+  StatsSnapshot operator-(const StatsSnapshot& o) const {
+    StatsSnapshot d = *this;
+    return d.combine(o, std::minus<>{});
+  }
+
+ private:
+  /// Applies `op` field by field; the only other place the list is written.
+  template <class Op>
+  StatsSnapshot& combine(const StatsSnapshot& o, Op op) {
+    solves = op(solves, o.solves);
+    iterations = op(iterations, o.iterations);
+    phase1_iters = op(phase1_iters, o.phase1_iters);
+    refactorizations = op(refactorizations, o.refactorizations);
+    iter_limit_solves = op(iter_limit_solves, o.iter_limit_solves);
+    pricing_hits = op(pricing_hits, o.pricing_hits);
+    degen_rescues = op(degen_rescues, o.degen_rescues);
+    lu_updates = op(lu_updates, o.lu_updates);
+    lu_fill = op(lu_fill, o.lu_fill);
+    dual_pivots = op(dual_pivots, o.dual_pivots);
+    decomp_rounds = op(decomp_rounds, o.decomp_rounds);
+    seconds = op(seconds, o.seconds);
+    return *this;
+  }
 };
 
 struct LpResult {
@@ -172,7 +206,7 @@ struct LpResult {
   /// equals the objective (strong duality).
   std::vector<double> row_duals;
   Basis basis;            ///< final basis (valid when status == kOptimal)
-  SolveStats stats;
+  StatsSnapshot stats;    ///< this solve's work (added to the total)
 
   [[nodiscard]] bool optimal() const { return status == Status::kOptimal; }
 };

@@ -222,20 +222,10 @@ class SimplexSolver::Impl {
       }
       res.objective = obj;
     }
-    StatsSnapshot delta;
-    delta.solves = 1;
-    delta.iterations = res.stats.iterations;
-    delta.phase1_iters = res.stats.phase1_iters;
-    delta.refactorizations = res.stats.refactorizations;
-    delta.iter_limit_solves = (res.status == Status::kIterLimit) ? 1 : 0;
-    delta.pricing_hits = res.stats.pricing_hits;
-    delta.degen_rescues = res.stats.degen_rescues;
-    delta.lu_updates = res.stats.lu_updates;
-    delta.lu_fill = res.stats.lu_fill;
-    delta.dual_pivots = res.stats.dual_pivots;
-    delta.decomp_rounds = res.stats.decomp_rounds;
-    delta.seconds = timer.elapsedSeconds();
-    GlobalStats::instance().record(delta);
+    res.stats.solves = 1;
+    res.stats.iter_limit_solves = res.status == Status::kIterLimit ? 1 : 0;
+    res.stats.seconds = timer.elapsedSeconds();
+    GlobalStats::instance().record(res.stats);
     warm_ = res.status == Status::kOptimal;
     rhs_edits_ = 0;
     return res;
@@ -330,7 +320,7 @@ class SimplexSolver::Impl {
   /// columns and completing unpivoted rows with their logicals, then
   /// recomputes the primal values. This is what makes stale warm-start
   /// bases safe.
-  void refactorize(SolveStats& st) {
+  void refactorize(StatsSnapshot& st) {
     ++st.refactorizations;
     updates_since_refactor_ = 0;
 
@@ -852,7 +842,7 @@ class SimplexSolver::Impl {
   /// a dual ray on a stale factorization -- refreshes the basis first;
   /// persistent degeneracy bails out to the composite primal phase 1,
   /// which is the correctness (and anti-cycling) backstop.
-  DualVerdict runDual(SolveStats& st, double eps) {
+  DualVerdict runDual(StatsSnapshot& st, double eps) {
     // The dual simplex shines on *localized* damage -- a flapped link's
     // bound pins, a single rhs edit, a cutting plane -- where a handful
     // of basics lost feasibility and a few dual pivots repair them while
@@ -1081,7 +1071,7 @@ class SimplexSolver::Impl {
 
   // ---- main loop ------------------------------------------------------
 
-  Status run(SolveStats& st) {
+  Status run(StatsSnapshot& st) {
     sanitizeStatuses();
     if (devex_w_.size() != static_cast<std::size_t>(n_) + m_) resetDevex();
     if (!factored_) {

@@ -8,38 +8,13 @@ GlobalStats& GlobalStats::instance() {
 }
 
 void GlobalStats::record(const StatsSnapshot& delta) {
-  solves_.fetch_add(delta.solves, std::memory_order_relaxed);
-  iterations_.fetch_add(delta.iterations, std::memory_order_relaxed);
-  phase1_iters_.fetch_add(delta.phase1_iters, std::memory_order_relaxed);
-  refactorizations_.fetch_add(delta.refactorizations,
-                              std::memory_order_relaxed);
-  iter_limit_solves_.fetch_add(delta.iter_limit_solves,
-                               std::memory_order_relaxed);
-  pricing_hits_.fetch_add(delta.pricing_hits, std::memory_order_relaxed);
-  degen_rescues_.fetch_add(delta.degen_rescues, std::memory_order_relaxed);
-  lu_updates_.fetch_add(delta.lu_updates, std::memory_order_relaxed);
-  lu_fill_.fetch_add(delta.lu_fill, std::memory_order_relaxed);
-  dual_pivots_.fetch_add(delta.dual_pivots, std::memory_order_relaxed);
-  decomp_rounds_.fetch_add(delta.decomp_rounds, std::memory_order_relaxed);
-  nanos_.fetch_add(static_cast<std::int64_t>(delta.seconds * 1e9),
-                   std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mu_);
+  total_ += delta;
 }
 
 StatsSnapshot GlobalStats::snapshot() const {
-  StatsSnapshot s;
-  s.solves = solves_.load(std::memory_order_relaxed);
-  s.iterations = iterations_.load(std::memory_order_relaxed);
-  s.phase1_iters = phase1_iters_.load(std::memory_order_relaxed);
-  s.refactorizations = refactorizations_.load(std::memory_order_relaxed);
-  s.iter_limit_solves = iter_limit_solves_.load(std::memory_order_relaxed);
-  s.pricing_hits = pricing_hits_.load(std::memory_order_relaxed);
-  s.degen_rescues = degen_rescues_.load(std::memory_order_relaxed);
-  s.lu_updates = lu_updates_.load(std::memory_order_relaxed);
-  s.lu_fill = lu_fill_.load(std::memory_order_relaxed);
-  s.dual_pivots = dual_pivots_.load(std::memory_order_relaxed);
-  s.decomp_rounds = decomp_rounds_.load(std::memory_order_relaxed);
-  s.seconds = static_cast<double>(nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  return s;
+  const std::lock_guard<std::mutex> lock(mu_);
+  return total_;
 }
 
 StatsSnapshot statsSnapshot() { return GlobalStats::instance().snapshot(); }

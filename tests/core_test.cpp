@@ -390,7 +390,7 @@ TEST(LocalSearch, ReturnsIntegralWeightsInRange) {
   ASSERT_EQ(res.weights.size(), static_cast<std::size_t>(g.numEdges()));
   for (const double w : res.weights) {
     EXPECT_GE(w, 1.0);
-    EXPECT_LE(w, opt.max_weight);
+    EXPECT_LE(w, kMaxWeight);
     EXPECT_DOUBLE_EQ(w, std::round(w));
   }
   EXPECT_GE(res.rounds, 1);
@@ -403,7 +403,6 @@ TEST(LocalSearch, ImprovesOrMatchesInverseCapacityEcmp) {
   LocalSearchOptions opt;
   opt.max_rounds = 2;
   opt.max_moves_per_round = 12;
-  opt.seed = 5;
   const LocalSearchResult res = localSearchWeights(g, box, opt);
 
   // Evaluate ECMP with found weights vs. inverse-capacity weights on the
@@ -414,7 +413,7 @@ TEST(LocalSearch, ImprovesOrMatchesInverseCapacityEcmp) {
         std::make_shared<const DagSet>(routing::shortestPathDags(weighted));
     const auto ecmp = routing::ecmpConfig(weighted, dags);
     double worst = 0.0;
-    for (const auto& d : tm::cornerPool(box, opt.pool)) {
+    for (const auto& d : tm::cornerPool(box)) {
       const double optu = routing::optimalUtilizationUnrestricted(weighted, d);
       if (optu <= 1e-12) continue;
       worst = std::max(
@@ -467,9 +466,6 @@ TEST(CoyoteEdgeCases, LocalSearchOptionValidation) {
   const tm::DemandBounds box = tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0);
   LocalSearchOptions opt;
   opt.max_rounds = 0;
-  EXPECT_THROW(localSearchWeights(g, box, opt), std::invalid_argument);
-  opt.max_rounds = 1;
-  opt.max_weight = 1;
   EXPECT_THROW(localSearchWeights(g, box, opt), std::invalid_argument);
 }
 

@@ -150,6 +150,45 @@ TEST(ExperimentRunner, QuietRunPrintsNothing) {
   EXPECT_TRUE(result.ok);
 }
 
+TEST(ExperimentRunner, TimingRecordsTheOneRun) {
+  RunOptions opt;
+  opt.print = false;
+  const ScenarioResult result = ExperimentRunner(opt).run(
+      *ScenarioRegistry::global().find("running-example"));
+  const json::Value* timing = result.document.find("timing");
+  ASSERT_NE(timing, nullptr);
+  const json::Value* seconds = timing->find("seconds");
+  ASSERT_NE(seconds, nullptr);
+  ASSERT_TRUE(seconds->isNumber());
+  EXPECT_GT(seconds->asNumber(), 0.0);
+  for (const char* gone : {"repeat", "warmup", "min_seconds",
+                           "median_seconds"}) {
+    EXPECT_EQ(timing->find(gone), nullptr) << gone;
+  }
+}
+
+TEST(GitDescribe, NamesTheSourceTreeFromAnyWorkingDirectory) {
+  namespace fs = std::filesystem;
+  const fs::path root = COYOTE_SOURCE_DIR;
+  if (!fs::exists(root / ".git")) {
+    GTEST_SKIP() << root << " is not a git checkout";
+  }
+  const fs::path cwd = fs::current_path();
+  const fs::path elsewhere =
+      fs::path(testing::TempDir()) / "exp_runner_test_git_describe";
+  fs::create_directories(elsewhere);
+
+  fs::current_path(root);
+  const std::string from_root = gitDescribe();
+  fs::current_path(elsewhere);
+  const std::string from_elsewhere = gitDescribe();
+  fs::current_path(cwd);
+  fs::remove_all(elsewhere);
+
+  EXPECT_NE(from_root, "unknown");
+  EXPECT_EQ(from_elsewhere, from_root);
+}
+
 TEST(ExperimentRunner, ThrowingScenarioFailsAloneAndTheBatchGoesOn) {
   const Scenario& good = *ScenarioRegistry::global().find("running-example");
   Scenario bad = good;

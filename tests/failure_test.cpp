@@ -775,7 +775,7 @@ TEST(FailureRunner, EmitsSchemaFourFailuresBlock) {
   EXPECT_TRUE(result.ok);
 
   const util::json::Value& doc = result.document;
-  EXPECT_EQ(doc.stringOr("schema", ""), "coyote-bench/6");
+  EXPECT_EQ(doc.stringOr("schema", ""), "coyote-bench/7");
   EXPECT_EQ(doc.stringOr("kind", ""), "failure");
   EXPECT_EQ(doc.stringOr("failure_model", ""), "single-link");
   const util::json::Value* rows = doc.find("rows");

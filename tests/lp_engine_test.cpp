@@ -457,6 +457,71 @@ TEST(SimplexEngine, IterationLimitIsCounted) {
   EXPECT_EQ((statsSnapshot() - before).iter_limit_solves, 1);
 }
 
+// Every integer field of two records agrees (seconds is wall time: a
+// difference of two running totals need not equal one solve's bit for bit).
+void expectSameCounts(const StatsSnapshot& a, const StatsSnapshot& b) {
+  EXPECT_EQ(a.solves, b.solves);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.phase1_iters, b.phase1_iters);
+  EXPECT_EQ(a.refactorizations, b.refactorizations);
+  EXPECT_EQ(a.iter_limit_solves, b.iter_limit_solves);
+  EXPECT_EQ(a.pricing_hits, b.pricing_hits);
+  EXPECT_EQ(a.degen_rescues, b.degen_rescues);
+  EXPECT_EQ(a.lu_updates, b.lu_updates);
+  EXPECT_EQ(a.lu_fill, b.lu_fill);
+  EXPECT_EQ(a.dual_pivots, b.dual_pivots);
+  EXPECT_EQ(a.decomp_rounds, b.decomp_rounds);
+}
+
+TEST(SimplexEngine, SolveRecordIsWhatTheTotalGains) {
+  StatsSnapshot before = statsSnapshot();
+  const LpResult r = solve(productionPlan());
+  expectSameCounts(r.stats, statsSnapshot() - before);
+  EXPECT_EQ(r.stats.solves, 1);
+  EXPECT_GT(r.stats.iterations, 0);
+  EXPECT_EQ(r.stats.iter_limit_solves, 0);
+
+  SimplexOptions opt;
+  opt.max_iterations = 1;
+  before = statsSnapshot();
+  const LpResult cut = solve(productionPlan(), opt);
+  ASSERT_EQ(cut.status, Status::kIterLimit);
+  expectSameCounts(cut.stats, statsSnapshot() - before);
+  EXPECT_EQ(cut.stats.solves, 1);
+  EXPECT_EQ(cut.stats.iter_limit_solves, 1);
+}
+
+TEST(SimplexEngine, ConcurrentRecordsSumExactly) {
+  // A distinct count per field, so a field added into another shows.
+  StatsSnapshot unit;
+  unit.solves = 1;
+  unit.iterations = 2;
+  unit.phase1_iters = 3;
+  unit.refactorizations = 4;
+  unit.iter_limit_solves = 5;
+  unit.pricing_hits = 6;
+  unit.degen_rescues = 7;
+  unit.lu_updates = 8;
+  unit.lu_fill = 9;
+  unit.dual_pivots = 10;
+  unit.decomp_rounds = 11;
+  unit.seconds = 0.5;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  StatsSnapshot expected;
+  for (int i = 0; i < kThreads * kPerThread; ++i) expected += unit;
+
+  util::ThreadPool pool(kThreads);
+  const StatsSnapshot before = statsSnapshot();
+  pool.parallelFor(kThreads, [&](std::size_t) {
+    for (int i = 0; i < kPerThread; ++i) GlobalStats::instance().record(unit);
+  });
+  const StatsSnapshot delta = statsSnapshot() - before;
+  expectSameCounts(delta, expected);
+  EXPECT_EQ(expected.solves, kThreads * kPerThread);
+  EXPECT_NEAR(delta.seconds, kThreads * kPerThread * 0.5, 1e-6);
+}
+
 TEST(SimplexEngine, RowDualsCloseTheGap) {
   // Every variable rests on lower bound 0 with no finite upper bound, so
   // strong duality reads rhs . y == objective, and each row dual carries

@@ -411,7 +411,7 @@ TEST(SchemeRunner, EmitsSchemaFourRowsForSelectedSchemes) {
   EXPECT_TRUE(result.ok);
 
   const util::json::Value& doc = result.document;
-  EXPECT_EQ(doc.stringOr("schema", ""), "coyote-bench/6");
+  EXPECT_EQ(doc.stringOr("schema", ""), "coyote-bench/7");
   const util::json::Value* schemes = doc.find("schemes");
   ASSERT_NE(schemes, nullptr);
   ASSERT_EQ(schemes->asArray().size(), 2u);

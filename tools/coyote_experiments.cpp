@@ -37,9 +37,6 @@ int usage(const char* argv0, int code) {
                "\n"
                "Run options:\n"
                "  --json-dir <dir>   write one BENCH_<id>.json per scenario\n"
-               "  --repeat <n>       timed repetitions per scenario "
-               "(default 1)\n"
-               "  --warmup <n>       untimed repetitions first (default 0)\n"
                "  --schemes <a,b,c>  scheme keys the schemes/table/failure/"
                "serve/scaling\n"
                "                     kinds sweep\n"
@@ -148,18 +145,6 @@ int main(int argc, char** argv) {
       kinds.emplace_back(next());
     } else if (arg == "--json-dir") {
       opt.json_dir = next();
-    } else if (arg == "--repeat") {
-      opt.repeat = std::atoi(next());
-      if (opt.repeat < 1) {
-        std::fprintf(stderr, "--repeat must be >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--warmup") {
-      opt.warmup = std::atoi(next());
-      if (opt.warmup < 0) {
-        std::fprintf(stderr, "--warmup must be >= 0\n");
-        return 2;
-      }
     } else if (arg == "--quick") {
       opt.full = false;
     } else if (arg == "--full") {
