@@ -72,10 +72,15 @@ CoyoteResult optimizeAgainstPool(const Graph& g,
       out.routing = cfg;
     }
     if (oracle.find(ecmp).ratio < best_exact) out.routing = ecmp;
-  } else if (pool.ratioFor(ecmp) < pool.ratioFor(out.routing)) {
-    out.routing = ecmp;
+    out.pool_ratio = pool.ratioFor(out.routing);
+  } else {
+    const double ecmp_ratio = pool.ratioFor(ecmp);
+    out.pool_ratio = pool.ratioFor(out.routing);
+    if (ecmp_ratio < out.pool_ratio) {
+      out.routing = ecmp;
+      out.pool_ratio = ecmp_ratio;
+    }
   }
-  out.pool_ratio = pool.ratioFor(out.routing);
   out.splitting_iters_saved = saved;
   return out;
 }

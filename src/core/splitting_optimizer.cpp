@@ -71,14 +71,12 @@ std::vector<std::vector<ActiveDemand>> activeColumns(
   for (int i = 0; i < pool.size(); ++i) {
     const tm::TrafficMatrix& d = pool.matrix(i);
     for (NodeId t = 0; t < n; ++t) {
+      if (!d.hasDemandTo(t)) continue;
       ActiveDemand a{t, std::vector<double>(n, 0.0)};
-      bool any = false;
       for (NodeId s = 0; s < n; ++s) {
-        if (s == t) continue;
-        a.column[s] = d.at(s, t);
-        any = any || a.column[s] > 0.0;
+        if (s != t) a.column[s] = d.at(s, t);
       }
-      if (any) act[i].push_back(std::move(a));
+      act[i].push_back(std::move(a));
     }
   }
   return act;

@@ -65,10 +65,14 @@ int IntactSchemes::compute(bool warm) {
 }
 
 void IntactSchemes::moveBox(tm::TrafficMatrix base, double margin) {
-  box_ = tm::marginBounds(base, margin);
+  // Build before committing: a box or pool that throws (say, a margin that
+  // overflows the base) leaves base, box and pool as they were.
+  tm::DemandBounds box = tm::marginBounds(base, margin);
+  std::vector<tm::TrafficMatrix> pool = tm::cornerPool(box, opt_.pool);
+  box_ = std::move(box);
   base_ = std::move(base);
   opt_.margin = margin;
-  pool_ = tm::cornerPool(box_, opt_.pool);
+  pool_ = std::move(pool);
 }
 
 const routing::RoutingConfig& IntactSchemes::intactRouting(

@@ -174,7 +174,8 @@ class IntactSchemes {
   /// patience early stop saved.
   int compute(bool warm);
   /// Moves the box to `margin` around `base` and rebuilds the corner pool;
-  /// the configs stay until the next compute().
+  /// the configs stay until the next compute(). Strong exception
+  /// guarantee: if the new box or pool throws, nothing changes.
   void moveBox(tm::TrafficMatrix base, double margin);
 
   [[nodiscard]] const Graph& graph() const { return g_; }

@@ -64,14 +64,7 @@ std::vector<char> OptuEngine::activeSignature(
   require(d.numNodes() == g_.numNodes(), "matrix/graph size mismatch");
   const int n = g_.numNodes();
   std::vector<char> active(n, 0);
-  for (NodeId t = 0; t < n; ++t) {
-    for (NodeId s = 0; s < n; ++s) {
-      if (s != t && d.at(s, t) > 0.0) {
-        active[t] = 1;
-        break;
-      }
-    }
-  }
+  for (NodeId t = 0; t < n; ++t) active[t] = d.hasDemandTo(t) ? 1 : 0;
   return active;
 }
 

@@ -10,11 +10,7 @@ void accumulateDestinationLoads(const Graph& g, const RoutingConfig& cfg,
   require(static_cast<int>(loads.size()) == g.numEdges(), "bad loads size");
   // A destination without positive demand loads nothing: skip the walk
   // (most oblivious-pool matrices have a single active destination).
-  bool any = false;
-  for (NodeId s = 0; s < g.numNodes() && !any; ++s) {
-    any = s != t && d.at(s, t) > 0.0;
-  }
-  if (!any) return;
+  if (!d.hasDemandTo(t)) return;
   const Dag& dag = cfg.dags()[t];
   std::vector<double> inflow(g.numNodes(), 0.0);
   for (NodeId s = 0; s < g.numNodes(); ++s) {

@@ -1,9 +1,53 @@
 #include "tm/traffic_matrix.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 
 namespace coyote::tm {
+
+void TrafficMatrix::set(NodeId s, NodeId t, double v) {
+  checkIndex(s, t);
+  require(std::isfinite(v), "non-finite demand");
+  require(v >= 0.0, "negative demand");
+  require(s != t, "diagonal demand must stay zero");
+  if (off_[t] < 0) {
+    if (v == 0.0) return;
+    off_[t] = static_cast<std::ptrdiff_t>(vals_.size());
+    vals_.resize(vals_.size() + static_cast<std::size_t>(n_), 0.0);
+  }
+  vals_[off_[t] + s] = v;
+}
+
+void TrafficMatrix::scale(double f) {
+  require(std::isfinite(f), "non-finite scale");
+  require(f >= 0.0, "negative scale");
+  require(std::isfinite(maxEntry() * f), "scale overflows the demand");
+  for (double& v : vals_) v *= f;
+}
+
+double TrafficMatrix::total() const {
+  double sum = 0.0;
+  for (NodeId s = 0; s < n_; ++s) {
+    for (NodeId t = 0; t < n_; ++t) {
+      if (off_[t] >= 0) sum += vals_[off_[t] + s];
+    }
+  }
+  return sum;
+}
+
+double TrafficMatrix::maxEntry() const {
+  double m = 0.0;
+  for (const double v : vals_) m = std::max(m, v);
+  return m;
+}
+
+bool TrafficMatrix::hasDemandTo(NodeId t) const {
+  checkIndex(t, t);
+  if (off_[t] < 0) return false;
+  const auto col = vals_.begin() + off_[t];
+  return std::any_of(col, col + n_, [](double v) { return v > 0.0; });
+}
 
 std::vector<std::pair<NodeId, NodeId>> TrafficMatrix::nonZeroPairs() const {
   std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -13,6 +57,17 @@ std::vector<std::pair<NodeId, NodeId>> TrafficMatrix::nonZeroPairs() const {
     }
   }
   return pairs;
+}
+
+bool operator==(const TrafficMatrix& a, const TrafficMatrix& b) {
+  if (a.n_ != b.n_) return false;
+  for (NodeId t = 0; t < a.n_; ++t) {
+    if (a.off_[t] < 0 && b.off_[t] < 0) continue;
+    for (NodeId s = 0; s < a.n_; ++s) {
+      if (a.at(s, t) != b.at(s, t)) return false;
+    }
+  }
+  return true;
 }
 
 TrafficMatrix gravityMatrix(const Graph& g, double total) {

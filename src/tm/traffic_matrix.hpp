@@ -1,62 +1,73 @@
 // Traffic (demand) matrices and the base-demand models of Sec. VI-B.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace coyote::tm {
 
-/// Dense |V| x |V| demand matrix; diagonal is always zero.
+/// |V| x |V| demand matrix stored by destination column. Column t holds
+/// d(s,t) for every s; it is allocated by the first positive set() into it,
+/// and a destination nobody sends to stores nothing. A matrix therefore
+/// costs O(|V|) per demanded destination, not O(|V|^2): most pool matrices
+/// (the oblivious pool's per-destination matrices, host-aggregated top-k
+/// demands) send to one or a few destinations. Entries are finite and
+/// >= 0; the diagonal is always zero.
 class TrafficMatrix {
  public:
   explicit TrafficMatrix(int num_nodes)
-      : n_(num_nodes), d_(static_cast<std::size_t>(num_nodes) * num_nodes, 0.0) {
+      : n_(num_nodes),
+        off_(static_cast<std::size_t>(std::max(num_nodes, 0)), -1) {
     require(num_nodes >= 0, "negative node count");
   }
 
   [[nodiscard]] int numNodes() const { return n_; }
 
-  [[nodiscard]] double at(NodeId s, NodeId t) const { return d_[idx(s, t)]; }
-
-  void set(NodeId s, NodeId t, double v) {
-    require(v >= 0.0, "negative demand");
-    require(s != t, "diagonal demand must stay zero");
-    d_[idx(s, t)] = v;
+  [[nodiscard]] double at(NodeId s, NodeId t) const {
+    checkIndex(s, t);
+    const std::ptrdiff_t o = off_[t];
+    return o < 0 ? 0.0 : vals_[o + s];
   }
 
-  void scale(double f) {
-    require(f >= 0.0, "negative scale");
-    for (double& v : d_) v *= f;
-  }
+  /// Throws for a negative or non-finite value or a diagonal entry.
+  /// Setting 0.0 into a destination without demand stores nothing.
+  void set(NodeId s, NodeId t, double v);
 
-  [[nodiscard]] double total() const {
-    double s = 0.0;
-    for (const double v : d_) s += v;
-    return s;
-  }
+  /// Multiplies every entry by f. Throws, leaving the matrix unchanged,
+  /// for a negative or non-finite f or one that would overflow maxEntry().
+  void scale(double f);
 
-  [[nodiscard]] double maxEntry() const {
-    double m = 0.0;
-    for (const double v : d_) m = std::max(m, v);
-    return m;
-  }
+  /// Sum of all entries in row-major order (bit-identical to summing the
+  /// dense matrix: the skipped entries are +0.0).
+  [[nodiscard]] double total() const;
 
-  /// (s,t) pairs with positive demand.
+  [[nodiscard]] double maxEntry() const;
+
+  /// Whether any source sends a positive demand to t; O(1) when t's column
+  /// is not stored.
+  [[nodiscard]] bool hasDemandTo(NodeId t) const;
+
+  /// (s,t) pairs with positive demand, in row-major order.
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> nonZeroPairs() const;
 
-  friend bool operator==(const TrafficMatrix& a, const TrafficMatrix& b) {
-    return a.n_ == b.n_ && a.d_ == b.d_;
-  }
+  /// Entrywise: a stored all-zero column equals one never stored.
+  friend bool operator==(const TrafficMatrix& a, const TrafficMatrix& b);
 
  private:
-  [[nodiscard]] std::size_t idx(NodeId s, NodeId t) const {
+  void checkIndex(NodeId s, NodeId t) const {
     require(s >= 0 && s < n_ && t >= 0 && t < n_, "demand index out of range");
-    return static_cast<std::size_t>(s) * n_ + t;
   }
   int n_;
-  std::vector<double> d_;
+  /// Start of column t in vals_, or -1 when t's column is not stored.
+  std::vector<std::ptrdiff_t> off_;
+  /// The stored columns, |V| entries each, in allocation order.
+  std::vector<double> vals_;
 };
 
 /// Gravity model [22]: d(s,t) proportional to outCapacity(s)*outCapacity(t),

@@ -246,6 +246,31 @@ TEST(TeService, PartialDemandValidationNeverMutates) {
   EXPECT_EQ(r1["ratios"].dump(0), r2["ratios"].dump(0));
 }
 
+TEST(TeService, OverflowingDemandAndMarginEventsAreRefused) {
+  // A demand scale or a margin that would overflow the demand to infinity
+  // is an error response that leaves base, box and pool as they were. It
+  // used to be accepted, and every later evaluation answered inf/inf as
+  // ratio 0 -- with no way back, since inf * 1e-300 stays inf.
+  const Graph g = topo::runningExample();
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  ASSERT_TRUE(
+      parsed(service.handleLine(R"({"op":"demand","scale":1e300})"))["ok"]
+          .asBool());
+  const std::string what_if = R"({"op":"what-if","links":[]})";
+  json::Value before = parsed(service.handleLine(what_if));
+  ASSERT_TRUE(before["evaluated"].asBool());
+  for (const auto& [key, value] : before["ratios"].asObject()) {
+    EXPECT_GE(value.asNumber(), 1.0 - 1e-9) << key;
+  }
+  for (const std::string event : {R"({"op":"demand","scale":1e300})",
+                                  R"({"op":"margin","value":1e300})"}) {
+    json::Value resp = parsed(service.handleLine(event));
+    EXPECT_FALSE(resp["ok"].asBool()) << event;
+    json::Value after = parsed(service.handleLine(what_if));
+    EXPECT_EQ(after["ratios"].dump(0), before["ratios"].dump(0)) << event;
+  }
+}
+
 TEST(ServeTrace, GenerationIsSeededAndDeterministic) {
   const Graph g = topo::runningExample();
   const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);

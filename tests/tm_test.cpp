@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "tm/traffic_matrix.hpp"
 #include "tm/uncertainty.hpp"
 #include "topo/generator.hpp"
@@ -35,6 +41,201 @@ TEST(TrafficMatrix, Equality) {
   EXPECT_FALSE(a == b);
   b.set(0, 1, 1.0);
   EXPECT_TRUE(a == b);
+}
+
+TEST(TrafficMatrix, RefusesNonFiniteValuesAndOverflowingScales) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TrafficMatrix d(3);
+  EXPECT_THROW(d.set(0, 1, inf), std::invalid_argument);
+  EXPECT_THROW(d.set(0, 1, nan), std::invalid_argument);
+  d.set(0, 1, 1e300);
+  d.set(2, 0, 2.0);
+  const TrafficMatrix before = d;
+  EXPECT_THROW(d.scale(inf), std::invalid_argument);
+  EXPECT_THROW(d.scale(nan), std::invalid_argument);
+  EXPECT_THROW(d.scale(1e10), std::invalid_argument);  // 1e310 overflows
+  EXPECT_THROW(d.scale(-1.0), std::invalid_argument);
+  // Every refusal happened before any entry moved.
+  EXPECT_TRUE(d == before);
+  EXPECT_EQ(d.at(2, 0), 2.0);
+  d.scale(1e-300);  // shrinking stays finite
+  EXPECT_EQ(d.at(0, 1), 1e300 * 1e-300);
+}
+
+TEST(TrafficMatrix, ColumnsAreStoredOnDemand) {
+  TrafficMatrix a(4), b(4);
+  EXPECT_FALSE(a.hasDemandTo(2));
+  a.set(0, 2, 0.0);  // a zero into a missing column stores nothing
+  EXPECT_FALSE(a.hasDemandTo(2));
+  EXPECT_TRUE(a == b);
+  a.set(1, 2, 3.0);
+  EXPECT_TRUE(a.hasDemandTo(2));
+  EXPECT_FALSE(a.hasDemandTo(1));
+  EXPECT_FALSE(a == b);
+  a.set(1, 2, 0.0);  // a stored all-zero column equals a missing one
+  EXPECT_FALSE(a.hasDemandTo(2));
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(b == a);
+  EXPECT_THROW((void)a.hasDemandTo(4), std::invalid_argument);
+}
+
+/// Row-major |V| x |V| reference matrix: the layout TrafficMatrix stored
+/// before it kept destination columns. The differential tests below hold
+/// the column store to it entry by entry.
+struct DenseReference {
+  int n;
+  std::vector<double> d;
+
+  explicit DenseReference(int num_nodes)
+      : n(num_nodes), d(static_cast<std::size_t>(num_nodes) * num_nodes) {}
+  static DenseReference of(const TrafficMatrix& m) {
+    DenseReference r(m.numNodes());
+    for (NodeId s = 0; s < r.n; ++s) {
+      for (NodeId t = 0; t < r.n; ++t) r.d[s * r.n + t] = m.at(s, t);
+    }
+    return r;
+  }
+  void set(NodeId s, NodeId t, double v) { d[s * n + t] = v; }
+  void scale(double f) {
+    for (double& v : d) v *= f;
+  }
+  [[nodiscard]] double total() const {
+    double sum = 0.0;
+    for (const double v : d) sum += v;
+    return sum;
+  }
+  [[nodiscard]] double maxEntry() const {
+    double m = 0.0;
+    for (const double v : d) m = std::max(m, v);
+    return m;
+  }
+  [[nodiscard]] bool hasDemandTo(NodeId t) const {
+    for (NodeId s = 0; s < n; ++s) {
+      if (d[s * n + t] > 0.0) return true;
+    }
+    return false;
+  }
+  [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> nonZeroPairs() const {
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId t = 0; t < n; ++t) {
+        if (d[s * n + t] > 0.0) pairs.emplace_back(s, t);
+      }
+    }
+    return pairs;
+  }
+};
+
+void expectAgrees(const TrafficMatrix& m, const DenseReference& r) {
+  ASSERT_EQ(m.numNodes(), r.n);
+  for (NodeId s = 0; s < r.n; ++s) {
+    for (NodeId t = 0; t < r.n; ++t) {
+      ASSERT_EQ(m.at(s, t), r.d[s * r.n + t]) << s << "->" << t;
+    }
+  }
+  EXPECT_EQ(m.total(), r.total());  // bit-equal, not merely near
+  EXPECT_EQ(m.maxEntry(), r.maxEntry());
+  EXPECT_EQ(m.nonZeroPairs(), r.nonZeroPairs());
+  for (NodeId t = 0; t < r.n; ++t) {
+    EXPECT_EQ(m.hasDemandTo(t), r.hasDemandTo(t)) << "destination " << t;
+  }
+}
+
+void expectEqualityAgrees(const TrafficMatrix& a, const DenseReference& ra,
+                          const TrafficMatrix& b, const DenseReference& rb) {
+  const bool dense_equal = ra.n == rb.n && ra.d == rb.d;
+  EXPECT_EQ(a == b, dense_equal);
+  EXPECT_EQ(b == a, dense_equal);
+}
+
+TEST(TrafficMatrix, MatchesDenseReferenceOnRandomEdits) {
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + static_cast<int>(rng() % 7);
+    std::uniform_int_distribution<NodeId> node(0, n - 1);
+    std::uniform_real_distribution<double> value(0.0, 4.0);
+    TrafficMatrix a(n), b(n);
+    DenseReference ra(n), rb(n);
+    for (int op = 0; op < 40; ++op) {
+      const int kind = static_cast<int>(rng() % 8);
+      if (kind == 0) {
+        const double factors[] = {0.0, 0.5, 3.0, value(rng)};
+        const double f = factors[rng() % 4];
+        a.scale(f);
+        ra.scale(f);
+        b.scale(f);
+        rb.scale(f);
+        continue;
+      }
+      const NodeId s = node(rng);
+      const NodeId t = node(rng);
+      if (s == t) continue;
+      // Zeros, fresh values and re-sets of a value already there.
+      const double v = kind == 1   ? 0.0
+                       : kind == 2 ? ra.d[s * n + t]
+                                   : value(rng);
+      a.set(s, t, v);
+      ra.set(s, t, v);
+      // b follows a, except that it sometimes stores a column a lacks and
+      // zeroes it again (logically equal), or takes a different value.
+      if (rng() % 4 == 0 && v == 0.0) {
+        b.set(s, t, 1.0);
+        b.set(s, t, 0.0);
+        rb.set(s, t, 0.0);
+      } else if (rng() % 16 == 0) {
+        b.set(s, t, v + 1.0);
+        rb.set(s, t, v + 1.0);
+      } else {
+        b.set(s, t, v);
+        rb.set(s, t, v);
+      }
+    }
+    expectAgrees(a, ra);
+    expectAgrees(b, rb);
+    expectEqualityAgrees(a, ra, b, rb);
+    if (HasFailure()) {
+      ADD_FAILURE() << "trial " << trial;
+      return;
+    }
+  }
+}
+
+TEST(TrafficMatrix, GeneratedMatricesMatchDenseReference) {
+  const Graph geant = topo::makeZoo("Geant");
+  const Graph fat = topo::fatTree(4);
+  std::vector<TrafficMatrix> all;
+  all.push_back(gravityMatrix(geant, 3.0));
+  GravityOptions top;
+  top.top_k = 3;
+  all.push_back(gravityMatrix(geant, 5.0, top));
+  GravityOptions hosts;
+  hosts.top_k = 2;
+  hosts.endpoint_prefix = "edge";
+  all.push_back(gravityMatrix(fat, 1.0, hosts));
+  all.push_back(bimodalMatrix(geant, {}, 7, 10.0));
+  for (auto& d : cornerPool(marginBounds(all[1], 2.0))) {
+    all.push_back(std::move(d));
+  }
+  for (auto& d : cornerPool(marginBounds(all[0], 1.5))) {
+    all.push_back(std::move(d));
+  }
+  ObliviousPoolOptions obl;
+  obl.source_concentrated = true;
+  for (auto& d : obliviousPool(geant.numNodes(), obl)) {
+    all.push_back(std::move(d));
+  }
+  std::vector<DenseReference> refs;
+  for (const TrafficMatrix& d : all) {
+    refs.push_back(DenseReference::of(d));
+    expectAgrees(d, refs.back());
+    if (HasFailure()) return;
+  }
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    for (std::size_t j = 0; j < all.size(); ++j) {
+      expectEqualityAgrees(all[i], refs[i], all[j], refs[j]);
+    }
+  }
 }
 
 TEST(Gravity, ProportionalToCapacityProducts) {
