@@ -2,7 +2,9 @@
 // throughput, lie synthesis, split apportionment, fluid-simulator steps.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/dag_builder.hpp"
 #include "core/splitting_optimizer.hpp"
@@ -16,6 +18,7 @@
 #include "sim/fluid.hpp"
 #include "tm/traffic_matrix.hpp"
 #include "tm/uncertainty.hpp"
+#include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 
 namespace {
@@ -40,6 +43,65 @@ void BM_SplittingOptimizerIterations(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * opt.iterations);
 }
 BENCHMARK(BM_SplittingOptimizerIterations)->Arg(50)->Arg(200);
+
+// The splitting optimizer on the dc-fattree benchmark's shape: fatTree(8)
+// with its oblivious pool (per-destination and sparse random matrices, so
+// many destinations, each in few matrices), 120 iterations. Every phase of
+// an iteration runs on the evaluator's pool; the series sweeps the thread
+// count and cross-checks every ratio bit against the 1-thread run.
+void BM_SplittingOptimizerThreadScaling(benchmark::State& state) {
+  static const Graph g = topo::fatTree(8);
+  static const auto dags = core::augmentedDagsShared(g);
+  static routing::PerformanceEvaluator* eval = [] {
+    auto* e = new routing::PerformanceEvaluator(g, dags);
+    tm::ObliviousPoolOptions popt;
+    popt.source_concentrated = false;
+    popt.uniform = false;
+    popt.random_sparse = 4;
+    e->addPool(tm::obliviousPool(g.numNodes(), popt));
+    return e;
+  }();
+  static const auto init = routing::RoutingConfig::uniform(g, dags);
+  static const core::SplittingOptions opt = [] {
+    core::SplittingOptions o;
+    o.iterations = 120;
+    return o;
+  }();
+  static const routing::RoutingConfig serial = [] {
+    util::ThreadPool one(1);
+    eval->setThreadPool(one);
+    auto cfg = core::optimizeSplitting(g, *eval, init, opt);
+    eval->setThreadPool(util::ThreadPool::global());
+    return cfg;
+  }();
+
+  util::ThreadPool tp(static_cast<unsigned>(state.range(0)));
+  eval->setThreadPool(tp);
+  for (auto _ : state) {
+    const routing::RoutingConfig cfg =
+        core::optimizeSplitting(g, *eval, init, opt);
+    bool same = true;
+    for (NodeId t = 0; t < g.numNodes() && same; ++t) {
+      for (const EdgeId e : (*dags)[t].edges()) {
+        same = same && std::bit_cast<std::uint64_t>(cfg.ratio(t, e)) ==
+                           std::bit_cast<std::uint64_t>(serial.ratio(t, e));
+      }
+    }
+    if (!same) {
+      state.SkipWithError("parallel ratios differ from the 1-thread run");
+      break;
+    }
+  }
+  eval->setThreadPool(util::ThreadPool::global());  // tp dies here
+  state.SetItemsProcessed(state.iterations() * opt.iterations);
+  state.SetLabel("pool=" + std::to_string(eval->size()) + " matrices");
+}
+BENCHMARK(BM_SplittingOptimizerThreadScaling)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // PERF evaluation hot path: ratioFor scans the whole pool, one propagation
 // per matrix, distributed over the thread pool. The series sweeps the

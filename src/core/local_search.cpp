@@ -72,7 +72,7 @@ LocalSearchResult localSearchWeights(const Graph& g,
   std::vector<tm::TrafficMatrix> pool;
   for (const auto& d : tm::cornerPool(box, kPool)) {
     const double optu = routing::optimalUtilizationUnrestricted(g, d);
-    if (optu <= 1e-12) continue;
+    if (!(optu > 0.0)) continue;
     tm::TrafficMatrix scaled = d;
     scaled.scale(1.0 / optu);
     pool.push_back(std::move(scaled));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -142,12 +143,27 @@ routing::RoutingConfig optimizeSplitting(
     inflow_off[i + 1] = inflow_off[i] + active[i].size() * n;
   }
   std::vector<double> inflow(inflow_off[P], 0.0);
+  // uses[t]: destination t's (matrix i, column k) pairs, ascending in i.
+  // dests: the destinations with demand in some pool matrix.
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> uses(n);
+  for (std::size_t i = 0; i < P; ++i) {
+    for (std::size_t k = 0; k < active[i].size(); ++k) {
+      uses[active[i][k].dest].emplace_back(i, k);
+    }
+  }
+  std::vector<NodeId> dests;
+  for (NodeId t = 0; t < n; ++t) {
+    if (!uses[t].empty()) dests.push_back(t);
+  }
   // Row i holds matrix i's link utilizations, then its softmax weights,
   // then its per-edge gradient weights G.
   std::vector<double> util(P * m, 0.0);
+  std::vector<double> row_max(P, 0.0);
   std::vector<char> live(P, 0);
-  std::vector<double> grad(static_cast<std::size_t>(n) * m, 0.0);
-  std::vector<double> mu(n, 0.0);
+  // Gradient row and adjoint scratch of destination dests[d], at d*m / d*n.
+  std::vector<double> grad(dests.size() * m, 0.0);
+  std::vector<double> mu(dests.size() * n, 0.0);
+  auto& workers = pool.threadPool();
 
   Phi best = phi;
   double best_util = std::numeric_limits<double>::infinity();
@@ -156,10 +172,9 @@ routing::RoutingConfig optimizeSplitting(
 
   for (int iter = 0; iter < opt.iterations; ++iter) {
     ++executed;
-    // ---- Forward: per-matrix link loads. Matrices are independent, so
-    // they propagate on the evaluator's thread pool; umax reduces serially
-    // afterwards (max is order-insensitive, so this is bit-deterministic).
-    pool.threadPool().parallelFor(P, [&](std::size_t i) {
+    // ---- Forward: per-matrix link loads and their maximum. umax reduces
+    // the row maxima serially (max is exact in any order).
+    workers.parallelFor(P, [&](std::size_t i) {
       double* load = util.data() + i * m;
       std::fill(load, load + m, 0.0);
       for (std::size_t k = 0; k < active[i].size(); ++k) {
@@ -179,10 +194,15 @@ routing::RoutingConfig optimizeSplitting(
           }
         }
       }
-      for (EdgeId e = 0; e < m; ++e) load[e] /= cap[e];
+      double mx = 0.0;
+      for (EdgeId e = 0; e < m; ++e) {
+        load[e] /= cap[e];
+        mx = std::max(mx, load[e]);
+      }
+      row_max[i] = mx;
     });
     double umax = 0.0;
-    for (const double u : util) umax = std::max(umax, u);
+    for (const double u : row_max) umax = std::max(umax, u);
     // A meaningful (relative) improvement resets the patience clock; the
     // `best` snapshot itself still tracks any strict improvement.
     if (umax < best_util - 1e-9 * std::max(1.0, best_util)) {
@@ -197,68 +217,74 @@ routing::RoutingConfig optimizeSplitting(
     if (umax <= 0.0) break;
     if (opt.patience > 0 && since_best >= opt.patience) break;
 
-    // ---- Softmax constraint weights (annealed temperature).
+    // ---- Softmax constraint weights (annealed temperature), per row in
+    // parallel. wsum is one serial pass in (matrix, edge) order: a non-live
+    // row's terms are all +0.0, so skipping it leaves the sum's bits alone.
     const double anneal = static_cast<double>(iter) / std::max(1, opt.iterations - 1);
     const double tau =
         umax * (kTemperatureStart +
                 (kTemperatureEnd - kTemperatureStart) * anneal);
     const double temp = std::max(tau, 1e-9);
-    double wsum = 0.0;
-    for (std::size_t i = 0; i < P; ++i) {
+    workers.parallelFor(P, [&](std::size_t i) {
       double* w = util.data() + i * m;
       bool any = false;
       for (EdgeId e = 0; e < m; ++e) {
         const double x = std::exp((w[e] - umax) / temp);
         w[e] = (x > 1e-12) ? x : 0.0;
-        wsum += w[e];
         any = any || w[e] > 0.0;
       }
       live[i] = any;
+    });
+    double wsum = 0.0;
+    for (std::size_t i = 0; i < P; ++i) {
+      if (!live[i]) continue;
+      const double* w = util.data() + i * m;
+      for (EdgeId e = 0; e < m; ++e) wsum += w[e];
     }
     // Gradient weight of edge e under matrix i: dObj/dload_e.
-    for (std::size_t i = 0; i < P; ++i) {
-      if (!live[i]) continue;
+    workers.parallelFor(P, [&](std::size_t i) {
+      if (!live[i]) return;
       double* G = util.data() + i * m;
       for (EdgeId e = 0; e < m; ++e) G[e] /= wsum * cap[e];
-    }
+    });
 
-    // ---- Backward: adjoint gradient of the weighted utilization. One
-    // reverse sweep per (matrix, destination) settles mu at every node and
-    // adds each arc's gradient term as it goes: a head's mu is final before
-    // any of its tails is visited.
-    std::fill(grad.begin(), grad.end(), 0.0);
-    for (std::size_t i = 0; i < P; ++i) {
-      if (!live[i]) continue;
-      const double* G = util.data() + i * m;
-      for (std::size_t k = 0; k < active[i].size(); ++k) {
-        const NodeId t = active[i][k].dest;
-        const double* phi_t = &phi.at(t, 0);
-        double* grad_t = grad.data() + static_cast<std::size_t>(t) * m;
+    // ---- Per destination, in parallel: backward pass, then the
+    // multiplicative update. Destination t reads and writes only its own
+    // phi row, gradient row and mu scratch.
+    // Step size decays over the run so late iterations settle onto the
+    // (annealed, nearly hard-max) optimum instead of oscillating.
+    const double lr = kLearningRate * (1.0 - 0.9 * anneal);
+    const bool condense = opt.method == SplitMethod::kGpCondensation;
+    workers.parallelFor(dests.size(), [&](std::size_t d) {
+      const NodeId t = dests[d];
+      double* phi_t = &phi.at(t, 0);
+      double* grad_t = grad.data() + d * m;
+      double* mu_t = mu.data() + d * n;
+      // Backward: adjoint gradient of the weighted utilization. One reverse
+      // sweep per matrix with demand to t, in ascending matrix order,
+      // settles mu at every node and adds each arc's gradient term as it
+      // goes: a head's mu is final before any of its tails is visited.
+      std::fill(grad_t, grad_t + m, 0.0);
+      for (const auto& [i, k] : uses[t]) {
+        if (!live[i]) continue;
+        const double* G = util.data() + i * m;
         const double* F = inflow.data() + inflow_off[i] + k * n;
-        std::fill(mu.begin(), mu.end(), 0.0);
+        std::fill(mu_t, mu_t + n, 0.0);
         for (std::size_t v = dags.node_off[t + 1]; v-- > dags.node_off[t];) {
           const NodeId u = dags.node[v];
           const double fu = F[u];
           double acc = 0.0;
           for (std::size_t j = dags.arc_off[v]; j < dags.arc_off[v + 1]; ++j) {
             const Arc& arc = dags.arc[j];
-            const double tail = G[arc.e] + mu[arc.head];
+            const double tail = G[arc.e] + mu_t[arc.head];
             acc += phi_t[arc.e] * tail;
             grad_t[arc.e] += fu * tail;
           }
-          mu[u] = acc;
+          mu_t[u] = acc;
         }
       }
-    }
-
-    // ---- Multiplicative update per (destination, node) simplex.
-    // Step size decays over the run so late iterations settle onto the
-    // (annealed, nearly hard-max) optimum instead of oscillating.
-    const double lr = kLearningRate * (1.0 - 0.9 * anneal);
-    const bool condense = opt.method == SplitMethod::kGpCondensation;
-    for (NodeId t = 0; t < n; ++t) {
-      double* phi_t = &phi.at(t, 0);
-      const double* grad_t = grad.data() + static_cast<std::size_t>(t) * m;
+      // Multiplicative update per node simplex. A destination without
+      // demand has an all-zero gradient (scale == 0) and is never visited.
       for (std::size_t v = dags.node_off[t]; v < dags.node_off[t + 1]; ++v) {
         const Arc* first = dags.arc.data() + dags.arc_off[v];
         const Arc* last = dags.arc.data() + dags.arc_off[v + 1];
@@ -280,7 +306,7 @@ routing::RoutingConfig optimizeSplitting(
         }
         for (const Arc* a = first; a != last; ++a) phi_t[a->e] /= sum;
       }
-    }
+    });
   }
 
   if (iterations_used != nullptr) *iterations_used = executed;

@@ -66,7 +66,10 @@ int IntactSchemes::compute(bool warm) {
 
 void IntactSchemes::moveBox(tm::TrafficMatrix base, double margin) {
   // Build before committing: a box or pool that throws (say, a margin that
-  // overflows the base) leaves base, box and pool as they were.
+  // overflows the base) leaves base, box and pool as they were. A base with
+  // no positive entry (say, one that underflowed to zero) has no pool to
+  // optimize against.
+  require(base.maxEntry() > 0.0, "the demand matrix has no positive entry");
   tm::DemandBounds box = tm::marginBounds(base, margin);
   std::vector<tm::TrafficMatrix> pool = tm::cornerPool(box, opt_.pool);
   box_ = std::move(box);

@@ -51,7 +51,7 @@ int PerformanceEvaluator::insert(tm::TrafficMatrix scaled) {
 int PerformanceEvaluator::addMatrix(const tm::TrafficMatrix& d) {
   require(d.numNodes() == g_.numNodes(), "matrix/graph size mismatch");
   const double optu = normalizationOf(d);
-  if (optu <= 1e-12) return -1;
+  if (!(optu > 0.0)) return -1;
   tm::TrafficMatrix scaled = d;
   scaled.scale(1.0 / optu);
   return insert(std::move(scaled));
@@ -68,7 +68,7 @@ void PerformanceEvaluator::addPool(std::vector<tm::TrafficMatrix> pool) {
   // sequential so ordering and deduplication are deterministic.
   std::vector<double> optu = engine_->utilizationBatch(pool, threadPool());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (optu[i] <= 1e-12) continue;
+    if (!(optu[i] > 0.0)) continue;
     pool[i].scale(1.0 / optu[i]);
     insert(std::move(pool[i]));
   }

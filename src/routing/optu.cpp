@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -476,6 +477,29 @@ NodeId soleDestination(const std::vector<char>& active) {
   return sole;
 }
 
+/// Matrices whose largest entry is below this are solved on a rescaled
+/// copy: the simplex's feasibility tolerance is absolute,
+/// kFeasTol * (1 + max|b|), so a tiny demand's rows pass as satisfied by
+/// zero flow and OPTU comes out low, or 0.
+constexpr double kRescaleBelow = 0x1p-10;
+
+/// The k with 2^k * d.maxEntry() in [1, 2) when d needs rescaling, else 0.
+int rescaleExponent(const tm::TrafficMatrix& d) {
+  const double max = d.maxEntry();
+  if (!(max > 0.0) || max >= kRescaleBelow) return 0;
+  int exp = 0;
+  (void)std::frexp(max, &exp);  // max = f * 2^exp, f in [0.5, 1)
+  return 1 - exp;
+}
+
+/// d * 2^k, exactly. Two steps: 2^k alone overflows a double for k > 1023.
+tm::TrafficMatrix rescaled(const tm::TrafficMatrix& d, int k) {
+  tm::TrafficMatrix out = d;
+  out.scale(std::ldexp(1.0, k / 2));
+  out.scale(std::ldexp(1.0, k - k / 2));
+  return out;
+}
+
 }  // namespace
 
 double OptuEngine::singleSinkUtilization(NodeId dest,
@@ -556,6 +580,9 @@ double OptuEngine::singleSinkUtilization(NodeId dest,
 }
 
 double OptuEngine::utilization(const tm::TrafficMatrix& d) {
+  if (const int k = rescaleExponent(d); k != 0) {
+    return std::ldexp(utilization(rescaled(d, k)), -k);
+  }
   const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
   const NodeId sole = soleDestination(active);
@@ -588,10 +615,19 @@ std::vector<double> OptuEngine::utilizationBatch(
   // The chunking is independent of the thread count, so results (and
   // pivot counts) are identical no matter how the chunks are scheduled.
   std::vector<double> out(pool.size(), 0.0);
+  // mats[i] is pool[i], or its copy scaled by 2^shift[i] (rescaleExponent).
+  std::vector<int> shift(pool.size(), 0);
+  std::deque<tm::TrafficMatrix> copies;
+  std::vector<const tm::TrafficMatrix*> mats(pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    shift[i] = rescaleExponent(pool[i]);
+    mats[i] = shift[i] == 0 ? &pool[i]
+                            : &copies.emplace_back(rescaled(pool[i], shift[i]));
+  }
   std::unordered_map<std::string, std::vector<std::size_t>> groups;
   std::vector<std::string> group_order;
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    const std::vector<char> active = activeSignature(pool[i]);
+    const std::vector<char> active = activeSignature(*mats[i]);
     std::string key(active.begin(), active.end());
     auto [it, inserted] = groups.try_emplace(std::move(key));
     if (inserted) group_order.push_back(it->first);
@@ -620,7 +656,7 @@ std::vector<double> OptuEngine::utilizationBatch(
         // the pool) builds the crossover basis every chunk clone starts
         // from -- chunk clones otherwise pay a cold all-logical solve each
         // batch.
-        const lp::Basis& seed = ensureSeed(t, pool[members.front()], &tp);
+        const lp::Basis& seed = ensureSeed(t, *mats[members.front()], &tp);
         proto.tpl = &t;
         proto.seed = seed.empty() ? nullptr : &t.seed;
       }
@@ -638,23 +674,30 @@ std::vector<double> OptuEngine::utilizationBatch(
     const Chunk& c = chunks[ci];
     if (c.tpl == nullptr) {
       for (const std::size_t i : c.indices) {
-        out[i] = singleSinkUtilization(c.sole, pool[i]);
+        out[i] = singleSinkUtilization(c.sole, *mats[i]);
       }
       return;
     }
     lp::SimplexSolver solver(c.tpl->problem, opt_);
     if (c.seed != nullptr) solver.setBasis(*c.seed);
     for (const std::size_t i : c.indices) {
-      applyDemand(solver, *c.tpl, pool[i]);
+      applyDemand(solver, *c.tpl, *mats[i]);
       out[i] = solveAlpha(solver, *c.tpl);
     }
   });
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    if (shift[i] != 0) out[i] = std::ldexp(out[i], -shift[i]);
+  }
   return out;
 }
 
 double OptuEngine::utilizationAt(std::size_t slot,
                                  const tm::TrafficMatrix& d,
                                  std::vector<double>* weights) {
+  // The capacity prices are scale-free.
+  if (const int k = rescaleExponent(d); k != 0) {
+    return std::ldexp(utilizationAt(slot, rescaled(d, k), weights), -k);
+  }
   const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
   const NodeId sole = soleDestination(active);
@@ -678,6 +721,13 @@ double OptuEngine::utilizationAt(std::size_t slot,
 
 std::pair<double, std::vector<std::vector<double>>>
 OptuEngine::utilizationWithFlows(const tm::TrafficMatrix& d) {
+  if (const int k = rescaleExponent(d); k != 0) {
+    auto [alpha, flows] = utilizationWithFlows(rescaled(d, k));
+    for (auto& row : flows) {
+      for (double& f : row) f = std::ldexp(f, -k);
+    }
+    return {std::ldexp(alpha, -k), std::move(flows)};
+  }
   const std::vector<char> active = activeSignature(d);
   const std::lock_guard<std::mutex> lock(mutex_);
   Template& t = serialFor(active, d);
@@ -769,7 +819,7 @@ OptimalRouting optimalRoutingForDemand(const Graph& g,
       const auto& out = dag.outEdges(u);
       double sum = 0.0;
       for (const EdgeId e : out) sum += flows[t][e];
-      if (sum <= 1e-12) continue;  // normalize() fills in uniform defaults
+      if (!(sum > 0.0)) continue;  // normalize() fills in uniform defaults
       for (const EdgeId e : out) cfg.setRatio(t, e, flows[t][e] / sum);
     }
   }

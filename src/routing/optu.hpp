@@ -30,6 +30,11 @@
 // simplex pivots per matrix by several-fold. Batch solves are fanned out over the thread pool
 // in fixed-size chunks (each chunk one warm-start chain), so every result
 // and pivot count is bit-identical for any thread count.
+//
+// The simplex's feasibility tolerance is absolute, so every entry point
+// solves a matrix whose largest entry is below 2^-10 on a copy scaled by an
+// exact power of two into [1, 2), and scales alpha and the flows back
+// (docs/lp-engine.md, "Demand scale").
 #pragma once
 
 #include <memory>

@@ -240,7 +240,10 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
   if (op == "link") {
     const EdgeId link = parseLink(member(request, "link"));
     const json::Value* up = request.find("up");
-    const bool restore = up != nullptr && up->isBool() && up->asBool();
+    if (up != nullptr && !up->isBool()) {
+      throw std::invalid_argument("'up' must be true or false");
+    }
+    const bool restore = up != nullptr && up->asBool();
     const auto it = std::lower_bound(failed_.begin(), failed_.end(), link);
     const bool already = it != failed_.end() && *it == link;
     const std::string label = failure::linkLabel(g_, link);

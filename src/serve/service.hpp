@@ -48,7 +48,8 @@
 //   {"op":"demand","scale":1.1}                     scale whole matrix
 //   {"op":"demand","set":[["A","B",1.5],...]}       set entries (after
 //                                                   "scale" when both)
-//   {"op":"link","link":["A","B"],"up":false}       fail / restore
+//   {"op":"link","link":["A","B"],"up":false}       fail / restore ("up"
+//                                                   a bool, absent: fail)
 //   {"op":"margin","value":2.5}                     move the box
 //   {"op":"what-if","links":[["A","B"],...]}        hypothetical failures
 //   {"op":"reoptimize"}                             recompute schemes
@@ -56,7 +57,9 @@
 // Every response carries {"seq":N,"op":...,"ok":true|false} plus either
 // an evaluation payload (disconnected_pairs / evaluated / ratios /
 // unroutable / failed) or {"error":...}; a client "id" member is echoed
-// back. Malformed lines produce an error response, never daemon death.
+// back. Malformed lines produce an error response, never daemon death,
+// and change nothing: that includes a demand event that leaves no
+// positive entry (say, one that underflows to zero).
 //
 // Determinism: requests are processed in input order. State-changing
 // events run serially on the resident engine (its warm chain is the

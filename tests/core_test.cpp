@@ -15,6 +15,7 @@
 #include "splitting_reference.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace coyote::core {
 namespace {
@@ -194,25 +195,32 @@ int differingRatios(const Graph& g, const routing::RoutingConfig& a,
   return differ;
 }
 
-/// Runs both SplitMethods through the kernel and the reference and expects
-/// bit-equal ratios and equal iteration counts; returns the kernel's
-/// iteration count per method.
+/// Runs both SplitMethods through the kernel, on a private pool of 1, 2 and
+/// 8 threads, and through the reference, and expects bit-equal ratios and
+/// equal iteration counts; returns the iteration count per method.
 std::vector<int> expectKernelMatchesReference(
-    const Graph& g, const routing::PerformanceEvaluator& eval,
+    const Graph& g, routing::PerformanceEvaluator& eval,
     const routing::RoutingConfig& init, SplittingOptions opt) {
   std::vector<int> used_per_method;
   for (const SplitMethod method :
        {SplitMethod::kGpCondensation, SplitMethod::kMirrorDescent}) {
     SCOPED_TRACE(method == SplitMethod::kGpCondensation ? "gp" : "mirror");
     opt.method = method;
-    int used = -1;
     int ref_used = -2;
-    const auto cfg = optimizeSplitting(g, eval, init, opt, &used);
     const auto ref = splitting_reference::referenceOptimizeSplitting(
         g, eval, init, opt, &ref_used);
-    EXPECT_EQ(used, ref_used);
-    EXPECT_EQ(differingRatios(g, cfg, ref), 0);
-    used_per_method.push_back(used);
+    for (const unsigned threads : {1U, 2U, 8U}) {
+      SCOPED_TRACE(threads);
+      util::ThreadPool tp(threads);
+      eval.setThreadPool(tp);
+      EXPECT_EQ(eval.threadPool().threadCount(), threads);
+      int used = -1;
+      const auto cfg = optimizeSplitting(g, eval, init, opt, &used);
+      eval.setThreadPool(util::ThreadPool::global());
+      EXPECT_EQ(used, ref_used);
+      EXPECT_EQ(differingRatios(g, cfg, ref), 0);
+    }
+    used_per_method.push_back(ref_used);
   }
   return used_per_method;
 }
@@ -260,6 +268,21 @@ TEST(SplittingKernel, BitIdenticalToReferenceOnFatTree) {
       g, eval, routing::RoutingConfig::uniform(g, dags), kernelOptions());
 }
 
+// The dc-fattree benchmark's oblivious pool: many destinations, each with
+// demand in only a few matrices.
+TEST(SplittingKernel, BitIdenticalToReferenceOnFatTreeObliviousPool) {
+  const Graph g = topo::fatTree(4);
+  const auto dags = augmentedDagsShared(g);
+  routing::PerformanceEvaluator eval(g, dags);
+  tm::ObliviousPoolOptions popt;
+  popt.source_concentrated = false;
+  popt.uniform = false;
+  popt.random_sparse = 4;
+  eval.addPool(tm::obliviousPool(g.numNodes(), popt));
+  (void)expectKernelMatchesReference(
+      g, eval, routing::RoutingConfig::uniform(g, dags), kernelOptions());
+}
+
 TEST(SplittingKernel, BitIdenticalToReferenceWhenPatienceStopsEarly) {
   const Graph g = topo::makeZoo("Abilene");
   const auto dags = augmentedDagsShared(g);
@@ -272,27 +295,6 @@ TEST(SplittingKernel, BitIdenticalToReferenceWhenPatienceStopsEarly) {
   opt.patience = 20;
   for (const int used : expectKernelMatchesReference(g, eval, warm, opt)) {
     EXPECT_LT(used, opt.iterations);
-  }
-}
-
-TEST(SplittingKernel, EvaluatorThreadCapKeepsResultsBitIdentical) {
-  const Graph g = topo::makeZoo("Geant");
-  const auto dags = augmentedDagsShared(g);
-  routing::PerformanceEvaluator eval(g, dags);
-  eval.addPool(
-      tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0)));
-  const auto init = routing::RoutingConfig::uniform(g, dags);
-  const SplittingOptions opt = kernelOptions();
-  util::ThreadPool one(1);
-  eval.setThreadPool(one);
-  const auto serial = optimizeSplitting(g, eval, init, opt);
-  for (const unsigned threads : {2U, 8U}) {
-    SCOPED_TRACE(threads);
-    util::ThreadPool tp(threads);
-    eval.setThreadPool(tp);
-    ASSERT_EQ(eval.threadPool().threadCount(), threads);
-    EXPECT_EQ(differingRatios(g, optimizeSplitting(g, eval, init, opt), serial),
-              0);
   }
 }
 

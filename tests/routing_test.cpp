@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "core/dag_builder.hpp"
 #include "routing/config.hpp"
@@ -13,6 +14,7 @@
 #include "routing/worst_case.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace coyote::routing {
 namespace {
@@ -260,6 +262,54 @@ TEST(Optu, ScalesLinearly) {
   const double u1 = optimalUtilization(ex.g, *ex.dags, ex.demand(1.0, 0.5));
   const double u2 = optimalUtilization(ex.g, *ex.dags, ex.demand(2.0, 1.0));
   EXPECT_NEAR(u2, 2.0 * u1, 1e-6);
+}
+
+// The simplex's feasibility tolerance is absolute, so without the engine's
+// power-of-two rescale a tiny demand routes "feasibly" on zero flow.
+TEST(Optu, EveryEntryPointIsScaleInvariant) {
+  util::ThreadPool tp(2);
+  for (const char* name : {"Abilene", "Geant"}) {
+    const Graph g = topo::makeZoo(name);
+    const auto dags = core::augmentedDagsShared(g);
+    const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+    for (const bool within_dags : {true, false}) {
+      SCOPED_TRACE(std::string(name) + (within_dags ? " dags" : " any"));
+      const auto engine = [&] {
+        return within_dags ? std::make_unique<OptuEngine>(g, dags)
+                           : std::make_unique<OptuEngine>(g);
+      };
+      const double optu = engine()->utilization(base);
+      ASSERT_GT(optu, 0.0);
+      for (const int k : {-40, -30, -20, -10, 0, 10, 20}) {
+        SCOPED_TRACE(k);
+        tm::TrafficMatrix d = base;
+        d.scale(std::ldexp(1.0, k));
+        const double want = std::ldexp(optu, k);
+        const auto near = [&](double got) {
+          EXPECT_NEAR(got / want, 1.0, 1e-12) << got << " vs " << want;
+        };
+        near(engine()->utilization(d));
+        near(engine()->utilizationBatch({d}, tp).front());
+        near(engine()->utilizationAt(0, d));
+        const auto [alpha, flows] = engine()->utilizationWithFlows(d);
+        near(alpha);
+        // The flows route d: each destination's flow out of the sources
+        // sums to the demand it carries.
+        for (NodeId t = 0; t < g.numNodes(); ++t) {
+          if (flows[t].empty()) continue;
+          double into = 0.0;
+          for (EdgeId e = 0; e < g.numEdges(); ++e) {
+            if (g.edge(e).dst == t) into += flows[t][e];
+          }
+          double sent = 0.0;
+          for (NodeId s = 0; s < g.numNodes(); ++s) {
+            if (s != t) sent += d.at(s, t);
+          }
+          EXPECT_NEAR(into / sent, 1.0, 1e-9);
+        }
+      }
+    }
+  }
 }
 
 TEST(Optu, UnrestrictedNeverWorseThanDagRestricted) {

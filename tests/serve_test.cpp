@@ -271,6 +271,67 @@ TEST(TeService, OverflowingDemandAndMarginEventsAreRefused) {
   }
 }
 
+TEST(TeService, LinkEventWithNonBoolUpIsRefused) {
+  // "up" must be a JSON bool. A string or a number used to be read as
+  // false: the link failed and the reply said ok.
+  const Graph g = topo::makeZoo("Abilene");
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  const std::string what_if = R"({"op":"what-if","links":[]})";
+  const std::string state = R"({"op":"state"})";
+  json::Value before = parsed(service.handleLine(what_if));
+  const json::Value failed_before = parsed(service.handleLine(state))["failed"];
+  for (const std::string up : {R"("true")", "1"}) {
+    const std::string event =
+        R"({"op":"link","link":["KansasCity","Indianapolis"],"up":)" + up +
+        "}";
+    EXPECT_FALSE(parsed(service.handleLine(event))["ok"].asBool()) << event;
+    EXPECT_EQ(parsed(service.handleLine(state))["failed"].dump(0),
+              failed_before.dump(0))
+        << event;
+    EXPECT_EQ(parsed(service.handleLine(what_if))["ratios"].dump(0),
+              before["ratios"].dump(0))
+        << event;
+  }
+}
+
+TEST(TeService, DemandThatUnderflowsToZeroIsRefused) {
+  // Two 1e-300 scales underflow every demand to 0. That event used to be
+  // accepted: every ratio read 0 and the next reoptimize failed on an
+  // empty pool. It is an error response that leaves the state alone.
+  const Graph g = topo::makeZoo("Abilene");
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  const std::string tiny = R"({"op":"demand","scale":1e-300})";
+  const std::string what_if = R"({"op":"what-if","links":[]})";
+  ASSERT_TRUE(parsed(service.handleLine(tiny))["ok"].asBool());
+  json::Value before = parsed(service.handleLine(what_if));
+  const double pool_before =
+      parsed(service.handleLine(R"({"op":"state"})"))["pool_size"].asNumber();
+  EXPECT_FALSE(parsed(service.handleLine(tiny))["ok"].asBool());
+  EXPECT_EQ(parsed(service.handleLine(what_if))["ratios"].dump(0),
+            before["ratios"].dump(0));
+  EXPECT_EQ(
+      parsed(service.handleLine(R"({"op":"state"})"))["pool_size"].asNumber(),
+      pool_before);
+  EXPECT_TRUE(
+      parsed(service.handleLine(R"({"op":"reoptimize"})"))["ok"].asBool());
+}
+
+TEST(TeService, RatiosDoNotDependOnTheDemandUnit) {
+  // OPTU is solved on a rescaled copy of a tiny matrix, so the ratios of
+  // a demand given in other units match. At 1e-6 they used to be "inf".
+  // Two services: one that evaluated the unscaled demand first would
+  // warm-start the scaled solves from bases that hide the error.
+  const Graph g = topo::makeZoo("Abilene");
+  const std::string what_if = R"({"op":"what-if","links":[]})";
+  TeService unscaled(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  TeService scaled(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  ASSERT_TRUE(
+      parsed(scaled.handleLine(R"({"op":"demand","scale":1e-6})"))["ok"]
+          .asBool());
+  expectSameRatios(scaled.handleLine(what_if), unscaled.handleLine(what_if),
+                   "demand x 1e-6");
+}
+
 TEST(ServeTrace, GenerationIsSeededAndDeterministic) {
   const Graph g = topo::runningExample();
   const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
