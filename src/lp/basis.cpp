@@ -50,7 +50,7 @@ void LuFactor::reset(int m, std::vector<int> row_counts) {
   nonzeros_ = 0;
 }
 
-int LuFactor::addColumn(const std::vector<ColNz>& col, double depend_tol) {
+int LuFactor::addColumn(std::span<const ColNz> col, double depend_tol) {
   touched_.clear();
   for (const ColNz& nz : col) {
     work_[nz.row] += nz.val;
@@ -187,7 +187,7 @@ void LuFactor::btran(std::vector<double>& z) const {
   }
 }
 
-bool LuFactor::update(int leave_row, const std::vector<ColNz>& col) {
+bool LuFactor::update(int leave_row, std::span<const ColNz> col) {
   const int s_t = slot_of_row_[leave_row];
   require(s_t >= 0, "LuFactor::update: row not pivoted");
 

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace coyote::lp {
@@ -59,7 +60,7 @@ class LuFactor {
   /// and pivots it on a not-yet-pivoted row. Returns the chosen pivot row,
   /// or -1 when every candidate entry is below `depend_tol` (the column is
   /// linearly dependent on the ones already placed -- the caller demotes it).
-  int addColumn(const std::vector<ColNz>& col, double depend_tol);
+  int addColumn(std::span<const ColNz> col, double depend_tol);
 
   [[nodiscard]] bool complete() const { return placed_ == m_; }
   [[nodiscard]] bool rowPivoted(int row) const { return slot_of_row_[row] >= 0; }
@@ -75,7 +76,7 @@ class LuFactor {
   /// ones). Returns false -- leaving the factor unusable until the next
   /// reset() -- when the updated pivot is numerically unsafe; the caller
   /// must refactorize.
-  [[nodiscard]] bool update(int leave_row, const std::vector<ColNz>& col);
+  [[nodiscard]] bool update(int leave_row, std::span<const ColNz> col);
 
   /// Stored nonzeros (L ops + U), the fill/growth measure.
   [[nodiscard]] std::size_t nonzeros() const { return nonzeros_; }

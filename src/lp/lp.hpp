@@ -22,17 +22,19 @@
 //    eta-chain growth between refactorizations;
 //  * a composite (artificial-free) phase 1 that minimizes the total bound
 //    violation of the basic variables, which makes any basis -- in
-//    particular a retained basis after setRhs/setBounds/addRow mutations --
-//    a valid warm start.
+//    particular a retained basis after setRhs/setBounds/setObjective
+//    mutations -- a valid warm start.
 //
 // See docs/lp-engine.md for the full design document.
 //
 // The SimplexSolver session API retains the optimal basis between solves:
 // consumers that solve long sequences of near-identical LPs (OPTU across a
-// pool of matrices, the per-edge slave LPs, cutting-plane re-solves) mutate
-// the objective/rhs/bounds/rows and re-solve instead of rebuilding, which
-// typically cuts simplex pivots by an order of magnitude. The one-shot
-// lp::solve() wrapper is unchanged for callers without solve sequences.
+// pool of matrices, the per-edge slave LPs across cutting-plane rounds)
+// mutate the objective/rhs/bounds and re-solve instead of rebuilding, which
+// typically cuts simplex pivots by an order of magnitude. A session holds
+// the one column-major copy of its matrix; engines keep one never-solved
+// prototype session and copy it for every chain. The one-shot lp::solve()
+// wrapper serves callers without solve sequences.
 #pragma once
 
 #include <cstdint>
@@ -78,13 +80,12 @@ class LpProblem {
   void setObjective(int var, double coef);
 
   /// Mutates a variable's bounds in place (lb finite, ub >= lb; ub may be
-  /// kInfinity). Used by engines that keep a problem skeleton and derive
-  /// variants from it -- e.g. pinning a failed edge's flow variables to
-  /// zero -- so sessions cloned later inherit the mutation.
+  /// kInfinity), e.g. pinning a failed edge's flow variable to zero before
+  /// the problem becomes a session.
   void setVarBounds(int var, double lb, double ub);
 
-  /// Mutates a constraint's right-hand side in place (e.g. zeroing a failed
-  /// edge's capacity row in a retained worst-case template).
+  /// Mutates a constraint's right-hand side in place (e.g. a block LP's
+  /// conservation rows, built with rhs 0, pointed at a demand matrix).
   void setConstraintRhs(int row, double rhs);
 
   [[nodiscard]] double rowRhs(int row) const {
@@ -211,21 +212,26 @@ struct LpResult {
   [[nodiscard]] bool optimal() const { return status == Status::kOptimal; }
 };
 
-/// A solver session: owns a mutable copy of the problem plus the basis and
-/// factorization state retained across solves. Mutations are cheap and
-/// never invalidate the retained basis -- the composite phase 1 repairs
-/// any lost feasibility on the next solve(), so
+/// A solver session: converts the problem once into its own column-major
+/// matrix (the LpProblem is not kept) and retains the basis and
+/// factorization state across solves. Mutations are cheap and never
+/// invalidate the retained basis -- the composite phase 1 repairs any lost
+/// feasibility on the next solve(), so
 ///
 ///     SimplexSolver s(problem);
 ///     auto r0 = s.solve();
-///     s.setRhs(row, v);            // or setObjective / setBounds / addRow
+///     s.setRhs(row, v);            // or setObjective / setBounds
 ///     auto r1 = s.solve();         // warm start from r0's basis
 ///
 /// is the intended idiom. Sessions are copyable: clone one per worker to
-/// fan a family of solves out over threads deterministically.
+/// fan a family of solves out over threads deterministically. A copy of a
+/// never-solved session is exactly what SimplexSolver(problem) builds
+/// (cold all-logical basis, unit devex weights, no factorization), and
+/// setBounds on it only writes bounds, so a never-solved prototype stands
+/// in for the problem it was built from.
 class SimplexSolver {
  public:
-  explicit SimplexSolver(LpProblem problem, SimplexOptions opt = {});
+  explicit SimplexSolver(const LpProblem& problem, SimplexOptions opt = {});
   SimplexSolver(const SimplexSolver&);
   SimplexSolver& operator=(const SimplexSolver&);
   SimplexSolver(SimplexSolver&&) noexcept;
@@ -241,18 +247,12 @@ class SimplexSolver {
   void setRhs(int row, double rhs);
   /// lb must stay finite; ub may be kInfinity; ub == lb fixes the variable.
   void setBounds(int var, double lb, double ub);
-  /// Appends a constraint row (cutting plane), returns its index. The new
-  /// row's logical column joins the basis, so the factorization stays
-  /// nonsingular and the next solve() warm-starts.
-  int addRow(std::vector<Term> terms, Rel rel, double rhs);
 
   /// Installs an externally retained basis ({} resets to a cold start).
   /// Earlier setRhs edits stop counting toward the dual simplex's entry
   /// gate, so the installed basis is judged by its violated-basic count.
   void setBasis(const Basis& basis);
   [[nodiscard]] const Basis& basis() const;
-
-  [[nodiscard]] const LpProblem& problem() const;
 
  private:
   class Impl;

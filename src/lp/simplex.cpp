@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 
 #include "lp/basis.hpp"
 #include "lp/lp.hpp"
@@ -111,19 +112,34 @@ constexpr int kCandMax = 128;
 // ---------------------------------------------------------------------------
 class SimplexSolver::Impl {
  public:
-  Impl(LpProblem p, SimplexOptions opt) : p_(std::move(p)), opt_(opt) {
-    n_ = p_.numVars();
-    m_ = 0;
-    cols_.assign(n_, {});
-    for (int j = 0; j < n_; ++j) {
-      lb_.push_back(p_.lb_[j]);
-      ub_.push_back(p_.ub_[j]);
+  Impl(const LpProblem& p, SimplexOptions opt)
+      : opt_(opt), n_(p.numVars()), m_(p.numRows()), rhs_(p.rhs_) {
+    sgn_ = (p.sense_ == Sense::kMaximize) ? -1.0 : 1.0;
+    // The one column-major copy of the matrix, sized exactly: count each
+    // merged row's entries per column, then fill the columns in row order.
+    col_start_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    for (const std::vector<Term>& row : p.rows_) {
+      for (const Term& t : mergeTerms(row)) ++col_start_[t.var + 1];
     }
-    sgn_ = (p_.sense_ == Sense::kMaximize) ? -1.0 : 1.0;
-    cost_.assign(n_, 0.0);
-    for (int j = 0; j < n_; ++j) cost_[j] = sgn_ * p_.obj_[j];
-    for (int i = 0; i < p_.numRows(); ++i) {
-      appendRow(p_.rows_[i], p_.rels_[i], p_.rhs_[i]);
+    for (int j = 0; j < n_; ++j) col_start_[j + 1] += col_start_[j];
+    col_nz_.resize(static_cast<std::size_t>(col_start_[n_]));
+    std::vector<int> next(col_start_.begin(), col_start_.end() - 1);
+    for (int i = 0; i < m_; ++i) {
+      for (const Term& t : mergeTerms(p.rows_[i])) {
+        col_nz_[next[t.var]++] = {i, t.coef};
+      }
+    }
+    // Bounds and costs per column, each row's logical after the
+    // structurals (relations map to logical bounds as above).
+    const std::size_t cols = static_cast<std::size_t>(n_) + m_;
+    for (std::vector<double>* v : {&lb_, &ub_, &cost_}) v->reserve(cols);
+    lb_ = p.lb_;
+    ub_ = p.ub_;
+    for (int j = 0; j < n_; ++j) cost_.push_back(sgn_ * p.obj_[j]);
+    for (const Rel rel : p.rels_) {
+      lb_.push_back(rel == Rel::kGe ? -kInfinity : 0.0);
+      ub_.push_back(rel == Rel::kLe ? kInfinity : 0.0);
+      cost_.push_back(0.0);
     }
     resetBasisCold();
   }
@@ -131,7 +147,7 @@ class SimplexSolver::Impl {
   // ---- mutations ------------------------------------------------------
 
   void setObjective(int var, double coef) {
-    p_.setObjective(var, coef);
+    require(var >= 0 && var < n_, "setObjective: bad var");
     cost_[var] = sgn_ * coef;
   }
 
@@ -139,7 +155,6 @@ class SimplexSolver::Impl {
     require(row >= 0 && row < m_, "setRhs: bad row");
     require(std::isfinite(rhs), "setRhs: non-finite rhs");
     if (rhs_[row] == rhs) return;  // no-op edit: primal stays fresh
-    p_.rhs_[row] = rhs;
     rhs_[row] = rhs;
     primal_fresh_ = false;
     ++rhs_edits_;
@@ -150,32 +165,12 @@ class SimplexSolver::Impl {
     require(std::isfinite(lb), "variable lower bound must be finite");
     require(ub >= lb, "variable upper bound below lower bound");
     if (lb_[var] == lb && ub_[var] == ub) return;  // no-op edit
-    p_.lb_[var] = lb;
-    p_.ub_[var] = ub;
     lb_[var] = lb;
     ub_[var] = ub;
     if (status(var) == Basis::kAtUpper && !std::isfinite(ub)) {
       setStatus(var, Basis::kAtLower);
     }
     primal_fresh_ = false;
-  }
-
-  int addRow(std::vector<Term> terms, Rel rel, double rhs) {
-    for (const Term& t : terms) {
-      require(t.var >= 0 && t.var < n_, "addRow: bad var");
-      require(std::isfinite(t.coef), "non-finite constraint coefficient");
-    }
-    require(std::isfinite(rhs), "non-finite rhs");
-    p_.rows_.push_back(terms);
-    p_.rels_.push_back(rel);
-    p_.rhs_.push_back(rhs);
-    appendRow(terms, rel, rhs);
-    // The new logical joins the basis: [B 0; C I] stays nonsingular.
-    basis_status_.status.insert(
-        basis_status_.status.begin() + (n_ + m_ - 1), Basis::kBasic);
-    if (!devex_w_.empty()) devex_w_.push_back(1.0);
-    factored_ = false;
-    return m_ - 1;
   }
 
   void setBasis(const Basis& basis) {
@@ -197,7 +192,6 @@ class SimplexSolver::Impl {
   }
 
   [[nodiscard]] const Basis& basis() const { return basis_status_; }
-  [[nodiscard]] const LpProblem& problem() const { return p_; }
 
   // ---- solve ----------------------------------------------------------
 
@@ -218,7 +212,7 @@ class SimplexSolver::Impl {
         double v = std::max(xval_[j], lb_[j]);
         if (std::isfinite(ub_[j])) v = std::min(v, ub_[j]);
         res.x[j] = v;
-        obj += p_.obj_[j] * v;
+        obj += sgn_ * cost_[j] * v;  // sgn_ = +-1: exactly the problem's c_j
       }
       res.objective = obj;
     }
@@ -244,28 +238,6 @@ class SimplexSolver::Impl {
     return status(col) == Basis::kAtUpper ? ub_[col] : lb_[col];
   }
 
-  void appendRow(const std::vector<Term>& terms, Rel rel, double rhs) {
-    const std::vector<Term> merged = mergeTerms(terms);
-    for (const Term& t : merged) cols_[t.var].push_back({m_, t.coef});
-    rhs_.push_back(rhs);
-    cost_.push_back(0.0);  // the row's logical column
-    switch (rel) {
-      case Rel::kLe:
-        lb_.push_back(0.0);
-        ub_.push_back(kInfinity);
-        break;
-      case Rel::kGe:
-        lb_.push_back(-kInfinity);
-        ub_.push_back(0.0);
-        break;
-      case Rel::kEq:
-        lb_.push_back(0.0);
-        ub_.push_back(0.0);
-        break;
-    }
-    ++m_;
-  }
-
   void resetBasisCold() {
     basis_status_.status.assign(static_cast<std::size_t>(n_) + m_,
                                 Basis::kAtLower);
@@ -277,10 +249,6 @@ class SimplexSolver::Impl {
 
   [[nodiscard]] int colOfLogical(int row) const { return n_ + row; }
   [[nodiscard]] bool isLogical(int col) const { return col >= n_; }
-
-  // lb_/ub_ hold structural bounds in [0, n) and logical bounds in
-  // [n, n+m) -- but note appendRow pushes logical bounds after the
-  // structural ones, so the combined index space is already col-aligned.
 
   void sanitizeStatuses() {
     for (int col = 0; col < n_ + m_; ++col) {
@@ -294,24 +262,30 @@ class SimplexSolver::Impl {
     }
   }
 
+  /// Structural column j's nonzeros, in row order.
+  [[nodiscard]] std::span<const ColNz> column(int j) const {
+    const ColNz* base = col_nz_.data();
+    return {base + col_start_[j], base + col_start_[j + 1]};
+  }
+
   /// Scatters column `col` of [A | I] into dense `z` (assumed zeroed).
   void scatterColumn(int col, std::vector<double>& z) const {
     if (isLogical(col)) {
       z[col - n_] = 1.0;
     } else {
-      for (const ColNz& nz : cols_[col]) z[nz.row] = nz.val;
+      for (const ColNz& nz : column(col)) z[nz.row] = nz.val;
     }
   }
 
   /// Sparse entries of column `col` of [A | I] (logicals via a scratch).
-  [[nodiscard]] const std::vector<ColNz>& columnRef(int col) {
-    if (!isLogical(col)) return cols_[col];
+  [[nodiscard]] std::span<const ColNz> columnRef(int col) {
+    if (!isLogical(col)) return column(col);
     scratch_col_.assign(1, {col - n_, 1.0});
     return scratch_col_;
   }
 
   [[nodiscard]] int columnNnz(int col) const {
-    return isLogical(col) ? 1 : static_cast<int>(cols_[col].size());
+    return isLogical(col) ? 1 : col_start_[col + 1] - col_start_[col];
   }
 
   /// Rebuilds the LU factorization from the current statuses: basic columns
@@ -338,7 +312,7 @@ class SimplexSolver::Impl {
       if (isLogical(col)) {
         ++row_counts[col - n_];
       } else {
-        for (const ColNz& nz : cols_[col]) ++row_counts[nz.row];
+        for (const ColNz& nz : column(col)) ++row_counts[nz.row];
       }
     }
     lu_.reset(m_, std::move(row_counts));
@@ -404,7 +378,7 @@ class SimplexSolver::Impl {
       if (isLogical(col)) {
         w[col - n_] -= v;
       } else {
-        for (const ColNz& nz : cols_[col]) w[nz.row] -= nz.val * v;
+        for (const ColNz& nz : column(col)) w[nz.row] -= nz.val * v;
       }
     }
     lu_.ftran(w);
@@ -432,8 +406,10 @@ class SimplexSolver::Impl {
 
   // ---- pricing --------------------------------------------------------
 
+  /// Back to unit reference weights. They are dropped here and re-created
+  /// by run(), so a never-solved session (a prototype) holds none.
   void resetDevex() {
-    devex_w_.assign(static_cast<std::size_t>(n_) + m_, 1.0);
+    devex_w_.clear();
     cand_.clear();
   }
 
@@ -446,7 +422,7 @@ class SimplexSolver::Impl {
     if (isLogical(col)) {
       rc -= y[col - n_];
     } else {
-      for (const ColNz& nz : cols_[col]) rc -= y[nz.row] * nz.val;
+      for (const ColNz& nz : column(col)) rc -= y[nz.row] * nz.val;
     }
     return rc;
   }
@@ -563,7 +539,8 @@ class SimplexSolver::Impl {
     const double wq = devex_w_[enter];
     const double gamma = std::max(wq / (ap * ap), 1.0);
     if (gamma > kDevexReset) {
-      resetDevex();
+      std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
+      cand_.clear();
       return;
     }
     if (rho != nullptr) {
@@ -573,7 +550,7 @@ class SimplexSolver::Impl {
         if (isLogical(col)) {
           aj = (*rho)[col - n_];
         } else {
-          for (const ColNz& nz : cols_[col]) aj += (*rho)[nz.row] * nz.val;
+          for (const ColNz& nz : column(col)) aj += (*rho)[nz.row] * nz.val;
         }
         const double w = (aj * aj) * wq / (ap * ap);
         if (w > devex_w_[col]) devex_w_[col] = w;
@@ -965,7 +942,7 @@ class SimplexSolver::Impl {
           aj = rho[col - n_];
         } else {
           aj = 0.0;
-          for (const ColNz& nz : cols_[col]) aj += rho[nz.row] * nz.val;
+          for (const ColNz& nz : column(col)) aj += rho[nz.row] * nz.val;
         }
         if (std::abs(aj) <= kPivotTol) continue;
         arow_[col] = aj;
@@ -1073,7 +1050,9 @@ class SimplexSolver::Impl {
 
   Status run(StatsSnapshot& st) {
     sanitizeStatuses();
-    if (devex_w_.size() != static_cast<std::size_t>(n_) + m_) resetDevex();
+    if (devex_w_.empty()) {
+      devex_w_.assign(static_cast<std::size_t>(n_) + m_, 1.0);
+    }
     if (!factored_) {
       refactorize(st);
     } else if (!primal_fresh_) {
@@ -1309,12 +1288,12 @@ class SimplexSolver::Impl {
     return Status::kIterLimit;
   }
 
-  LpProblem p_;
   SimplexOptions opt_;
   int n_ = 0;  ///< structural columns
   int m_ = 0;  ///< rows (== logical columns)
   double sgn_ = 1.0;
-  std::vector<std::vector<ColNz>> cols_;  ///< structural columns, sparse
+  std::vector<int> col_start_;  ///< [j] column j's first entry in col_nz_
+  std::vector<ColNz> col_nz_;   ///< structural columns, sparse, row order
   std::vector<double> cost_;              ///< internal (minimize) costs
   std::vector<double> lb_, ub_;           ///< per column, logicals included
   std::vector<double> rhs_;
@@ -1348,8 +1327,8 @@ class SimplexSolver::Impl {
   int rhs_edits_ = 0;
 };
 
-SimplexSolver::SimplexSolver(LpProblem problem, SimplexOptions opt)
-    : impl_(std::make_unique<Impl>(std::move(problem), opt)) {}
+SimplexSolver::SimplexSolver(const LpProblem& problem, SimplexOptions opt)
+    : impl_(std::make_unique<Impl>(problem, opt)) {}
 SimplexSolver::SimplexSolver(const SimplexSolver& rhs)
     : impl_(std::make_unique<Impl>(*rhs.impl_)) {}
 SimplexSolver& SimplexSolver::operator=(const SimplexSolver& rhs) {
@@ -1368,12 +1347,8 @@ void SimplexSolver::setRhs(int row, double rhs) { impl_->setRhs(row, rhs); }
 void SimplexSolver::setBounds(int var, double lb, double ub) {
   impl_->setBounds(var, lb, ub);
 }
-int SimplexSolver::addRow(std::vector<Term> terms, Rel rel, double rhs) {
-  return impl_->addRow(std::move(terms), rel, rhs);
-}
 void SimplexSolver::setBasis(const Basis& basis) { impl_->setBasis(basis); }
 const Basis& SimplexSolver::basis() const { return impl_->basis(); }
-const LpProblem& SimplexSolver::problem() const { return impl_->problem(); }
 
 LpResult solve(const LpProblem& p, const SimplexOptions& opt) {
   require(p.numVars() > 0, "LP has no variables");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -10,33 +11,28 @@
 #include "graph/dijkstra.hpp"
 #include "graph/maxflow.hpp"
 #include "lp/stats.hpp"
+#include "routing/flow_block.hpp"
 
 namespace coyote::routing {
 
 /// Constraint matrix, variable map and row map for one active-destination
-/// signature. `problem` is the rhs-agnostic skeleton (conservation rhs 0);
-/// `serial` is the retained warm-start session of the serial entry points,
-/// built from `problem` on first use (utilizationBatch never needs it).
+/// signature. `proto` is the never-solved session holding the matrix
+/// (conservation rhs 0, failed-edge bounds applied); `serial`, the
+/// retained warm-start session of the serial entry points, and every batch
+/// chunk session are copies of it.
 ///
-/// Per-destination variable maps are sparse (edge, var) pair lists in
-/// variable-creation order, so a destination's block costs O(|DAG_t|)
-/// instead of O(|E|) -- on a fat-tree rung the dense [t][e] maps alone
-/// would dwarf the LP itself.
+/// Per-destination maps are sparse (one entry per flow edge), so a
+/// destination's block costs O(|DAG_t|) instead of O(|E|) -- on a
+/// fat-tree rung dense [t][e] maps alone would dwarf the LP itself.
 struct OptuEngine::Template {
-  /// One destination's flow variables: parallel arrays in the DAG's edge
-  /// order (unrestricted mode: ascending edge id), which is exactly the
-  /// historical addVar order -- column ids are unchanged.
-  struct DestVars {
-    std::vector<EdgeId> edges;
-    std::vector<int> vars;
-  };
-
-  lp::LpProblem problem{lp::Sense::kMinimize};
+  std::optional<lp::SimplexSolver> proto;
+  int num_vars = 0;
+  int num_rows = 0;
   int alpha = -1;
-  std::vector<char> active;              ///< [t] 1 if destination modeled
-  std::vector<DestVars> var;             ///< [t] sparse flow-var block
-  std::vector<std::vector<int>> row;     ///< [t][u] conservation row or -1
-  std::vector<int> cap_row;              ///< [e] capacity row or -1
+  std::vector<char> active;               ///< [t] 1 if destination modeled
+  std::vector<std::vector<EdgeId>> edges;  ///< [t] flowEdges(t) if active
+  std::vector<FlowBlock> block;           ///< [t] flow vars and rows
+  std::vector<int> cap_row;               ///< [e] capacity row or -1
   std::unique_ptr<lp::SimplexSolver> serial;
   /// Decomposition crossover basis (empty when not built/worthwhile).
   /// Computed at most once per template; batch chunk clones and the first
@@ -69,6 +65,15 @@ std::vector<char> OptuEngine::activeSignature(
   return active;
 }
 
+std::vector<EdgeId> OptuEngine::flowEdges(NodeId dest) const {
+  if (dags_ != nullptr) return (*dags_)[dest].edges();  // sorted by Dag
+  std::vector<EdgeId> edges;
+  for (EdgeId e = 0; e < g_.numEdges(); ++e) {
+    if (g_.edge(e).src != dest) edges.push_back(e);
+  }
+  return edges;
+}
+
 OptuEngine::Template& OptuEngine::templateFor(const std::vector<char>& active) {
   std::string key(active.begin(), active.end());
   const auto it = cache_.find(key);
@@ -78,60 +83,21 @@ OptuEngine::Template& OptuEngine::templateFor(const std::vector<char>& active) {
   Template& t = *tpl;
   t.active = active;
   const int n = g_.numNodes();
-  t.alpha = t.problem.addVar(1.0, 0.0, lp::kInfinity);
-  t.var.assign(n, {});
-  t.row.assign(n, {});
-  // One pass over the destinations builds everything sparsity-aware:
-  // variables and conservation rows per destination (a dense per-edge
-  // scratch map lives only for the current destination), while the
-  // capacity-row terms accumulate in per-edge buckets. addVar/addConstraint
-  // sequences are unchanged from the historical all-vars-then-all-rows
-  // construction (variable and row counters are independent), so column
-  // and row ids -- and therefore the solves -- are bit-identical.
+  lp::LpProblem p(lp::Sense::kMinimize);
+  t.alpha = p.addVar(1.0, 0.0, lp::kInfinity);
+  t.edges.assign(n, {});
+  t.block.assign(n, {});
+  // One flow block per active destination; the capacity-row terms
+  // accumulate in per-edge buckets in ascending destination order.
   std::vector<std::vector<lp::Term>> cap_terms(
       static_cast<std::size_t>(g_.numEdges()));
-  std::vector<int> scratch(static_cast<std::size_t>(g_.numEdges()), -1);
   for (NodeId dest = 0; dest < n; ++dest) {
     if (!active[dest]) continue;
-    Template::DestVars& dv = t.var[dest];
-    if (dags_ != nullptr) {
-      const auto& dag_edges = (*dags_)[dest].edges();
-      dv.edges.reserve(dag_edges.size());
-      dv.vars.reserve(dag_edges.size());
-      for (const EdgeId e : dag_edges) {
-        dv.edges.push_back(e);
-        dv.vars.push_back(t.problem.addVar(0.0, 0.0, lp::kInfinity));
-      }
-    } else {
-      for (EdgeId e = 0; e < g_.numEdges(); ++e) {
-        if (g_.edge(e).src != dest) {
-          dv.edges.push_back(e);
-          dv.vars.push_back(t.problem.addVar(0.0, 0.0, lp::kInfinity));
-        }
-      }
+    t.edges[dest] = flowEdges(dest);
+    t.block[dest] = appendFlowBlock(p, g_, dest, t.edges[dest]);
+    for (std::size_t j = 0; j < t.edges[dest].size(); ++j) {
+      cap_terms[t.edges[dest][j]].push_back({t.block[dest].vars[j], 1.0});
     }
-    for (std::size_t j = 0; j < dv.edges.size(); ++j) {
-      scratch[dv.edges[j]] = dv.vars[j];
-      // Bucketed capacity terms: destinations are visited in ascending
-      // order, reproducing the dense scan's per-edge term order.
-      cap_terms[dv.edges[j]].push_back({dv.vars[j], 1.0});
-    }
-    // Conservation at every non-destination node (rhs filled per matrix).
-    t.row[dest].assign(n, -1);
-    for (NodeId u = 0; u < n; ++u) {
-      if (u == dest) continue;
-      std::vector<lp::Term> terms;
-      for (const EdgeId e : g_.outEdges(u)) {
-        if (scratch[e] >= 0) terms.push_back({scratch[e], 1.0});
-      }
-      for (const EdgeId e : g_.inEdges(u)) {
-        if (scratch[e] >= 0) terms.push_back({scratch[e], -1.0});
-      }
-      if (terms.empty()) continue;
-      t.row[dest][u] = t.problem.numRows();
-      t.problem.addConstraint(std::move(terms), lp::Rel::kEq, 0.0);
-    }
-    for (const EdgeId e : dv.edges) scratch[e] = -1;
   }
   // Capacity: sum_t g_t(e) - alpha*c(e) <= 0.
   t.cap_row.assign(g_.numEdges(), -1);
@@ -139,10 +105,13 @@ OptuEngine::Template& OptuEngine::templateFor(const std::vector<char>& active) {
     if (cap_terms[e].empty()) continue;
     std::vector<lp::Term> terms = std::move(cap_terms[e]);
     terms.push_back({t.alpha, -g_.edge(e).capacity});
-    t.cap_row[e] = t.problem.numRows();
-    t.problem.addConstraint(std::move(terms), lp::Rel::kLe, 0.0);
+    t.cap_row[e] = p.numRows();
+    p.addConstraint(std::move(terms), lp::Rel::kLe, 0.0);
   }
-  applyFailures(t);  // templates built mid-failure inherit the failed set
+  t.num_vars = p.numVars();
+  t.num_rows = p.numRows();
+  t.proto.emplace(p, opt_);
+  applyFailures(t, {});  // templates built mid-failure inherit the failed set
   return *cache_.emplace(std::move(key), std::move(tpl)).first->second;
 }
 
@@ -154,7 +123,7 @@ void OptuEngine::applyDemand(lp::SimplexSolver& solver, const Template& t,
     for (NodeId u = 0; u < n; ++u) {
       if (u == dest) continue;
       const double dem = d.at(u, dest);
-      const int row = t.row[dest][u];
+      const int row = t.block[dest].rows[u];
       if (row < 0) {
         require(dem <= 0.0, "demand from " + g_.nodeName(u) + " to " +
                                 g_.nodeName(dest) +
@@ -185,15 +154,19 @@ double OptuEngine::solveAlpha(lp::SimplexSolver& solver, const Template& t,
   return res.x[t.alpha];
 }
 
-void OptuEngine::applyFailures(Template& t) const {
-  if (failed_.empty()) return;
+void OptuEngine::applyFailures(Template& t,
+                               const std::vector<char>& previous) const {
   for (NodeId dest = 0; dest < g_.numNodes(); ++dest) {
     if (!t.active[dest]) continue;
-    const Template::DestVars& dv = t.var[dest];
-    for (std::size_t j = 0; j < dv.edges.size(); ++j) {
-      const double ub = failed_[dv.edges[j]] ? 0.0 : lp::kInfinity;
-      t.problem.setVarBounds(dv.vars[j], 0.0, ub);
-      if (t.serial) t.serial->setBounds(dv.vars[j], 0.0, ub);
+    for (std::size_t j = 0; j < t.edges[dest].size(); ++j) {
+      const EdgeId e = t.edges[dest][j];
+      const bool was = !previous.empty() && previous[e];
+      const bool now = !failed_.empty() && failed_[e];
+      if (was == now) continue;
+      const int var = t.block[dest].vars[j];
+      const double ub = now ? 0.0 : lp::kInfinity;
+      t.proto->setBounds(var, 0.0, ub);
+      if (t.serial) t.serial->setBounds(var, 0.0, ub);
     }
   }
 }
@@ -209,27 +182,13 @@ void OptuEngine::setFailedEdges(const std::vector<EdgeId>& edges) {
     }
   }
   if (mask == failed_) return;
-  // Mutate every cached template (skeleton + retained session): clones made
-  // by utilizationBatch and future solves all see the new network, and the
-  // retained bases stay valid warm starts (phase 1 repairs feasibility).
+  // Mutate every cached template (prototype + retained session): clones
+  // made by utilizationBatch and future solves all see the new network,
+  // and the retained bases stay valid warm starts (phase 1 repairs
+  // feasibility).
   const std::vector<char> previous = std::move(failed_);
   failed_ = std::move(mask);
-  for (auto& [key, tpl] : cache_) {
-    Template& t = *tpl;
-    for (NodeId dest = 0; dest < g_.numNodes(); ++dest) {
-      if (!t.active[dest]) continue;
-      const Template::DestVars& dv = t.var[dest];
-      for (std::size_t j = 0; j < dv.edges.size(); ++j) {
-        const EdgeId e = dv.edges[j];
-        const bool was = !previous.empty() && previous[e];
-        const bool now = !failed_.empty() && failed_[e];
-        if (was == now) continue;
-        const double ub = now ? 0.0 : lp::kInfinity;
-        t.problem.setVarBounds(dv.vars[j], 0.0, ub);
-        if (t.serial) t.serial->setBounds(dv.vars[j], 0.0, ub);
-      }
-    }
-  }
+  for (auto& [key, tpl] : cache_) applyFailures(*tpl, previous);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,18 +216,16 @@ void OptuEngine::setFailedEdges(const std::vector<EdgeId>& edges) {
 lp::Basis OptuEngine::decomposeSeed(const Template& t,
                                     const tm::TrafficMatrix& d,
                                     util::ThreadPool* tp) const {
-  if (t.problem.numRows() < kDecompMinRows) return {};
+  if (t.num_rows < kDecompMinRows) return {};
   const int n = g_.numNodes();
   const int ne = g_.numEdges();
 
-  // Per-destination min-cost-flow block: vars in ascending edge-id order
-  // (the historical dense-scan order), rows in the full template's order,
-  // so statuses map across by position.
+  // Per-destination min-cost-flow block: the template's flow block on its
+  // own, from the same builder, so its vars and rows map onto the
+  // template's by position.
   struct Block {
     NodeId dest = 0;
-    std::vector<EdgeId> edges;  ///< block var j -> edge id
-    std::vector<int> fullvar;   ///< block var j -> full-problem var id
-    std::vector<int> rows;      ///< block row i -> full row id
+    FlowBlock local;            ///< the block LP's own var and row ids
     std::unique_ptr<lp::SimplexSolver> session;
     std::vector<double> flow;   ///< per block var, last optimal solution
     bool ok = true;
@@ -283,54 +240,28 @@ lp::Basis OptuEngine::decomposeSeed(const Template& t,
   }
 
   std::vector<Block> blocks;
-  std::vector<int> bvar(ne, -1);
   for (NodeId dest = 0; dest < n; ++dest) {
-    if (!t.active[dest] || t.var[dest].edges.empty()) continue;
-    const Template::DestVars& dv = t.var[dest];
+    if (!t.active[dest] || t.edges[dest].empty()) continue;
+    const std::vector<EdgeId>& edges = t.edges[dest];
     Block b;
     b.dest = dest;
-    // The sparse template block is in DAG edge order; sort a copy by edge
-    // id to reproduce the historical ascending-edge block layout.
-    b.edges = dv.edges;
-    b.fullvar = dv.vars;
-    {
-      std::vector<std::size_t> order(b.edges.size());
-      for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
-      std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-        return b.edges[x] < b.edges[y];
-      });
-      std::vector<EdgeId> edges_sorted(b.edges.size());
-      std::vector<int> fullvar_sorted(b.edges.size());
-      for (std::size_t j = 0; j < order.size(); ++j) {
-        edges_sorted[j] = b.edges[order[j]];
-        fullvar_sorted[j] = b.fullvar[order[j]];
-      }
-      b.edges = std::move(edges_sorted);
-      b.fullvar = std::move(fullvar_sorted);
-    }
     lp::LpProblem prob(lp::Sense::kMinimize);
-    for (std::size_t j = 0; j < b.edges.size(); ++j) {
-      const EdgeId e = b.edges[j];
+    b.local = appendFlowBlock(prob, g_, dest, edges);
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      const EdgeId e = edges[j];
+      prob.setObjective(b.local.vars[j], price[e]);
       // Pin what the full problem pins: failed edges (bounds) and
       // zero-capacity edges (whose capacity row forces zero flow).
-      const bool pinned = (!failed_.empty() && failed_[e]) ||
-                          g_.edge(e).capacity <= 0.0;
-      bvar[e] = prob.addVar(price[e], 0.0, pinned ? 0.0 : lp::kInfinity);
+      if ((!failed_.empty() && failed_[e]) || g_.edge(e).capacity <= 0.0) {
+        prob.setVarBounds(b.local.vars[j], 0.0, 0.0);
+      }
     }
     for (NodeId u = 0; u < n; ++u) {
-      if (u == dest || t.row[dest][u] < 0) continue;
-      std::vector<lp::Term> terms;
-      for (const EdgeId e : g_.outEdges(u)) {
-        if (bvar[e] >= 0) terms.push_back({bvar[e], 1.0});
+      if (b.local.rows[u] >= 0) {
+        prob.setConstraintRhs(b.local.rows[u], d.at(u, dest));
       }
-      for (const EdgeId e : g_.inEdges(u)) {
-        if (bvar[e] >= 0) terms.push_back({bvar[e], -1.0});
-      }
-      b.rows.push_back(t.row[dest][u]);
-      prob.addConstraint(std::move(terms), lp::Rel::kEq, d.at(u, dest));
     }
-    for (const EdgeId e : b.edges) bvar[e] = -1;
-    b.session = std::make_unique<lp::SimplexSolver>(std::move(prob), opt_);
+    b.session = std::make_unique<lp::SimplexSolver>(prob, opt_);
     blocks.push_back(std::move(b));
   }
   if (blocks.empty()) return {};
@@ -368,8 +299,9 @@ lp::Basis OptuEngine::decomposeSeed(const Template& t,
     // Deterministic serial reduction in destination order.
     std::fill(load.begin(), load.end(), 0.0);
     for (const Block& b : blocks) {
-      for (std::size_t j = 0; j < b.edges.size(); ++j) {
-        load[b.edges[j]] += std::max(0.0, b.flow[j]);
+      const std::vector<EdgeId>& edges = t.edges[b.dest];
+      for (std::size_t j = 0; j < edges.size(); ++j) {
+        load[edges[j]] += std::max(0.0, b.flow[j]);
       }
     }
     double umax = 0.0;
@@ -393,8 +325,9 @@ lp::Basis OptuEngine::decomposeSeed(const Template& t,
       for (EdgeId e = 0; e < ne; ++e) price[e] /= scale;
     }
     for (Block& b : blocks) {
-      for (std::size_t j = 0; j < b.edges.size(); ++j) {
-        b.session->setObjective(static_cast<int>(j), price[b.edges[j]]);
+      const std::vector<EdgeId>& edges = t.edges[b.dest];
+      for (std::size_t j = 0; j < edges.size(); ++j) {
+        b.session->setObjective(b.local.vars[j], price[edges[j]]);
       }
     }
   }
@@ -405,17 +338,20 @@ lp::Basis OptuEngine::decomposeSeed(const Template& t,
 
   // Crossover: assemble the full-problem basis from the block bases.
   lp::Basis seed;
-  const int nv = t.problem.numVars();
-  seed.status.assign(static_cast<std::size_t>(nv) + t.problem.numRows(),
+  const int nv = t.num_vars;
+  seed.status.assign(static_cast<std::size_t>(nv) + t.num_rows,
                      lp::Basis::kAtLower);
   for (const Block& b : blocks) {
     const lp::Basis& bb = b.session->basis();
-    const int bn = static_cast<int>(b.edges.size());
+    const FlowBlock& full = t.block[b.dest];
+    const int bn = static_cast<int>(b.local.vars.size());
     for (int j = 0; j < bn; ++j) {
-      seed.status[b.fullvar[j]] = bb.status[j];
+      seed.status[full.vars[j]] = bb.status[b.local.vars[j]];
     }
-    for (std::size_t i = 0; i < b.rows.size(); ++i) {
-      seed.status[nv + b.rows[i]] = bb.status[bn + static_cast<int>(i)];
+    for (NodeId u = 0; u < n; ++u) {
+      if (full.rows[u] >= 0) {
+        seed.status[nv + full.rows[u]] = bb.status[bn + b.local.rows[u]];
+      }
     }
   }
   int rstar = -1;
@@ -506,14 +442,7 @@ double OptuEngine::singleSinkUtilization(NodeId dest,
                                          const tm::TrafficMatrix& d) const {
   const int n = g_.numNodes();
   // The edges an LP template gives flow variables toward dest, in id order.
-  std::vector<EdgeId> edges;
-  if (dags_ != nullptr) {
-    edges = (*dags_)[dest].edges();  // a Dag keeps its edges sorted
-  } else {
-    for (EdgeId e = 0; e < g_.numEdges(); ++e) {
-      if (g_.edge(e).src != dest) edges.push_back(e);
-    }
-  }
+  const std::vector<EdgeId> edges = flowEdges(dest);
   std::vector<char> touched(n, 0);
   std::vector<double> cap(edges.size(), 0.0);
   for (std::size_t j = 0; j < edges.size(); ++j) {
@@ -596,11 +525,11 @@ OptuEngine::Template& OptuEngine::serialFor(const std::vector<char>& active,
   Template& t = templateFor(active);
   if (!t.serial) {
     // First serial solve on this template: the session copies the
-    // skeleton, failed-edge bounds included, and starts from the
+    // prototype, failed-edge bounds included, and starts from the
     // decomposition crossover basis instead of an all-logical cold start.
     // (Serial entries may run inside pool workers, so blocks solve
     // serially here; utilizationBatch passes the pool.)
-    t.serial = std::make_unique<lp::SimplexSolver>(t.problem, opt_);
+    t.serial = std::make_unique<lp::SimplexSolver>(*t.proto);
     const lp::Basis& seed = ensureSeed(t, d, nullptr);
     if (!seed.empty()) t.serial->setBasis(seed);
   }
@@ -678,7 +607,7 @@ std::vector<double> OptuEngine::utilizationBatch(
       }
       return;
     }
-    lp::SimplexSolver solver(c.tpl->problem, opt_);
+    lp::SimplexSolver solver(*c.tpl->proto);
     if (c.seed != nullptr) solver.setBasis(*c.seed);
     for (const std::size_t i : c.indices) {
       applyDemand(solver, *c.tpl, *mats[i]);
@@ -741,9 +670,9 @@ OptuEngine::utilizationWithFlows(const tm::TrafficMatrix& d) {
   for (NodeId dest = 0; dest < n; ++dest) {
     if (!t.active[dest]) continue;
     flows[dest].assign(g_.numEdges(), 0.0);
-    const Template::DestVars& dv = t.var[dest];
-    for (std::size_t j = 0; j < dv.edges.size(); ++j) {
-      flows[dest][dv.edges[j]] = std::max(0.0, res.x[dv.vars[j]]);
+    for (std::size_t j = 0; j < t.edges[dest].size(); ++j) {
+      flows[dest][t.edges[dest][j]] =
+          std::max(0.0, res.x[t.block[dest].vars[j]]);
     }
   }
   return {res.x[t.alpha], std::move(flows)};

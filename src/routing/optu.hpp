@@ -24,12 +24,15 @@
 //
 // For every other matrix only the conservation right-hand sides depend on
 // the demand matrix, so OptuEngine builds the constraint matrix once per
-// (graph, DAG-set, active-destination signature) and re-solves across pool
-// matrices and margin points by mutating the rhs of a retained
-// lp::SimplexSolver session -- the warm-started basis typically cuts the
-// simplex pivots per matrix by several-fold. Batch solves are fanned out over the thread pool
-// in fixed-size chunks (each chunk one warm-start chain), so every result
-// and pivot count is bit-identical for any thread count.
+// (graph, DAG-set, active-destination signature) -- one flow block per
+// destination (flow_block.hpp) plus the capacity rows -- into a
+// never-solved prototype lp::SimplexSolver session, and re-solves across
+// pool matrices and margin points by mutating the rhs of a retained copy
+// of it: the warm-started basis typically cuts the simplex pivots per
+// matrix by several-fold. Batch solves are fanned out over the thread
+// pool in fixed-size chunks (each chunk one warm-start chain on its own
+// copy), so every result and pivot count is bit-identical for any thread
+// count.
 //
 // The simplex's feasibility tolerance is absolute, so every entry point
 // solves a matrix whose largest entry is below 2^-10 on a copy scaled by an
@@ -133,6 +136,9 @@ class OptuEngine {
  private:
   struct Template;  // constraint matrix + var/row maps for one signature
 
+  /// The edges a template gives destination `dest` flow variables on, in
+  /// id order: dest's DAG, or (unrestricted) every edge not leaving dest.
+  [[nodiscard]] std::vector<EdgeId> flowEdges(NodeId dest) const;
   [[nodiscard]] std::vector<char> activeSignature(
       const tm::TrafficMatrix& d) const;
   /// Returns the cached template for the signature, building it on demand.
@@ -142,9 +148,9 @@ class OptuEngine {
   /// Caller holds mutex_.
   Template& serialFor(const std::vector<char>& active,
                       const tm::TrafficMatrix& d);
-  /// Applies the current failed-edge set to a template (skeleton, and the
-  /// serial session once built).
-  void applyFailures(Template& t) const;
+  /// Moves a template from the `previous` failed-edge mask to the current
+  /// one (prototype, and the serial session once built).
+  void applyFailures(Template& t, const std::vector<char>& previous) const;
   /// Points the session's conservation rhs at d (validates routability).
   void applyDemand(lp::SimplexSolver& solver, const Template& t,
                    const tm::TrafficMatrix& d) const;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "routing/flow_block.hpp"
 #include "routing/propagation.hpp"
 #include "util/prune.hpp"
 #include "util/thread_pool.hpp"
@@ -51,17 +52,16 @@ bool routablePair(const DagSet& dags, const tm::DemandBounds* box, NodeId s,
 /// Theorem-5 bounds (Appendix C of the technical report). Under edge
 /// weights pi >= 0, every unit of (s,t) demand pays at least
 /// dist_pi(s,t), its pi-shortest path inside t's DAG, so any demand the
-/// DAGs route within capacity has  sum d*dist <= budget = sum_a rhs(a)*pi(a).
+/// DAGs route within capacity has  sum d*dist <= budget = sum_a c(a)*pi(a).
 /// Edge e's utilization sum w*d (w = l_st(e)/c(e)) is then at most
 /// budget * theta_e, with theta_e the largest sum w*x / sum dist*x over the
 /// demand cone: max w/dist over all matrices, and a linear-fractional
 /// maximum over the box [lo, hi], found greedily.
 class DualBounds {
  public:
-  /// `rhs` holds each edge's capacity-row rhs, by edge id.
   DualBounds(const Graph& g, const DagSet& dags, const tm::DemandBounds* box,
-             const LoadCoefficients& coef, std::vector<double> rhs)
-      : g_(g), dags_(dags), box_(box), n_(g.numNodes()), rhs_(std::move(rhs)) {
+             const LoadCoefficients& coef)
+      : g_(g), dags_(dags), box_(box), n_(g.numNodes()) {
     terms_.assign(static_cast<std::size_t>(g.numEdges()), {});
     for (NodeId t = 0; t < n_; ++t) {
       const auto& edges = dags[t].edges();
@@ -86,11 +86,14 @@ class DualBounds {
   /// True if some routable pair loads e (its LP objective is nonzero).
   [[nodiscard]] bool loads(EdgeId e) const { return !terms_[e].empty(); }
 
-  /// Installs edge weights pi (by edge id): one distance DP per
-  /// destination DAG, in reverse topological order.
+  /// Installs edge weights pi (by edge id, 0 on an edge without a
+  /// capacity row): one distance DP per destination DAG, in reverse
+  /// topological order.
   void setWeights(const std::vector<double>& pi) {
     budget_ = 0.0;
-    for (std::size_t a = 0; a < pi.size(); ++a) budget_ += rhs_[a] * pi[a];
+    for (std::size_t a = 0; a < pi.size(); ++a) {
+      budget_ += g_.edge(static_cast<EdgeId>(a)).capacity * pi[a];
+    }
     std::vector<double> node(static_cast<std::size_t>(n_));
     for (const NodeId t : dests_) {
       const Dag& dag = dags_[t];
@@ -182,12 +185,11 @@ class DualBounds {
   const DagSet& dags_;
   const tm::DemandBounds* box_;
   int n_;
-  std::vector<double> rhs_;               ///< [e] capacity-row rhs
   std::vector<std::vector<Term>> terms_;  ///< [e] pairs loading e, t-major
   std::vector<int> pairs_;                ///< routable pairs
   std::vector<NodeId> dests_;             ///< destinations with a pair
   std::vector<double> dist_;              ///< [t*n+s] dist_pi(s,t)
-  double budget_ = 0.0;                   ///< sum_a rhs(a) * pi(a)
+  double budget_ = 0.0;                   ///< sum_a c(a) * pi(a)
   double base_den_ = 0.0;                 ///< sum over pairs dist * lo
   std::vector<std::pair<double, int>> order_;  ///< bound() scratch
 };
@@ -216,17 +218,14 @@ void requireOptimal(const lp::LpResult& res, EdgeId edge) {
 // with a positive box *lower* bound the DAGs cannot route pins lambda to
 // zero, detected up front as `pinned_`). The target edge and the
 // routing phi enter through the objective alone, so an edge scan is a
-// sequence of setObjective + warm solve on a retained session.
+// sequence of setObjective + warm solve on a retained session. Every
+// session is a copy of the never-solved prototype `proto_`.
 // ---------------------------------------------------------------------------
 class WorstCaseOracle::Impl {
  public:
   Impl(const Graph& g, std::shared_ptr<const DagSet> dags,
        const tm::DemandBounds* box, const lp::SimplexOptions& opt)
-      : g_(g), dags_(std::move(dags)), box_(box), opt_(opt) {
-    require(dags_ != nullptr, "null dag set");
-    require(static_cast<int>(dags_->size()) == g.numNodes(), "bad dag set");
-    build();
-  }
+      : g_(g), dags_(std::move(dags)), box_(box), proto_(build(), opt) {}
 
   WorstCaseResult find(const RoutingConfig& cfg) {
     requireSameDags(cfg);
@@ -256,8 +255,7 @@ class WorstCaseOracle::Impl {
     if (sessions_.size() != chunks) {
       sessions_.clear();
       for (std::size_t c = 0; c < chunks; ++c) {
-        sessions_.push_back(
-            std::make_unique<Session>(Session{lp::SimplexSolver(problem_, opt_), {}}));
+        sessions_.push_back(std::make_unique<Session>(Session{proto_, {}}));
       }
     }
     if (edge_basis_.size() != static_cast<std::size_t>(m)) {
@@ -308,11 +306,7 @@ class WorstCaseOracle::Impl {
       return {tm::TrafficMatrix(n), 0.0, m > 0 ? 0 : kInvalidEdge};
     }
     const LoadCoefficients coef(g_, cfg);
-    std::vector<double> rhs(static_cast<std::size_t>(m), 0.0);
-    for (EdgeId e = 0; e < m; ++e) {
-      if (cap_row_[e] >= 0) rhs[e] = problem_.rowRhs(cap_row_[e]);
-    }
-    DualBounds bounds(g_, *dags_, box_, coef, std::move(rhs));
+    DualBounds bounds(g_, *dags_, box_, coef);
     // bound[e] < 0 marks an edge outside the scan: solved, or loaded by
     // nothing (ratio 0 without an LP).
     std::vector<double> bound(static_cast<std::size_t>(m), -1.0);
@@ -324,7 +318,7 @@ class WorstCaseOracle::Impl {
     // those giving its current bound (its own once solved).
     std::vector<std::vector<double>> weights;
     std::vector<int> bound_by(static_cast<std::size_t>(m), -1);
-    Session session{lp::SimplexSolver(problem_, opt_), {}};
+    Session session{proto_, {}};
     lp::Basis first;
     EdgeId best_edge = kInvalidEdge;
     lp::LpResult best;
@@ -392,7 +386,7 @@ class WorstCaseOracle::Impl {
   /// (`coef` is reused from the caller's scan -- it costs O(|V|^2) flow
   /// propagations to build).
   WorstCaseResult resolveEdge(const LoadCoefficients& coef, EdgeId edge) {
-    Session session{lp::SimplexSolver(problem_, opt_), {}};
+    Session session{proto_, {}};
     // The scan (if any) just solved this edge and stored its optimal
     // basis; re-solving from it recovers the full demand vector in a
     // handful of pivots instead of a cold phase-1 solve.
@@ -542,11 +536,13 @@ class WorstCaseOracle::Impl {
             "routing uses a different DAG set than the oracle");
   }
 
-  void build() {
+  /// Builds the slave LP, filling every map below that proto_ is
+  /// declared after.
+  lp::LpProblem build() {
+    require(dags_ != nullptr, "null dag set");
+    require(static_cast<int>(dags_->size()) == g_.numNodes(), "bad dag set");
     const int n = g_.numNodes();
     dvar_.assign(n, std::vector<int>(n, -1));
-    num_dvars_ = 0;
-    lambda_ = -1;
     lp::LpProblem p(lp::Sense::kMaximize);
 
     // Demand variables: every pair the DAGs can route (and, in the box
@@ -588,45 +584,26 @@ class WorstCaseOracle::Impl {
     }
 
     // Witness flows g_t(e) on DAG edges for destinations with any demand
-    // variable; conservation ties them to d. Per-destination variable
-    // blocks are sized by the destination's DAG (its reachable subgraph),
-    // not |E|: the dense [t][e] maps this used to keep cost
-    // O(|V| |E|) ints, which is what large scaling rungs cannot afford.
-    // A dense scratch keyed by edge id is reused across destinations
-    // (targeted clear), and capacity-row terms are bucketed per edge as
-    // variables appear, so the t-ascending term order of the historical
-    // dense scan is reproduced exactly -- ids, rows and solves stay
-    // bit-identical.
-    std::vector<int> gvar(static_cast<std::size_t>(g_.numEdges()), -1);
+    // variable: t's flow block, with d(u,t) as node u's supply column.
+    // Capacity-row terms are bucketed per edge in destination order.
     std::vector<std::vector<lp::Term>> cap_terms(
         static_cast<std::size_t>(g_.numEdges()));
+    std::vector<int> supply(static_cast<std::size_t>(n));
     for (NodeId t = 0; t < n; ++t) {
       bool any = false;
-      for (NodeId s = 0; s < n; ++s) any = any || dvar_[s][t] >= 0;
-      if (!any) continue;
-      const Dag& dag = (*dags_)[t];
-      for (const EdgeId e : dag.edges()) {
-        gvar[e] = p.addVar(0.0, 0.0, lp::kInfinity);
-        cap_terms[e].push_back({gvar[e], 1.0});
-      }
       for (NodeId u = 0; u < n; ++u) {
-        if (u == t) continue;
-        std::vector<lp::Term> terms;
-        for (const EdgeId e : dag.outEdges(u)) terms.push_back({gvar[e], 1.0});
-        for (const EdgeId e : dag.inEdges(u)) terms.push_back({gvar[e], -1.0});
-        if (dvar_[u][t] >= 0) {
-          terms.push_back({dvar_[u][t], -1.0});
-        } else if (terms.empty()) {
-          continue;
-        }
-        p.addConstraint(std::move(terms), lp::Rel::kEq, 0.0);
+        supply[u] = dvar_[u][t];
+        any = any || supply[u] >= 0;
       }
-      for (const EdgeId e : dag.edges()) gvar[e] = -1;
+      if (!any) continue;
+      const auto& edges = (*dags_)[t].edges();
+      const FlowBlock block = appendFlowBlock(p, g_, t, edges, supply);
+      for (std::size_t j = 0; j < edges.size(); ++j) {
+        cap_terms[edges[j]].push_back({block.vars[j], 1.0});
+      }
     }
 
-    // Capacity of every edge (row index kept for the pruned scan's rhs and
-    // duals). The buckets were appended in destination order above,
-    // matching the dense scan's term order.
+    // Capacity of every edge (row index kept for the pruned scan's duals).
     cap_row_.assign(g_.numEdges(), -1);
     for (EdgeId e = 0; e < g_.numEdges(); ++e) {
       if (cap_terms[e].empty()) continue;
@@ -646,7 +623,7 @@ class WorstCaseOracle::Impl {
         edge_dests_[edges[k]].push_back({t, static_cast<int>(k)});
       }
     }
-    problem_ = std::move(p);
+    return p;
   }
 
   void setEdgeObjective(Session& session, const LoadCoefficients& coef,
@@ -695,8 +672,6 @@ class WorstCaseOracle::Impl {
   const Graph& g_;
   std::shared_ptr<const DagSet> dags_;
   const tm::DemandBounds* box_;
-  lp::SimplexOptions opt_;
-  lp::LpProblem problem_{lp::Sense::kMaximize};
   int lambda_ = -1;
   int num_dvars_ = 0;
   /// s*n+t of a box pair with lo > 0 the DAGs cannot route, which pins
@@ -710,6 +685,9 @@ class WorstCaseOracle::Impl {
   /// [e] -> postings of the dests whose DAG uses e, dest-ascending.
   std::vector<std::vector<DestSlot>> edge_dests_;
   std::vector<int> cap_row_;            ///< [e] capacity row or -1
+  /// The never-solved session every scan copies; built by build(), so it
+  /// is declared after every member build() fills.
+  lp::SimplexSolver proto_;
   std::vector<std::unique_ptr<Session>> sessions_;  ///< one per edge chunk
   /// Per-edge optimal basis from the previous scan; slot e is only ever
   /// touched by the chunk that owns edge e (see solveEdge).

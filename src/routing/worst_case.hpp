@@ -18,8 +18,9 @@
 //
 // Only the objective depends on the target edge (and, through l, on the
 // routing phi): WorstCaseOracle builds the constraint matrix once per
-// (graph, DAGs, box) and scans the edges as warm-start chains on retained
-// lp::SimplexSolver sessions -- one session per fixed-size edge chunk, so
+// (graph, DAGs, box) into a never-solved prototype session and scans the
+// edges as warm-start chains on retained copies of it -- one per
+// fixed-size edge chunk, so
 // the thread-pool fan-out is deterministic for any thread count. The same
 // oracle instance serves every cutting-plane round of COYOTE's optimizer
 // (each round is one more objective sweep, not a rebuild).

@@ -272,9 +272,15 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parseObject();
-      case '[':
-        return parseArray();
+      case '[': {
+        // A throw abandons the whole parse, so depth_ needs no unwinding.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Value v = c == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value(parseString());
       case 't':
@@ -470,6 +476,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

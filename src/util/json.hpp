@@ -135,9 +135,16 @@ class Value {
 /// Escapes `s` as the contents of a JSON string literal (no quotes).
 [[nodiscard]] std::string escapeString(const std::string& s);
 
+/// Deepest nesting of arrays and objects parse() accepts. The parser
+/// recurses once per level, so an unbounded depth lets one line of '['
+/// overflow the stack; BENCH documents and serve requests nest fewer
+/// than 10 levels.
+inline constexpr int kMaxDepth = 256;
+
 /// Strict parser for the subset this writer emits (standard JSON minus
 /// \u surrogate pairs, which pass through as-is). Throws Error with a
-/// byte offset on malformed input. Trailing garbage is an error.
+/// byte offset on malformed input, including nesting deeper than
+/// kMaxDepth. Trailing garbage is an error.
 [[nodiscard]] Value parse(const std::string& text);
 
 }  // namespace coyote::util::json

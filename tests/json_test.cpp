@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/json.hpp"
 
@@ -205,6 +206,30 @@ TEST(JsonParser, MalformedInputThrows) {
   EXPECT_THROW(parse("1 2"), Error);  // trailing garbage
   EXPECT_THROW(parse("{} []"), Error);
   EXPECT_THROW(parse("\"bad \\x escape\""), Error);
+}
+
+TEST(JsonParser, NestingDepthIsBounded) {
+  // The parser recurses once per open array or object, so depth is
+  // capped: a line of a million '[' must be an Error, not a stack
+  // overflow, while a document at the cap still parses.
+  const auto arrays = [](int depth) {
+    return std::string(depth, '[') + "1" + std::string(depth, ']');
+  };
+  const auto objects = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += R"({"k":)";
+    return text + "1" + std::string(depth, '}');
+  };
+  EXPECT_EQ(parse(arrays(kMaxDepth)).dump(0), arrays(kMaxDepth));
+  EXPECT_EQ(parse(objects(kMaxDepth)).dump(0), objects(kMaxDepth));
+  EXPECT_THROW(parse(arrays(kMaxDepth + 1)), Error);
+  EXPECT_THROW(parse(objects(kMaxDepth + 1)), Error);
+  EXPECT_THROW(parse(std::string(1000000, '[')), Error);
+  // Depth counts open containers, not containers seen: siblings reuse it.
+  std::string wide = "[";
+  for (int i = 0; i < 4; ++i) wide += arrays(kMaxDepth - 1) + ",";
+  wide += "1]";
+  EXPECT_NO_THROW(parse(wide));
 }
 
 TEST(JsonEquality, NumbersAndStructure) {

@@ -209,6 +209,17 @@ TEST(TeService, MalformedRequestsAreErrorResponsesNotDeath) {
   EXPECT_FALSE(service.handle(up)["ok"].asBool());
 }
 
+TEST(TeService, DeeplyNestedLineIsAnErrorResponse) {
+  // One request line of a million '[' used to overflow the parser's
+  // stack and kill the daemon.
+  const Graph g = topo::runningExample();
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  json::Value resp = parsed(service.handleLine(std::string(1000000, '[')));
+  EXPECT_FALSE(resp["ok"].asBool());
+  EXPECT_FALSE(resp["error"].asString().empty());
+  EXPECT_TRUE(parsed(service.handleLine(R"({"op":"state"})"))["ok"].asBool());
+}
+
 TEST(TeService, PartialDemandValidationNeverMutates) {
   const Graph g = topo::runningExample();
   TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());

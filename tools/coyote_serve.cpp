@@ -16,14 +16,18 @@
 //
 //   coyote_serve --topo Geant --generate 500 --seed 1   seeded mixed trace
 //   coyote_serve --topo Geant --flap-trace 40           link-flap trace
-#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "exp/scenario.hpp"
@@ -64,6 +68,29 @@ int usage(const char* argv0, int code) {
                "exit\n",
                argv0);
   return code;
+}
+
+/// The whole of `s` as a T -- a non-negative integer for integral T, a
+/// finite number otherwise -- or exit 2 before anything is built: "abc"
+/// must not silently mean 0, "2x" mean 2, nor -3 turn --generate off.
+template <class T>
+T flagValue(const std::string& flag, const char* s) {
+  T v{};
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(v);
+  } else if constexpr (std::is_signed_v<T>) {
+    ok = ok && v >= 0;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "%s: not a %s: %s\n", flag.c_str(),
+                 std::is_integral_v<T> ? "non-negative integer" : "number",
+                 s);
+    std::exit(2);
+  }
+  return v;
 }
 
 exp::TopologySpec topoSpec(const std::string& name) {
@@ -113,33 +140,23 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--demand-seed") {
-      demand.seed = std::strtoull(next(), nullptr, 10);
+      demand.seed = flagValue<std::uint64_t>(arg, next());
     } else if (arg == "--schemes") {
       schemes_csv = next();
     } else if (arg == "--margin") {
-      margin = std::atof(next());
+      margin = flagValue<double>(arg, next());
     } else if (arg == "--threads") {
-      // Strict, before any pool exists: "abc" must not silently mean 0
-      // (the default), nor -1 wrap to a pool of 2^32 - 1 workers.
-      const char* s = next();
-      char* end = nullptr;
-      errno = 0;
-      const long n = std::strtol(s, &end, 10);
-      if (end == s || *end != '\0' || errno != 0 || n < 0 ||
-          n > static_cast<long>(std::numeric_limits<unsigned>::max())) {
-        std::fprintf(stderr, "--threads: not a non-negative integer: %s\n",
-                     s);
-        return 2;
-      }
-      threads = static_cast<unsigned>(n);
+      // Checked before any pool exists: -1 must not wrap to a pool of
+      // 2^32 - 1 workers.
+      threads = flagValue<unsigned>(arg, next());
     } else if (arg == "--replay") {
       replay_file = next();
     } else if (arg == "--generate") {
-      generate = std::atoi(next());
+      generate = flagValue<int>(arg, next());
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = flagValue<std::uint64_t>(arg, next());
     } else if (arg == "--flap-trace") {
-      flap_trace = std::atoi(next());
+      flap_trace = flagValue<int>(arg, next());
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return usage(argv[0], 2);
