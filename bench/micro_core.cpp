@@ -2,18 +2,25 @@
 // throughput, lie synthesis, split apportionment, fluid-simulator steps.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/dag_builder.hpp"
 #include "core/splitting_optimizer.hpp"
+#include "failure/degrade.hpp"
+#include "failure/evaluate.hpp"
+#include "failure/scenario.hpp"
 #include "fibbing/lie_synthesis.hpp"
 #include "fibbing/ospf_model.hpp"
 #include "lp/stats.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/evaluator.hpp"
 #include "routing/optu.hpp"
+#include "routing/propagation.hpp"
 #include "routing/worst_case.hpp"
 #include "sim/fluid.hpp"
 #include "tm/traffic_matrix.hpp"
@@ -152,6 +159,74 @@ BENCHMARK(BM_RatioForThreadScaling)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+// The post-failure ruler's MxLU table (failure::evaluateFailure): every
+// corner-pool matrix under every scheme's post-failure routing, on Geant
+// with its first single-link failure, at the failure sweeps' default
+// options. Arg 0 calls routing::maxLinkUtilization per entry (the
+// reference path); arg 1 compiles each config once (CompiledRouting), as
+// the ruler does, compile time included. Both tables must agree bit for
+// bit.
+void BM_RulerMxluTable(benchmark::State& state) {
+  static const Graph g = topo::makeZoo("Geant");
+  static const failure::IntactSchemes* intact = [] {
+    auto* s = new failure::IntactSchemes(g, core::augmentedDagsShared(g),
+                                         tm::gravityMatrix(g, 1.0),
+                                         failure::FailureEvalOptions());
+    s->compute(/*warm=*/false);
+    return s;
+  }();
+  const failure::FailureScenario f = failure::singleLinkFailures(g).front();
+  const Graph degraded = failure::degradedGraph(g, f);
+  const auto repaired =
+      failure::repairDags(g, intact->dags(), failure::failedEdgeMask(g, f));
+  std::vector<routing::RoutingConfig> cfgs;
+  for (std::size_t s = 0; s < intact->options().schemes.size(); ++s) {
+    const te::Scheme* scheme = intact->options().schemes[s];
+    cfgs.push_back(scheme->reaction() == te::FailureReaction::kReconverge
+                       ? scheme->reconverge(degraded)
+                       : failure::repairRouting(g, *intact->configs()[s],
+                                                repaired));
+  }
+  const std::vector<tm::TrafficMatrix>& pool = intact->pool();
+  const auto table = [&](bool compiled) {
+    std::vector<double> mxlu;
+    std::vector<double> scratch;
+    for (const routing::RoutingConfig& cfg : cfgs) {
+      if (!compiled) {
+        for (const tm::TrafficMatrix& d : pool) {
+          mxlu.push_back(routing::maxLinkUtilization(degraded, cfg, d));
+        }
+        continue;
+      }
+      const routing::CompiledRouting c(degraded, cfg, pool);
+      for (const tm::TrafficMatrix& d : pool) {
+        mxlu.push_back(c.maxLinkUtilization(d, scratch));
+      }
+    }
+    return mxlu;
+  };
+  const std::vector<double> reference = table(false);
+  const bool compiled = state.range(0) == 1;
+  for (auto _ : state) {
+    const std::vector<double> mxlu = table(compiled);
+    if (!std::equal(mxlu.begin(), mxlu.end(), reference.begin(),
+                    [](double a, double b) {
+                      return std::bit_cast<std::uint64_t>(a) ==
+                             std::bit_cast<std::uint64_t>(b);
+                    })) {
+      state.SkipWithError("MxLU table differs from maxLinkUtilization's");
+      break;
+    }
+    benchmark::DoNotOptimize(mxlu.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(reference.size()));
+  state.SetLabel(std::string(compiled ? "compiled" : "reference") + ", " +
+                 std::to_string(pool.size()) + " x " +
+                 std::to_string(cfgs.size()) + " table");
+}
+BENCHMARK(BM_RulerMxluTable)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_AddPoolThreadScaling(benchmark::State& state) {
   const Graph g = topo::makeZoo("Abilene");

@@ -6,12 +6,15 @@
 #include <utility>
 #include <vector>
 
+#include "routing/compiled_dags.hpp"
 #include "util/thread_pool.hpp"
 
 namespace coyote::core {
 namespace {
 
+using routing::CompiledDags;
 using routing::RoutingConfig;
+using Arc = CompiledDags::Arc;
 
 /// Flat phi array indexed [t * numEdges + e]; mirrors RoutingConfig.
 struct Phi {
@@ -83,41 +86,6 @@ std::vector<std::vector<ActiveDemand>> activeColumns(
   return act;
 }
 
-/// One DAG edge as the kernel walks it. Destination t's ratio and gradient
-/// for it sit at the flat index t * m + e.
-struct Arc {
-  EdgeId e;
-  NodeId head;
-};
-
-/// Every destination's DAG flattened once per call. Destination t owns the
-/// nodes node[node_off[t] .. node_off[t+1]): its nodes with out-arcs, in
-/// topological order. Node slot k owns arc[arc_off[k] .. arc_off[k+1]), in
-/// Dag::outEdges order, so every walk below visits arcs in the same order
-/// as the Dag it was compiled from.
-struct CompiledDags {
-  std::vector<std::size_t> node_off;
-  std::vector<NodeId> node;
-  std::vector<std::size_t> arc_off;
-  std::vector<Arc> arc;
-
-  CompiledDags(const Graph& g, const DagSet& dags) {
-    node_off.push_back(0);
-    arc_off.push_back(0);
-    for (NodeId t = 0; t < g.numNodes(); ++t) {
-      const Dag& dag = dags[t];
-      for (const NodeId u : dag.topoOrder()) {
-        const auto& out = dag.outEdges(u);
-        if (out.empty()) continue;  // includes t: no edge leaves the dest
-        node.push_back(u);
-        for (const EdgeId e : out) arc.push_back({e, g.edge(e).dst});
-        arc_off.push_back(arc.size());
-      }
-      node_off.push_back(node.size());
-    }
-  }
-};
-
 }  // namespace
 
 routing::RoutingConfig optimizeSplitting(
@@ -181,18 +149,10 @@ routing::RoutingConfig optimizeSplitting(
         const ActiveDemand& a = active[i][k];
         double* F = inflow.data() + inflow_off[i] + k * n;
         std::copy(a.column.begin(), a.column.end(), F);
-        const NodeId t = a.dest;
-        const double* phi_t = &phi.at(t, 0);
-        for (std::size_t v = dags.node_off[t]; v < dags.node_off[t + 1]; ++v) {
-          const double f = F[dags.node[v]];
-          if (f <= 0.0) continue;
-          for (std::size_t j = dags.arc_off[v]; j < dags.arc_off[v + 1]; ++j) {
-            const Arc& arc = dags.arc[j];
-            const double flow = f * phi_t[arc.e];
-            load[arc.e] += flow;
-            F[arc.head] += flow;
-          }
-        }
+        const double* phi_t = &phi.at(a.dest, 0);
+        dags.propagate(
+            a.dest, [&](std::size_t j) { return phi_t[dags.arc[j].e]; }, F,
+            load);
       }
       double mx = 0.0;
       for (EdgeId e = 0; e < m; ++e) {

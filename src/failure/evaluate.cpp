@@ -1,6 +1,7 @@
 #include "failure/evaluate.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "routing/evaluator.hpp"
@@ -173,9 +174,15 @@ FailureOutcome evaluateFailure(const IntactSchemes& intact,
     out.routable[s] = routesAllDemands(cfgs[s], intact.base());
   }
 
-  // MxLU of every (slot, routable scheme) and each slot's initial upper
-  // bound on its worst ratio, from its OPTU_f lower bound out.bound[j]
-  // shrunk by the prune slack.
+  // MxLU of every (slot, routable scheme), each routable config compiled
+  // once for the whole pool, and each slot's initial upper bound on its
+  // worst ratio, from its OPTU_f lower bound out.bound[j] shrunk by the
+  // prune slack.
+  std::vector<std::optional<routing::CompiledRouting>> compiled(n);
+  for (int s = 0; s < n; ++s) {
+    if (out.routable[s]) compiled[s].emplace(degraded, cfgs[s], intact.pool());
+  }
+  std::vector<double> scratch;
   std::vector<double> mxlu(m * n, 0.0);
   std::vector<double> upper(m, 0.0);
   out.bound.assign(m, 0.0);
@@ -186,7 +193,7 @@ FailureOutcome evaluateFailure(const IntactSchemes& intact,
     for (int s = 0; s < n; ++s) {
       if (!out.routable[s]) continue;
       mxlu[j * n + s] =
-          routing::maxLinkUtilization(degraded, cfgs[s], intact.pool()[j]);
+          compiled[s]->maxLinkUtilization(intact.pool()[j], scratch);
       if (lower > 0.0) upper[j] = std::max(upper[j], mxlu[j * n + s] / lower);
     }
   }

@@ -26,6 +26,15 @@
 // fixed-size chunks -- each chunk one engine with its own warm chain -- so
 // results are bit-identical for any COYOTE_THREADS.
 //
+// The MxLU table. Every evaluation needs MxLU of every (slot, routable
+// scheme) pair -- 17 x 4 on the failure sweeps' Geant defaults. Each
+// post-failure config is compiled once into a flat per-destination arc
+// walk (routing::CompiledRouting, on routing::CompiledDags) and then
+// evaluated slot after slot with one scratch buffer: the same arcs in the
+// same order with the same skips as routing::maxLinkUtilization, so the
+// table is bit-identical and several times cheaper to fill
+// (bench_micro_core --benchmark_filter=RulerMxluTable times both).
+//
 // Bound and prune (evaluateFailure, on util::boundAndPrune, the driver
 // the pruned worst-case scan shares). Only the maximum over the pool is
 // reported, so most slots' OPTU_f LPs cannot change the answer. Each slot j

@@ -1,7 +1,10 @@
 #include "lp/basis.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 
 #include "util/require.hpp"
 
@@ -38,6 +41,10 @@ void LuFactor::reset(int m, std::vector<int> row_counts) {
   pos_.clear();
   pos_of_.clear();
   slot_of_row_.assign(m, -1);
+  col_op_of_row_.assign(m, -1);
+  queued_.assign(m, 0);
+  heap_.clear();
+  pos_bits_.assign((static_cast<std::size_t>(m) + 63) / 64, 0);
   row_counts_ = std::move(row_counts);
   if (static_cast<int>(rows_with_.size()) != m) {
     rows_with_.assign(m, {});
@@ -46,17 +53,20 @@ void LuFactor::reset(int m, std::vector<int> row_counts) {
   }
   work_.assign(m, 0.0);
   touched_.clear();
-  rowval_.clear();
+  rowval_.assign(m, 0.0);
   nonzeros_ = 0;
 }
 
 int LuFactor::addColumn(std::span<const ColNz> col, double depend_tol) {
+  // The reach walk follows column ops only: no update() may precede.
+  require(op_heads_.empty() || !op_heads_.back().row_op,
+          "LuFactor::addColumn: factor already updated; reset() first");
   touched_.clear();
   for (const ColNz& nz : col) {
     work_[nz.row] += nz.val;
     touched_.push_back(nz.row);
   }
-  applyOps(work_, &touched_);
+  applyColumnOps();
 
   // Markowitz-style pivot: among the numerically safe entries on unpivoted
   // rows, prefer the sparsest row, then the largest magnitude, then the
@@ -114,6 +124,7 @@ int LuFactor::addColumn(std::span<const ColNz> col, double depend_tol) {
   op.end = static_cast<int>(op_pool_.size());
   if (op.end > op.begin) {
     nonzeros_ += static_cast<std::size_t>(op.end - op.begin);
+    col_op_of_row_[piv] = static_cast<int>(op_heads_.size());
     op_heads_.push_back(op);
   }
   slot_of_row_[piv] = slot;
@@ -142,6 +153,36 @@ void LuFactor::applyOps(std::vector<double>& z,
         z[op_pool_[k].row] -= op_pool_[k].val * v;
         if (touched) touched->push_back(op_pool_[k].row);
       }
+    }
+  }
+}
+
+void LuFactor::applyColumnOps() {
+  // Seed with the column ops of the rows the column itself sets, then pop
+  // in op order. An op is queued only once its pivot row has been written,
+  // and every op it writes through targets rows pivoted later, so pops come
+  // out ascending and each op sees the value the full walk would give it.
+  const auto later = std::greater<int>();
+  const auto queue = [&](int r) {
+    const int op = col_op_of_row_[r];
+    if (op < 0 || queued_[r]) return;
+    queued_[r] = 1;
+    heap_.push_back(op);
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  };
+  for (const int r : touched_) queue(r);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const OpHead& op = op_heads_[heap_.back()];
+    heap_.pop_back();
+    queued_[op.pivot] = 0;
+    const double v = work_[op.pivot];
+    if (v == 0.0) continue;
+    for (int k = op.begin; k < op.end; ++k) {
+      const int r = op_pool_[k].row;
+      work_[r] -= op_pool_[k].val * v;
+      touched_.push_back(r);
+      queue(r);
     }
   }
 }
@@ -205,14 +246,23 @@ bool LuFactor::update(int leave_row, std::span<const ColNz> col) {
 
   // Gather row `leave_row` of U -- its entries live in columns at later
   // positions -- removing each from its column (the row is about to be
-  // eliminated).
-  rowval_.assign(slots_.size(), 0.0);
+  // eliminated). rowval_ is zero outside the slots flagged in pos_bits_,
+  // by position.
+  int pending = 0;
+  const auto flag = [&](int k) {
+    const int p = pos_of_[k];
+    const std::uint64_t bit = std::uint64_t{1} << (p & 63);
+    if ((pos_bits_[p >> 6] & bit) != 0) return;
+    pos_bits_[p >> 6] |= bit;
+    ++pending;
+  };
   for (const int k : rows_with_[leave_row]) {
     if (k == s_t) continue;
     UCol& u = slots_[k];
     for (int e = u.begin; e < u.begin + u.len; ++e) {
       if (u_pool_[e].row == leave_row) {
         rowval_[k] = u_pool_[e].val;
+        flag(k);
         u_pool_[e] = u_pool_[u.begin + u.len - 1];
         --u.len;
         --nonzeros_;
@@ -225,31 +275,39 @@ bool LuFactor::update(int leave_row, std::span<const ColNz> col) {
   // Eliminate the gathered row left to right using the diagonals of the
   // later columns. A row op only touches row `leave_row`, so the columns
   // themselves stay intact; fill propagates strictly rightward, which is
-  // why one position-ordered sweep suffices (classic Forrest-Tomlin).
+  // why one position-ordered sweep suffices (classic Forrest-Tomlin). The
+  // sweep visits only the flagged positions, lowest first: fill lands at
+  // later positions only, and the positions a full scan would also visit
+  // hold exact zeros, which it skips.
   OpHead rowop;
   rowop.pivot = leave_row;
   rowop.row_op = true;
   rowop.begin = static_cast<int>(op_pool_.size());
-  const int t = pos_of_[s_t];
-  const int end = static_cast<int>(pos_.size());
-  for (int p = t + 1; p < end; ++p) {
-    const int k = pos_[p];
-    const double v = rowval_[k];
-    if (v == 0.0) continue;
-    const UCol& u = slots_[k];
-    const double mult = v / u.diag;
-    op_pool_.push_back({u.pivot_row, mult});
-    for (const int k2 : rows_with_[u.pivot_row]) {
-      if (k2 == s_t) continue;
-      const UCol& c2 = slots_[k2];
-      for (int e = c2.begin; e < c2.begin + c2.len; ++e) {
-        if (u_pool_[e].row == u.pivot_row) {
-          rowval_[k2] -= mult * u_pool_[e].val;
-          break;
+  for (int word = (pos_of_[s_t] + 1) >> 6; pending > 0; ++word) {
+    std::uint64_t& bits = pos_bits_[word];
+    while (bits != 0) {
+      const int k = pos_[word * 64 + std::countr_zero(bits)];
+      bits &= bits - 1;
+      --pending;
+      const double v = rowval_[k];
+      rowval_[k] = 0.0;
+      if (v == 0.0) continue;
+      const UCol& u = slots_[k];
+      const double mult = v / u.diag;
+      op_pool_.push_back({u.pivot_row, mult});
+      for (const int k2 : rows_with_[u.pivot_row]) {
+        if (k2 == s_t) continue;
+        const UCol& c2 = slots_[k2];
+        for (int e = c2.begin; e < c2.begin + c2.len; ++e) {
+          if (u_pool_[e].row == u.pivot_row) {
+            rowval_[k2] -= mult * u_pool_[e].val;
+            flag(k2);
+            break;
+          }
         }
       }
+      work_[leave_row] -= mult * work_[u.pivot_row];
     }
-    work_[leave_row] -= mult * work_[u.pivot_row];
   }
   rowop.end = static_cast<int>(op_pool_.size());
 
@@ -288,7 +346,8 @@ bool LuFactor::update(int leave_row, std::span<const ColNz> col) {
     nonzeros_ += static_cast<std::size_t>(rowop.end - rowop.begin);
     op_heads_.push_back(rowop);
   }
-  for (int p = t; p + 1 < end; ++p) {
+  const int end = static_cast<int>(pos_.size());
+  for (int p = pos_of_[s_t]; p + 1 < end; ++p) {
     pos_[p] = pos_[p + 1];
     pos_of_[pos_[p]] = p;
   }

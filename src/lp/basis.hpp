@@ -20,6 +20,21 @@
 // warm-start chains -- failure sweeps, serve replays, cutting-plane rounds --
 // no longer pay eta-chain growth between refactorizations.
 //
+// Maintenance does work proportional to the nonzeros it touches, with the
+// arithmetic and order of the plain dense loops. addColumn applies only
+// the column ops reachable from the column's nonzeros -- a min-heap of op
+// indices seeded by the rows the column sets, grown by the rows applied
+// ops write -- in op order; an op never reached is one a full walk skips
+// (its pivot value is an exact zero), and the rows it writes join
+// touched_ in the full walk's order. update() eliminates the gathered U
+// row over a bitset of flagged positions, lowest first, instead of
+// re-zeroing a per-slot scratch and scanning every later position. Op
+// order, touched_ order and so the stored L terms and U entries are those
+// of the dense loops, which keeps every ftran/btran result and the fill
+// count bit-identical (tests/lu_test.cpp checks this against
+// tests/lu_reference.hpp). A refactorization costs O(nnz + reached ops x
+// log), not O(m x ops).
+//
 // ftran solves B z = a (apply L^{-1} ops forward, back-substitute U in
 // reverse pivot order); btran solves B^T y = c (forward-substitute U^T in
 // pivot order, apply transposed ops backward). The result/input convention
@@ -37,6 +52,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -60,6 +76,7 @@ class LuFactor {
   /// and pivots it on a not-yet-pivoted row. Returns the chosen pivot row,
   /// or -1 when every candidate entry is below `depend_tol` (the column is
   /// linearly dependent on the ones already placed -- the caller demotes it).
+  /// Only between reset() and the first update().
   int addColumn(std::span<const ColNz> col, double depend_tol);
 
   [[nodiscard]] bool complete() const { return placed_ == m_; }
@@ -109,6 +126,11 @@ class LuFactor {
   /// Applies the recorded ops to z, appending every row that may have
   /// become nonzero to `touched` (a superset; duplicates allowed).
   void applyOps(std::vector<double>& z, std::vector<int>* touched) const;
+  /// Applies the column ops to work_ in op order, but only those reachable
+  /// from the rows already in touched_, appending every row they write to
+  /// touched_ -- the ops, the arithmetic and the touched_ order of a full
+  /// walk, since an op whose pivot row was never written would be skipped.
+  void applyColumnOps();
 
   int m_ = 0;
   int placed_ = 0;
@@ -119,6 +141,7 @@ class LuFactor {
   std::vector<int> pos_;           ///< elimination order: position -> slot
   std::vector<int> pos_of_;        ///< slot -> position
   std::vector<int> slot_of_row_;   ///< pivot row -> slot (-1 = unpivoted)
+  std::vector<int> col_op_of_row_; ///< pivot row -> its column op (-1: none)
   std::vector<int> row_counts_;    ///< Markowitz bias (static approximation)
   /// Superset index: slots whose U column *may* hold an entry at this row
   /// (stale slots are skipped on use, rebuilt by reset()).
@@ -126,6 +149,12 @@ class LuFactor {
   std::vector<double> work_;       ///< dense scratch, kept zeroed
   std::vector<int> touched_;       ///< scratch: rows work_ may be nonzero at
   std::vector<double> rowval_;     ///< per-slot scratch for update(), zeroed
+  /// applyColumnOps' pending column ops, a min-heap of op indices, and
+  /// queued_ flagging them by pivot row; both empty between calls.
+  std::vector<int> heap_;
+  std::vector<char> queued_;
+  /// update()'s pending slots, one bit per position; zero between calls.
+  std::vector<std::uint64_t> pos_bits_;
   std::size_t nonzeros_ = 0;
   std::size_t fresh_nonzeros_ = 0;
 };

@@ -298,14 +298,26 @@ class SimplexSolver::Impl {
     ++st.refactorizations;
     updates_since_refactor_ = 0;
 
-    std::vector<int> basics;
+    // Basic columns sparsest first, ties by column: a counting sort by
+    // nonzero count (at most m) over the columns in ascending order, which
+    // is stable.
+    std::vector<int> by_nnz(static_cast<std::size_t>(m_) + 1, 0);
+    int nbasic = 0;
     for (int col = 0; col < n_ + m_; ++col) {
-      if (status(col) == Basis::kBasic) basics.push_back(col);
+      if (status(col) != Basis::kBasic) continue;
+      ++by_nnz[columnNnz(col)];
+      ++nbasic;
     }
-    std::sort(basics.begin(), basics.end(), [&](int a, int b) {
-      const int na = columnNnz(a), nb = columnNnz(b);
-      return na != nb ? na < nb : a < b;
-    });
+    for (int c = 0, start = 0; c <= m_; ++c) {
+      const int count = by_nnz[c];
+      by_nnz[c] = start;
+      start += count;
+    }
+    std::vector<int> basics(nbasic);
+    for (int col = 0; col < n_ + m_; ++col) {
+      if (status(col) != Basis::kBasic) continue;
+      basics[by_nnz[columnNnz(col)]++] = col;
+    }
 
     std::vector<int> row_counts(m_, 0);
     for (const int col : basics) {

@@ -87,12 +87,15 @@ double PerformanceEvaluator::ratioFor(const RoutingConfig& cfg) const {
 
 std::pair<int, double> PerformanceEvaluator::worst(
     const RoutingConfig& cfg) const {
-  // Each matrix's propagation is independent: compute utilizations into
-  // index-addressed slots in parallel, then reduce serially in pool order
-  // so the argmax (ties included) is identical for any thread count.
+  // Each matrix's propagation is independent: compile cfg once, compute
+  // utilizations into index-addressed slots in parallel, then reduce
+  // serially in pool order so the argmax (ties included) is identical for
+  // any thread count.
   std::vector<double> util(pool_.size(), 0.0);
+  const CompiledRouting compiled(g_, cfg, pool_);
   threadPool().parallelFor(pool_.size(), [&](std::size_t i) {
-    util[i] = maxLinkUtilization(g_, cfg, pool_[i]);
+    std::vector<double> scratch;
+    util[i] = compiled.maxLinkUtilization(pool_[i], scratch);
   });
   int arg = -1;
   double best = 0.0;

@@ -4,7 +4,8 @@
 // OPTU is the demands-aware optimum within the same DAGs (the normalization
 // used by the paper's figures). Each matrix's OPTU is solved once and cached
 // (an LP, or a min cut when the matrix has one destination); evaluating a
-// routing is then |pool| cheap propagations, which is what makes the
+// routing is then one compile (CompiledRouting, propagation.hpp) and
+// |pool| cheap propagations, which is what makes the
 // Table I sweep tractable. The same pool doubles as the
 // cutting-plane set of COYOTE's optimizer. For exact worst-case evaluation
 // over the whole box, see worst_case.hpp.

@@ -5,10 +5,21 @@
 // order (Sec. III): F_t(u) = d(u,t) + sum over DAG in-edges (w,u) of
 // F_t(w) * phi_t(w,u); the load contributed to edge e=(u,v) is
 // F_t(u) * phi_t(e).
+//
+// Two implementations compute MxLU. maxLinkUtilization(g, cfg, d) walks
+// the Dag objects directly. CompiledRouting flattens a config once
+// (routing/compiled_dags.hpp: the arcs in walk order, each with its ratio,
+// plus the capacities) and then evaluates matrix after matrix with no
+// allocation beyond its scratch and no per-arc lookup. It visits the same
+// arcs in the same order with the same skips, so its loads -- and its MxLU,
+// +inf for a loaded zero-capacity edge included -- are bit-identical. The
+// post-failure ruler (failure::evaluateFailure) and PerformanceEvaluator
+// evaluate whole pools with it.
 #pragma once
 
 #include <vector>
 
+#include "routing/compiled_dags.hpp"
 #include "routing/config.hpp"
 #include "tm/traffic_matrix.hpp"
 
@@ -35,6 +46,31 @@ void accumulateDestinationLoads(const Graph& g, const RoutingConfig& cfg,
 [[nodiscard]] double maxLinkUtilization(const Graph& g,
                                         const RoutingConfig& cfg,
                                         const tm::TrafficMatrix& d);
+
+/// A routing config compiled for repeated MxLU evaluation over a pool of
+/// matrices (file comment). Keeps copies of what it reads, so neither g,
+/// cfg nor the pool need outlive it.
+class CompiledRouting {
+ public:
+  /// Compiles cfg's DAGs and ratios for the destinations some matrix of
+  /// `pool` sends to; capacities and arc heads come from g, which must
+  /// have cfg's node and edge counts (a degraded copy of the graph cfg was
+  /// built on is fine).
+  CompiledRouting(const Graph& g, const RoutingConfig& cfg,
+                  const std::vector<tm::TrafficMatrix>& pool);
+
+  /// Bit-identical to routing::maxLinkUtilization(g, cfg, d). d may send
+  /// only to destinations the pool sends to (a matrix of the pool always
+  /// does). `scratch` is resized and overwritten; one per thread.
+  [[nodiscard]] double maxLinkUtilization(const tm::TrafficMatrix& d,
+                                          std::vector<double>& scratch) const;
+
+ private:
+  std::vector<char> dests_;    ///< by node: compiled
+  CompiledDags dags_;
+  std::vector<double> ratio_;  ///< per arc of dags_, phi_t(e)
+  std::vector<double> cap_;    ///< per edge
+};
 
 /// Fractions f_st(v): the fraction of a unit s->t demand that enters each
 /// node v when routed by `cfg` (Sec. III). f[s] = 1.

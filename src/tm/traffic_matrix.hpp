@@ -49,6 +49,14 @@ class TrafficMatrix {
 
   [[nodiscard]] double maxEntry() const;
 
+  /// Column t as numNodes() contiguous values d(s,t), its diagonal entry
+  /// 0; nullptr when t's column is not stored.
+  [[nodiscard]] const double* column(NodeId t) const {
+    checkIndex(t, t);
+    const std::ptrdiff_t o = off_[t];
+    return o < 0 ? nullptr : vals_.data() + o;
+  }
+
   /// Whether any source sends a positive demand to t; O(1) when t's column
   /// is not stored.
   [[nodiscard]] bool hasDemandTo(NodeId t) const;

@@ -6,9 +6,13 @@
 // integration (coyote-bench/4 'failures' block).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/coyote.hpp"
 #include "core/dag_builder.hpp"
@@ -17,8 +21,11 @@
 #include "failure/degrade.hpp"
 #include "failure/evaluate.hpp"
 #include "failure/scenario.hpp"
+#include "core/splitting_optimizer.hpp"
 #include "graph/dijkstra.hpp"
 #include "lp/stats.hpp"
+#include "routing/ecmp.hpp"
+#include "routing/evaluator.hpp"
 #include "routing/optu.hpp"
 #include "routing/propagation.hpp"
 #include "topo/generator.hpp"
@@ -252,6 +259,93 @@ TEST(PostFailureRatio, HandComputedOnRunningExample) {
       directedEdges(g, {"", {std::min(s1s2, g.edge(s1s2).reverse),
                              std::min(s2v, g.edge(s2v).reverse)}}));
   EXPECT_NEAR(engine.utilization(d2), 2.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The compiled MxLU kernel the ruler evaluates its table with.
+// ---------------------------------------------------------------------------
+
+/// CompiledRouting(g, cfg) must reproduce maxLinkUtilization(g, cfg, d) to
+/// the bit on every matrix; returns how many of them came out +inf.
+int expectCompiledMxluMatches(const Graph& g, const routing::RoutingConfig& cfg,
+                              const std::vector<tm::TrafficMatrix>& pool) {
+  const routing::CompiledRouting compiled(g, cfg, pool);
+  std::vector<double> scratch;
+  int infinite = 0;
+  for (std::size_t j = 0; j < pool.size(); ++j) {
+    const double want = routing::maxLinkUtilization(g, cfg, pool[j]);
+    const double got = compiled.maxLinkUtilization(pool[j], scratch);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "matrix " << j << ": " << got << " vs " << want;
+    infinite += std::isinf(want) ? 1 : 0;
+  }
+  return infinite;
+}
+
+TEST(CompiledMxlu, BitIdenticalOnGeantCornerPool) {
+  const Graph g = topo::makeZoo("Geant");
+  const auto dags = core::augmentedDagsShared(g);
+  const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+  std::vector<tm::TrafficMatrix> pool = tm::cornerPool(
+      tm::marginBounds(base, FailureEvalOptions().margin),
+      FailureEvalOptions().pool);
+  pool.emplace_back(g.numNodes());  // the all-zero matrix: MxLU 0
+  const auto ecmp = routing::ecmpConfig(g, dags);
+  // A COYOTE config: optimized splits, most of them fractional.
+  routing::PerformanceEvaluator eval(g, dags);
+  eval.addPool(pool);
+  core::SplittingOptions sopt;
+  sopt.iterations = 40;
+  const auto coyote = core::optimizeSplitting(g, eval, ecmp, sopt);
+  EXPECT_EQ(expectCompiledMxluMatches(g, ecmp, pool), 0);
+  EXPECT_EQ(expectCompiledMxluMatches(g, coyote, pool), 0);
+  EXPECT_EQ(expectCompiledMxluMatches(g, coyote, eval.matrices()), 0);
+
+  // After a failure: the repaired config and the reconverged ECMP on the
+  // degraded graph, and the intact config, which still loads the failed
+  // link (capacity 0): +inf on every matrix with demand.
+  int checked = 0;
+  for (const FailureScenario& f : singleLinkFailures(g)) {
+    const Graph degraded = degradedGraph(g, f);
+    if (disconnectedPairs(degraded, base) > 0) continue;
+    const auto repaired = repairRouting(
+        g, coyote, repairDags(g, *dags, failedEdgeMask(g, f)));
+    EXPECT_EQ(expectCompiledMxluMatches(degraded, repaired, pool), 0)
+        << f.label;
+    EXPECT_EQ(expectCompiledMxluMatches(degraded, reconvergedEcmp(degraded),
+                                        pool),
+              0)
+        << f.label;
+    const int dead = expectCompiledMxluMatches(degraded, coyote, pool);
+    if (dead > 0) ++checked;
+    if (checked == 3) break;
+  }
+  EXPECT_EQ(checked, 3) << "no failure left the intact config on a dead link";
+}
+
+TEST(CompiledMxlu, BitIdenticalOnFatTreeObliviousPool) {
+  const Graph g = topo::fatTree(4);
+  const auto dags = core::augmentedDagsShared(g);
+  std::vector<tm::TrafficMatrix> pool = tm::obliviousPool(g.numNodes());
+  pool.emplace_back(g.numNodes());
+  ASSERT_GT(pool.size(), 10u);
+  EXPECT_EQ(expectCompiledMxluMatches(
+                g, routing::RoutingConfig::uniform(g, dags), pool),
+            0);
+  EXPECT_EQ(expectCompiledMxluMatches(g, routing::ecmpConfig(g, dags), pool),
+            0);
+  // Compiled for one matrix's destinations only: a matrix sending
+  // elsewhere is refused, not silently routed nowhere.
+  tm::TrafficMatrix to0(g.numNodes()), to1(g.numNodes());
+  to0.set(1, 0, 1.0);
+  to1.set(0, 1, 1.0);
+  const routing::CompiledRouting only0(
+      g, routing::RoutingConfig::uniform(g, dags), {to0});
+  std::vector<double> scratch;
+  EXPECT_NO_THROW((void)only0.maxLinkUtilization(to0, scratch));
+  EXPECT_THROW((void)only0.maxLinkUtilization(to1, scratch),
+               std::invalid_argument);
 }
 
 /// A graph's single-link failures against the failure sweeps' corner
