@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <random>
 
 #include "routing/ecmp.hpp"
@@ -37,9 +36,7 @@ routing::RoutingConfig ecmpFor(const Graph& base,
   for (EdgeId e = 0; e < scratch.numEdges(); ++e) {
     scratch.setWeight(e, weights[e]);
   }
-  const auto dags =
-      std::make_shared<const DagSet>(routing::shortestPathDags(scratch));
-  return routing::ecmpConfig(scratch, dags);
+  return routing::shortestPathEcmp(scratch);
 }
 
 /// Max normalized utilization of ECMP(weights) over a set of matrices that

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "fibbing/ospf_model.hpp"
 #include "graph/dijkstra.hpp"
 
 namespace coyote::failure {
@@ -87,46 +86,6 @@ bool routesAllDemands(const routing::RoutingConfig& cfg,
     }
   }
   return true;
-}
-
-routing::RoutingConfig reconvergedEcmp(const Graph& degraded) {
-  // OSPF reconvergence: every router re-runs SPF on the surviving
-  // topology. The OspfModel computes, per destination prefix, exactly the
-  // FIBs legacy routers converge to once the failure's LSAs flood (no
-  // lies survive a reconvergence unrefreshed; the controller would have
-  // to re-inject them, which is the precomputed-failover story of
-  // Sec. VI-A, not the baseline modeled here).
-  fib::OspfModel model(degraded);
-  const int n = degraded.numNodes();
-  DagSet dags;
-  dags.reserve(n);
-  std::vector<std::vector<fib::FibEntry>> fibs;
-  fibs.reserve(n);
-  for (NodeId t = 0; t < n; ++t) {
-    model.advertisePrefix(t, t);
-    fibs.push_back(model.computeFibs(t));
-    std::vector<EdgeId> edges;
-    for (NodeId u = 0; u < n; ++u) {
-      for (const fib::FibNextHop& hop : fibs.back()[u].next_hops) {
-        edges.push_back(hop.edge);
-      }
-    }
-    dags.emplace_back(degraded, t, std::move(edges));
-  }
-  routing::RoutingConfig cfg(degraded,
-                             std::make_shared<const DagSet>(std::move(dags)));
-  for (NodeId t = 0; t < n; ++t) {
-    for (NodeId u = 0; u < n; ++u) {
-      const fib::FibEntry& entry = fibs[t][u];
-      const int total = entry.totalMultiplicity();
-      if (total <= 0) continue;
-      for (const fib::FibNextHop& hop : entry.next_hops) {
-        cfg.setRatio(t, hop.edge,
-                     static_cast<double>(hop.multiplicity) / total);
-      }
-    }
-  }
-  return cfg;
 }
 
 int disconnectedPairs(const Graph& degraded, const tm::TrafficMatrix& base) {

@@ -18,10 +18,12 @@
 //    *unroutable* for demands at that node.
 //
 //  * ECMP / the fibbing substrate: OSPF floods the withdrawal and every
-//    router re-runs SPF on the surviving topology -- modeled through
-//    fibbing::OspfModel over the degraded graph, so the reconverged ECMP
-//    config is exactly what the FIBs of lied-to-but-now-truthful routers
-//    would hold.
+//    router re-runs SPF on the surviving topology, so the reconverged
+//    config is SPF ECMP on the degraded graph (routing::shortestPathEcmp,
+//    reached through te::Scheme::reconverge). No lie survives a
+//    reconvergence unrefreshed, so the FIBs fibbing::OspfModel computes
+//    for the degraded graph hold the same next hops; failure_test keeps
+//    that model as the reference the builder is checked against.
 #pragma once
 
 #include <memory>
@@ -65,12 +67,6 @@ namespace coyote::failure {
 /// d(s,t) > 0 has a directed path to t inside cfg's DAG for t.
 [[nodiscard]] bool routesAllDemands(const routing::RoutingConfig& cfg,
                                     const tm::TrafficMatrix& d);
-
-/// The post-failure ECMP configuration: OSPF reconvergence on the degraded
-/// graph, modeled via fibbing::OspfModel (one prefix per destination), with
-/// equal splitting over each FIB's next hops. The config's DAG set is the
-/// reconverged shortest-path DAG set.
-[[nodiscard]] routing::RoutingConfig reconvergedEcmp(const Graph& degraded);
 
 /// Number of (s,t) pairs with base demand > 0 that the degraded graph
 /// cannot connect at all (no surviving directed path). Positive means the

@@ -10,7 +10,6 @@ Dag::Dag(const Graph& g, NodeId dest, std::vector<EdgeId> edges)
   const int n = g.numNodes();
   member_.assign(g.numEdges(), 0);
   out_.assign(n, {});
-  in_.assign(n, {});
   std::sort(edges_.begin(), edges_.end());
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
   for (const EdgeId e : edges_) {
@@ -19,7 +18,6 @@ Dag::Dag(const Graph& g, NodeId dest, std::vector<EdgeId> edges)
     require(ed.src != dest_, "dag must not contain edges out of dest");
     member_[e] = 1;
     out_[ed.src].push_back(e);
-    in_[ed.dst].push_back(e);
   }
 
   // Kahn topological sort; detects cycles.
@@ -45,18 +43,16 @@ Dag::Dag(const Graph& g, NodeId dest, std::vector<EdgeId> edges)
   require(static_cast<int>(topo_.size()) == n,
           "dag edge set contains a directed cycle");
 
-  // Reverse reachability to dest inside the DAG.
+  // Reachability to dest inside the DAG: one sweep over the topological
+  // order in reverse, since every edge (u,w) has w later in the order.
   reaches_.assign(n, 0);
   reaches_[dest_] = 1;
-  std::vector<NodeId> stack{dest_};
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const EdgeId e : in_[v]) {
-      const NodeId u = g.edge(e).src;
-      if (!reaches_[u]) {
+  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+    const NodeId u = *it;
+    for (const EdgeId e : out_[u]) {
+      if (reaches_[g.edge(e).dst]) {
         reaches_[u] = 1;
-        stack.push_back(u);
+        break;
       }
     }
   }

@@ -30,10 +30,6 @@ class Dag {
   [[nodiscard]] const std::vector<EdgeId>& outEdges(NodeId v) const {
     return out_[v];
   }
-  /// In-edges of `v` that belong to this DAG.
-  [[nodiscard]] const std::vector<EdgeId>& inEdges(NodeId v) const {
-    return in_[v];
-  }
 
   /// Nodes in topological order: every DAG edge (u,v) has u before v.
   /// Flow toward the destination is propagated in this order; `dest` is last
@@ -50,7 +46,6 @@ class Dag {
   std::vector<EdgeId> edges_;
   std::vector<char> member_;            // indexed by EdgeId
   std::vector<std::vector<EdgeId>> out_;  // indexed by NodeId
-  std::vector<std::vector<EdgeId>> in_;
   std::vector<NodeId> topo_;
   std::vector<char> reaches_;
 };

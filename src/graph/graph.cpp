@@ -95,8 +95,9 @@ void Graph::setCapacity(EdgeId e, double c) {
 void Graph::setInverseCapacityWeights() {
   double max_cap = 0.0;
   for (const Edge& e : edges_) max_cap = std::max(max_cap, e.capacity);
-  if (max_cap <= 0.0) return;
-  for (Edge& e : edges_) e.weight = max_cap / e.capacity;
+  for (Edge& e : edges_) {
+    if (e.capacity > 0.0) e.weight = max_cap / e.capacity;
+  }
 }
 
 double Graph::outCapacity(NodeId v) const {

@@ -156,8 +156,9 @@ class Graph {
   void setWeight(EdgeId e, double w);
   void setCapacity(EdgeId e, double c);
 
-  /// Sets every edge weight to 1/capacity (Cisco default OSPF weights,
-  /// scaled so the smallest weight is 1).
+  /// Sets every live edge's weight to max_capacity / capacity (Cisco
+  /// default OSPF weights, scaled so the smallest weight is 1). Failed
+  /// (zero-capacity) edges keep their weight: SPF skips them anyway.
   void setInverseCapacityWeights();
 
   /// Total capacity leaving / entering a node (used by the gravity model).

@@ -1,6 +1,7 @@
 #include "routing/config.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 namespace coyote::routing {
@@ -59,14 +60,20 @@ void RoutingConfig::normalize(const Graph& g, double eps) {
 }
 
 void RoutingConfig::validate(const Graph& g, double tol) const {
+  // Each check tests first and builds its message only on failure; the
+  // loop bounds keep every (t, e) in range, so rows are read directly.
+  // The comparisons are negated so that a NaN ratio fails them.
   for (NodeId t = 0; t < num_nodes_; ++t) {
     const Dag& dag = (*dags_)[t];
+    const double* row =
+        ratios_.data() + static_cast<std::size_t>(t) * num_edges_;
     for (EdgeId e = 0; e < num_edges_; ++e) {
-      const double r = ratios_[index(t, e)];
-      ensure(r >= -tol, "negative splitting ratio");
-      if (!dag.contains(e)) {
-        ensure(r <= tol, "positive ratio on edge outside DAG for t=" +
-                             g.nodeName(t));
+      if (!(row[e] >= -tol)) {
+        throw std::logic_error("negative splitting ratio");
+      }
+      if (!(row[e] <= tol) && !dag.contains(e)) {
+        throw std::logic_error("positive ratio on edge outside DAG for t=" +
+                               g.nodeName(t));
       }
     }
     for (NodeId u = 0; u < num_nodes_; ++u) {
@@ -74,10 +81,12 @@ void RoutingConfig::validate(const Graph& g, double tol) const {
       const auto& out = dag.outEdges(u);
       if (out.empty() || !dag.reachesDest(u)) continue;
       double sum = 0.0;
-      for (const EdgeId e : out) sum += ratios_[index(t, e)];
-      ensure(std::abs(sum - 1.0) <= tol,
-             "splitting ratios at node " + g.nodeName(u) + " toward " +
-                 g.nodeName(t) + " sum to " + std::to_string(sum));
+      for (const EdgeId e : out) sum += row[e];
+      if (!(std::abs(sum - 1.0) <= tol)) {
+        throw std::logic_error("splitting ratios at node " + g.nodeName(u) +
+                               " toward " + g.nodeName(t) + " sum to " +
+                               std::to_string(sum));
+      }
     }
   }
 }

@@ -33,4 +33,10 @@ RoutingConfig ecmpConfig(const Graph& g, std::shared_ptr<const DagSet> dags) {
   return cfg;
 }
 
+RoutingConfig shortestPathEcmp(const Graph& g) {
+  // A shortest-path DAG's out-edges at u are exactly u's ECMP next hops.
+  return RoutingConfig::uniform(
+      g, std::make_shared<const DagSet>(shortestPathDags(g)));
+}
+
 }  // namespace coyote::routing

@@ -22,4 +22,10 @@ namespace coyote::routing {
 /// Shortest-path DAG set for the current weights (one DAG per destination).
 [[nodiscard]] DagSet shortestPathDags(const Graph& g);
 
+/// ECMP over its own shortest-path DAGs: 1/k on each of a node's k DAG
+/// out-edges, from one SPF per destination. Zero-capacity (failed) links
+/// are withdrawn, so on a degraded graph this is OSPF reconvergence: what
+/// every router's FIB holds once SPF re-runs on the survivors.
+[[nodiscard]] RoutingConfig shortestPathEcmp(const Graph& g);
+
 }  // namespace coyote::routing

@@ -1,11 +1,9 @@
 #include "scheme/scheme.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/dag_builder.hpp"
 #include "core/splitting_optimizer.hpp"
-#include "failure/degrade.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/optu.hpp"
 #include "util/require.hpp"
@@ -30,19 +28,7 @@ routing::RoutingConfig Scheme::reconverge(const Graph& degraded) const {
                            "' repairs its DAGs; it does not reconverge");
   }
   // OSPF SPF re-run on the survivors, over the scheme's substrate weights.
-  return failure::reconvergedEcmp(ospfSubstrate(degraded));
-}
-
-Graph inverseCapacityReweighted(const Graph& g) {
-  Graph out = g;
-  double max_cap = 0.0;
-  for (const Edge& e : out.edges()) max_cap = std::max(max_cap, e.capacity);
-  if (max_cap <= 0.0) return out;
-  for (EdgeId e = 0; e < out.numEdges(); ++e) {
-    const double cap = out.edge(e).capacity;
-    if (cap > 0.0) out.setWeight(e, max_cap / cap);
-  }
-  return out;
+  return routing::shortestPathEcmp(ospfSubstrate(degraded));
 }
 
 namespace {
@@ -133,14 +119,16 @@ class InvCapEcmpScheme final : public Scheme {
     return FailureReaction::kReconverge;
   }
   Graph ospfSubstrate(const Graph& g) const override {
-    return inverseCapacityReweighted(g);
+    Graph out = g;
+    out.setInverseCapacityWeights();
+    return out;
   }
   routing::RoutingConfig compute(const SchemeContext& ctx) const override {
     // The config lives over the substrate's own augmented DAGs (Dags hold
     // ids only, so it evaluates directly on the original graph). On
     // topologies already carrying inverse-capacity weights this reproduces
     // plain ECMP exactly.
-    const Graph reweighted = inverseCapacityReweighted(ctx.g);
+    const Graph reweighted = ospfSubstrate(ctx.g);
     return routing::ecmpConfig(reweighted,
                                core::augmentedDagsShared(reweighted));
   }

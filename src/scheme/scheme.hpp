@@ -15,7 +15,10 @@
 //    deployment: OSPF reconvergence (kReconverge; every router re-runs SPF
 //    on the survivors) or local repair of its precomputed static DAGs
 //    (kRepairDags; see failure/degrade.hpp). kReconverge schemes provide
-//    the post-failure configuration via reconverge();
+//    the post-failure configuration via reconverge(): SPF ECMP on the
+//    surviving graph (routing::shortestPathEcmp). The lie-free FIBs of
+//    fibbing::OspfModel hold the same next hops; that model is the
+//    reference the tests check reconvergence against;
 //  * the OSPF substrate -- ospfSubstrate() returns the graph (possibly
 //    re-weighted) whose link weights the scheme assumes OSPF is running
 //    with. It anchors both reconvergence and the fibbing translation
@@ -109,19 +112,14 @@ class Scheme {
   /// against this graph's IGP distances.
   [[nodiscard]] virtual Graph ospfSubstrate(const Graph& g) const;
 
-  /// Post-failure configuration for kReconverge schemes: OSPF SPF re-run
-  /// on the degraded graph (zero-capacity edges are withdrawn), over the
-  /// scheme's substrate weights. Throws std::logic_error for kRepairDags
+  /// Post-failure configuration for kReconverge schemes: SPF ECMP on the
+  /// degraded graph (zero-capacity edges are withdrawn), over the scheme's
+  /// substrate weights. Throws std::logic_error for kRepairDags
   /// schemes -- their post-failure config is failure::repairRouting of the
   /// intact one.
   [[nodiscard]] virtual routing::RoutingConfig reconverge(
       const Graph& degraded) const;
 };
-
-/// Copy of `g` with every live (positive-capacity) edge's weight set to
-/// max_capacity / capacity -- the classic "inverse capacity" OSPF default.
-/// Zero-capacity (failed) edges keep their weight: SPF skips them anyway.
-[[nodiscard]] Graph inverseCapacityReweighted(const Graph& g);
 
 /// Factories for the built-in schemes (registered by
 /// SchemeRegistry::builtin(); exposed for tests that build registries).

@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "core/dag_builder.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "fibbing/ospf_model.hpp"
 #include "failure/degrade.hpp"
 #include "failure/evaluate.hpp"
 #include "failure/scenario.hpp"
@@ -169,7 +172,7 @@ TEST(Degrade, ReconvergedEcmpMatchesPostFailureShortestPaths) {
   const FailureScenario f{"s2-t", {std::min(s2t, g.edge(s2t).reverse)}};
   const Graph degraded = degradedGraph(g, f);
 
-  const auto ecmp = reconvergedEcmp(degraded);
+  const auto ecmp = routing::shortestPathEcmp(degraded);
   // s2 now reaches t only via v.
   EXPECT_DOUBLE_EQ(ecmp.ratio(t, *g.findEdge(s2, v)), 1.0);
   // s1 is equidistant via s2 (1+2) and v (1+1)? No: via v costs 2, via s2
@@ -177,6 +180,90 @@ TEST(Degrade, ReconvergedEcmpMatchesPostFailureShortestPaths) {
   EXPECT_DOUBLE_EQ(ecmp.ratio(t, *g.findEdge(s1, v)), 1.0);
   EXPECT_NO_THROW(ecmp.validate(degraded));
   EXPECT_TRUE(routesAllDemands(ecmp, tm::uniformMatrix(g, 1.0)));
+}
+
+/// Reconvergence as the OSPF control-plane model computes it: one prefix
+/// per destination, each router's lie-free FIB next hops as the DAG, and
+/// multiplicity / total as the splits. The reference SPF ECMP is held to.
+routing::RoutingConfig ospfModelEcmp(const Graph& degraded) {
+  fib::OspfModel model(degraded);
+  const int n = degraded.numNodes();
+  DagSet dags;
+  dags.reserve(n);
+  std::vector<std::vector<fib::FibEntry>> fibs;
+  fibs.reserve(n);
+  for (NodeId t = 0; t < n; ++t) {
+    model.advertisePrefix(t, t);
+    fibs.push_back(model.computeFibs(t));
+    std::vector<EdgeId> edges;
+    for (NodeId u = 0; u < n; ++u) {
+      for (const fib::FibNextHop& hop : fibs.back()[u].next_hops) {
+        edges.push_back(hop.edge);
+      }
+    }
+    dags.emplace_back(degraded, t, std::move(edges));
+  }
+  routing::RoutingConfig cfg(degraded,
+                             std::make_shared<const DagSet>(std::move(dags)));
+  for (NodeId t = 0; t < n; ++t) {
+    for (NodeId u = 0; u < n; ++u) {
+      const fib::FibEntry& entry = fibs[t][u];
+      const int total = entry.totalMultiplicity();
+      if (total <= 0) continue;
+      for (const fib::FibNextHop& hop : entry.next_hops) {
+        cfg.setRatio(t, hop.edge,
+                     static_cast<double>(hop.multiplicity) / total);
+      }
+    }
+  }
+  return cfg;
+}
+
+/// Number of destinations where `got` differs from `want` in any bit: DAG
+/// edges, topological order, reachability or any ratio.
+int ecmpMismatches(const routing::RoutingConfig& got,
+                   const routing::RoutingConfig& want) {
+  int bad = 0;
+  for (NodeId t = 0; t < got.numNodes(); ++t) {
+    const Dag& a = got.dags()[t];
+    const Dag& b = want.dags()[t];
+    bool same = a.edges() == b.edges() && a.topoOrder() == b.topoOrder();
+    for (NodeId v = 0; same && v < got.numNodes(); ++v) {
+      same = a.reachesDest(v) == b.reachesDest(v);
+    }
+    for (EdgeId e = 0; same && e < got.numEdges(); ++e) {
+      same = std::bit_cast<std::uint64_t>(got.ratio(t, e)) ==
+             std::bit_cast<std::uint64_t>(want.ratio(t, e));
+    }
+    bad += same ? 0 : 1;
+  }
+  return bad;
+}
+
+TEST(Degrade, ReconvergenceMatchesTheOspfModelBitForBit) {
+  // Both reconverging schemes (configured and inverse-capacity weights),
+  // intact and under every single-link failure, disconnecting ones too.
+  const te::SchemeRegistry& reg = te::SchemeRegistry::builtin();
+  int checked = 0;
+  for (const Graph& g : {topo::runningExample(), topo::makeZoo("Abilene"),
+                         topo::makeZoo("Geant"), topo::fatTree(4)}) {
+    std::vector<std::pair<std::string, Graph>> networks{{"intact", g}};
+    for (const FailureScenario& f : singleLinkFailures(g)) {
+      networks.emplace_back(f.label, degradedGraph(g, f));
+    }
+    for (const char* key : {"ecmp", "invcap-ecmp"}) {
+      const te::Scheme& scheme = *reg.find(key);
+      for (const auto& [label, net] : networks) {
+        EXPECT_EQ(ecmpMismatches(scheme.reconverge(net),
+                                 ospfModelEcmp(scheme.ospfSubstrate(net))),
+                  0)
+            << key << ", " << g.numNodes() << " nodes, " << label;
+        ++checked;
+      }
+    }
+  }
+  // Intact plus 5, 14, 36 and 32 single-link failures, on two substrates.
+  EXPECT_EQ(checked, 2 * (6 + 15 + 37 + 33));
 }
 
 TEST(Degrade, DisconnectedPairsOnAPath) {
@@ -313,8 +400,8 @@ TEST(CompiledMxlu, BitIdenticalOnGeantCornerPool) {
         g, coyote, repairDags(g, *dags, failedEdgeMask(g, f)));
     EXPECT_EQ(expectCompiledMxluMatches(degraded, repaired, pool), 0)
         << f.label;
-    EXPECT_EQ(expectCompiledMxluMatches(degraded, reconvergedEcmp(degraded),
-                                        pool),
+    EXPECT_EQ(expectCompiledMxluMatches(
+                  degraded, routing::shortestPathEcmp(degraded), pool),
               0)
         << f.label;
     const int dead = expectCompiledMxluMatches(degraded, coyote, pool);

@@ -82,6 +82,23 @@ TEST(Graph, InverseCapacityWeights) {
   EXPECT_DOUBLE_EQ(g.edge(e3).weight, 10.0);
 }
 
+TEST(Graph, InverseCapacityWeightsSkipFailedLinks) {
+  // A failed (zero-capacity) link keeps its weight and does not change the
+  // max-capacity scale the live links are weighted against.
+  Graph g;
+  const NodeId a = g.addNode();
+  const NodeId b = g.addNode();
+  const NodeId c = g.addNode();
+  const EdgeId e1 = g.addEdge(a, b, 10.0);
+  const EdgeId e2 = g.addEdge(b, c, 2.5);
+  const EdgeId e3 = g.addEdge(c, a, 1.0, 7.0);
+  g.setCapacity(e3, 0.0);
+  g.setInverseCapacityWeights();
+  EXPECT_DOUBLE_EQ(g.edge(e1).weight, 1.0);
+  EXPECT_DOUBLE_EQ(g.edge(e2).weight, 4.0);
+  EXPECT_EQ(g.edge(e3).weight, 7.0);
+}
+
 TEST(Graph, OutInCapacity) {
   Graph g;
   const NodeId a = g.addNode();

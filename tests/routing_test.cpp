@@ -96,6 +96,16 @@ TEST(RoutingConfig, ValidateCatchesBadSums) {
   RoutingConfig cfg(ex.g, ex.dags);
   cfg.setRatio(ex.t, *ex.g.findEdge(ex.s1, ex.s2), 0.9);  // 0.9 != 1
   EXPECT_THROW(cfg.validate(ex.g), std::logic_error);
+  // Only s1's split toward t is off; the message names both nodes.
+  RoutingConfig one = RoutingConfig::uniform(ex.g, ex.dags);
+  one.setRatio(ex.t, *ex.g.findEdge(ex.s1, ex.s2), 0.9);
+  try {
+    one.validate(ex.g);
+    ADD_FAILURE() << "validate accepted ratios summing to 1.4";
+  } catch (const std::logic_error& err) {
+    EXPECT_STREQ(err.what(),
+                 "splitting ratios at node s1 toward t sum to 1.400000");
+  }
 }
 
 TEST(RoutingConfig, NormalizeRescalesAndFillsUniform) {

@@ -142,27 +142,6 @@ TEST(SchemeRegistry, ParseListSelectsAndDefaults) {
 // Scheme semantics.
 // ---------------------------------------------------------------------------
 
-TEST(Schemes, InverseCapacityReweightingMatchesTheGraphHelper) {
-  // randomBackbone carries heterogeneous capacities and already applies
-  // setInverseCapacityWeights(), so reweighting must be a no-op there --
-  // which also makes invcap-ecmp coincide with plain ECMP on it.
-  const Graph g = topo::randomBackbone(12, 3.0, 7);
-  const Graph rw = inverseCapacityReweighted(g);
-  for (EdgeId e = 0; e < g.numEdges(); ++e) {
-    EXPECT_NEAR(rw.edge(e).weight, g.edge(e).weight, 1e-12);
-  }
-  // A failed (zero-capacity) edge keeps its weight and does not poison
-  // the max-capacity scale.
-  Graph h = g;
-  h.setCapacity(0, 0.0);
-  const Graph hw = inverseCapacityReweighted(h);
-  EXPECT_EQ(hw.edge(0).weight, h.edge(0).weight);
-  for (EdgeId e = 1; e < h.numEdges(); ++e) {
-    EXPECT_TRUE(std::isfinite(hw.edge(e).weight));
-    EXPECT_GT(hw.edge(e).weight, 0.0);
-  }
-}
-
 TEST(Schemes, InvcapEcmpEqualsEcmpWhenWeightsAlreadyInverseCapacity) {
   const Graph g = topo::makeZoo("Abilene");  // zoo sets invcap weights
   const auto dags = core::augmentedDagsShared(g);
