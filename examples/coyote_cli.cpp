@@ -89,9 +89,15 @@ struct Pipeline {
   core::CoyoteOptions options() const {
     core::CoyoteOptions opt;
     opt.splitting.iterations = 300;
-    opt.corner_pool.source_hotspots = false;
-    opt.corner_pool.max_hotspots = 12;
     return opt;
+  }
+
+  /// COYOTE-pk's corner pool of the margin box.
+  static tm::PoolOptions corners() {
+    tm::PoolOptions popt;
+    popt.source_hotspots = false;
+    popt.max_hotspots = 12;
+    return popt;
   }
 };
 
@@ -101,7 +107,7 @@ int cmdOptimize(const std::string& spec, double margin, bool oblivious) {
       oblivious ? core::coyoteOblivious(p.g, p.dags, p.options())
                 : core::coyoteWithBounds(p.g, p.dags,
                                          tm::marginBounds(p.base, margin),
-                                         p.options());
+                                         Pipeline::corners(), p.options());
   if (oblivious) {
     std::printf("# COYOTE oblivious, ratio on optimization pool: %.3f\n",
                 res.pool_ratio);
@@ -126,7 +132,8 @@ int cmdLies(const std::string& spec, double margin, int virtual_links) {
   Pipeline p(spec, margin);
   const int budget = virtual_links + 1;
   const core::CoyoteResult res = core::coyoteWithBounds(
-      p.g, p.dags, tm::marginBounds(p.base, margin), p.options());
+      p.g, p.dags, tm::marginBounds(p.base, margin), Pipeline::corners(),
+      p.options());
 
   fib::OspfModel model(p.g);
   int fake = 0, routers = 0;

@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
 
   core::CoyoteOptions copt;
   copt.splitting.iterations = 300;
-  const core::CoyoteResult res = core::coyoteWithBounds(g, dags, box, copt);
+  const core::CoyoteResult res =
+      core::coyoteWithBounds(g, dags, box, {}, copt);
   std::printf("COYOTE on Abilene (margin 2.0): pool ratio %.3f\n\n",
               res.pool_ratio);
 

@@ -88,9 +88,10 @@ CoyoteResult optimizeAgainstPool(const Graph& g,
 CoyoteResult coyoteWithBounds(const Graph& g,
                               std::shared_ptr<const DagSet> dags,
                               const tm::DemandBounds& box,
+                              const tm::PoolOptions& corners,
                               const CoyoteOptions& opt) {
   routing::PerformanceEvaluator pool(g, std::move(dags), opt.lp);
-  pool.addPool(tm::cornerPool(box, opt.corner_pool));
+  pool.addPool(tm::cornerPool(box, corners));
   return optimizeAgainstPool(g, pool, &box, opt);
 }
 

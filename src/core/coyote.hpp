@@ -32,7 +32,6 @@ struct CoyoteOptions {
   /// Extra cutting-plane rounds driven by the exact slave-LP oracle
   /// (0 = pool-only; exact separation is practical on small networks).
   int oracle_rounds = 0;
-  tm::PoolOptions corner_pool;
   tm::ObliviousPoolOptions oblivious_pool;
   lp::SimplexOptions lp;
   /// Optional warm seed for the splitting optimizer: when non-null and
@@ -62,10 +61,11 @@ struct CoyoteResult {
     const tm::DemandBounds* box, const CoyoteOptions& opt = {});
 
 /// COYOTE with operator uncertainty bounds (the "partial knowledge" line of
-/// Figs. 6-9 / Table I).
+/// Figs. 6-9 / Table I), optimized against `corners`' corner pool of the box.
 [[nodiscard]] CoyoteResult coyoteWithBounds(
     const Graph& g, std::shared_ptr<const DagSet> dags,
-    const tm::DemandBounds& box, const CoyoteOptions& opt = {});
+    const tm::DemandBounds& box, const tm::PoolOptions& corners,
+    const CoyoteOptions& opt = {});
 
 /// Fully demands-oblivious COYOTE (the "oblivious" line). `normalized`,
 /// when non-null, caches the oblivious pool's normalized matrices across

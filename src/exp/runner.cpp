@@ -209,7 +209,7 @@ void runSchemes(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   networkMeta(s, out);
 
   SweepOptions sopt = s.sweep;
-  sopt.exact_oracle = sopt.exact_oracle || opt.exact;
+  if (opt.exact) sopt.coyote.oracle_rounds = 2;
 
   out.comment("%s, %s base matrix", s.topology.label().c_str(),
               s.demand.name());
@@ -249,7 +249,7 @@ void runTable(const Scenario& s, const RunOptions& opt, KindOutput& out) {
     sopt.exact_eval =
         (s.exact_node_limit > 0 && g.numNodes() <= s.exact_node_limit) ||
         opt.exact;
-    sopt.exact_oracle = sopt.exact_eval || opt.exact;
+    if (sopt.exact_eval) sopt.coyote.oracle_rounds = 2;
 
     const NetworkSweep sweep(g, dags, base, sopt, schemes);
     for (const double margin : margins) {
@@ -395,7 +395,8 @@ void runStretch(const Scenario& s, const RunOptions& opt, KindOutput& out) {
     const routing::RoutingConfig ecmp = routing::ecmpConfig(g, dags);
     const core::CoyoteOptions& copt = s.sweep.coyote;
     const core::CoyoteResult obl = core::coyoteOblivious(g, dags, copt);
-    const core::CoyoteResult pk = core::coyoteWithBounds(g, dags, box, copt);
+    const core::CoyoteResult pk =
+        core::coyoteWithBounds(g, dags, box, s.sweep.pool, copt);
 
     json::Value row = json::Value::object();
     row["network"] = name;
@@ -548,7 +549,9 @@ void runDagAug(const Scenario& s, const RunOptions& opt, KindOutput& out) {
     const tm::PoolOptions& popt = s.sweep.pool;
     const core::CoyoteOptions& copt = s.sweep.coyote;
 
-    // Shared evaluation pool (normalized within the augmented DAGs).
+    // Shared evaluation pool (normalized within the augmented DAGs); it is
+    // also augmented-DAG COYOTE's optimization pool, which the optimizer
+    // leaves unchanged as long as coyote.oracle_rounds is 0.
     routing::PerformanceEvaluator eval(g, aug);
     eval.addPool(tm::cornerPool(box, popt));
 
@@ -558,9 +561,7 @@ void runDagAug(const Scenario& s, const RunOptions& opt, KindOutput& out) {
     const auto sp_cfg = core::optimizeAgainstPool(g, sp_pool, &box, copt);
 
     // COYOTE over augmented DAGs.
-    routing::PerformanceEvaluator aug_pool(g, aug);
-    aug_pool.addPool(tm::cornerPool(box, popt));
-    const auto aug_cfg = core::optimizeAgainstPool(g, aug_pool, &box, copt);
+    const auto aug_cfg = core::optimizeAgainstPool(g, eval, &box, copt);
 
     // Evaluate all on the shared pool. The SP-DAG config is valid over the
     // augmented DAGs too (SP edges are a subset).
@@ -741,6 +742,7 @@ void runFailure(const Scenario& s, const RunOptions& opt, KindOutput& out) {
 
   failure::FailureEvalOptions fopt;
   fopt.margin = s.fixed_margin;
+  fopt.pool = s.sweep.pool;
   fopt.coyote = s.sweep.coyote;
   fopt.schemes = schemes;
   const failure::FailureEvaluator eval(g, dags, base, fopt);
@@ -825,15 +827,7 @@ void runServe(const Scenario& s, const RunOptions& opt, KindOutput& out) {
   serve::ServeOptions sopt;
   sopt.margin = s.fixed_margin;
   sopt.pool = s.sweep.pool;
-  // Adopt the scenario's sweep options but keep the service's own
-  // early-stop default: sweeps leave patience off (fixed budgets keep
-  // their outputs comparable), while the daemon's warm reoptimize relies
-  // on it to bank the saved iterations.
-  const int serve_patience = sopt.coyote.splitting.patience;
   sopt.coyote = s.sweep.coyote;
-  if (sopt.coyote.splitting.patience == 0) {
-    sopt.coyote.splitting.patience = serve_patience;
-  }
   sopt.schemes = selectedSchemes(opt, out);
   serve::TeService service(g, base, sopt);
 

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdio>
 
+#include "failure/evaluate.hpp"
+#include "serve/service.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 #include "util/require.hpp"
@@ -389,9 +391,7 @@ ScenarioRegistry::ScenarioRegistry() {
                           s.full_networks.end());
     s.sweep.coyote.splitting.iterations = 250;
     s.sweep.coyote.oblivious_pool.random_sparse = 8;
-    s.sweep.coyote.corner_pool.source_hotspots = false;
-    s.sweep.coyote.corner_pool.max_hotspots = 12;
-    s.sweep.coyote.corner_pool.random_corners = 4;
+    s.sweep.pool.random_corners = 4;
     add(std::move(s));
   }
   {
@@ -579,6 +579,7 @@ ScenarioRegistry::ScenarioRegistry() {
     s.fixed_margin = 2.0;
     s.failure = spec;
     s.sweep = parent.sweep;
+    s.sweep.pool = failure::FailureEvalOptions().pool;
     add(std::move(s));
   };
   {
@@ -632,12 +633,11 @@ ScenarioRegistry::ScenarioRegistry() {
     s.fixed_margin = 2.0;
     s.serve_events = events;
     s.serve_seed = 1;
-    // The daemon's evaluation pool is small by design: every event costs
-    // one warm OPTU re-solve per pool matrix.
-    s.sweep.pool.source_hotspots = false;
-    s.sweep.pool.max_hotspots = 8;
-    s.sweep.pool.random_corners = 4;
-    s.sweep.pool.pair_hotspots = 4;
+    // The daemon's own pool and optimizer defaults (patience included),
+    // on a smaller iteration budget.
+    const serve::ServeOptions daemon;
+    s.sweep.pool = daemon.pool;
+    s.sweep.coyote = daemon.coyote;
     s.sweep.coyote.splitting.iterations = 150;
     add(std::move(s));
   };

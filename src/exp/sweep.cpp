@@ -23,12 +23,11 @@ NetworkSweep::NetworkSweep(const Graph& g, std::shared_ptr<const DagSet> dags,
   // Margin-independent schemes are computed once, in list order (each
   // scheme's LP/optimizer work is a self-contained stage, so the sequence
   // -- and thus every lp_pivots count -- is independent of the margin grid
-  // and of which other schemes ride along). The sweep's exact_oracle flag
-  // decides the schemes' cutting-plane rounds (the pre-registry behavior:
-  // forced, in either direction).
-  core::CoyoteOptions copt = opt_.coyote;
-  copt.oracle_rounds = opt_.exact_oracle ? 2 : 0;
-  const te::SchemeContext ctx{g_, dags_, base_tm_, copt, nullptr, nullptr};
+  // and of which other schemes ride along). Schemes that optimize against
+  // the oblivious pool share one normalization of it.
+  std::vector<tm::TrafficMatrix> oblivious_pool;
+  const te::SchemeContext ctx{g_,      dags_,   base_tm_, opt_.coyote,
+                              nullptr, nullptr, nullptr,  &oblivious_pool};
   intact_.reserve(schemes_.size());
   for (const te::Scheme* s : schemes_) {
     if (s->marginDependent()) {
@@ -63,9 +62,7 @@ SchemeRow NetworkSweep::run(double margin) const {
   if (thread_pool_) pool.setThreadPool(*thread_pool_);
   pool.addPool(tm::cornerPool(box, opt_.pool));
 
-  core::CoyoteOptions copt = opt_.coyote;
-  copt.oracle_rounds = opt_.exact_oracle ? 2 : 0;
-  const te::SchemeContext ctx{g_, dags_, base_tm_, copt, &box, &pool};
+  const te::SchemeContext ctx{g_, dags_, base_tm_, opt_.coyote, &box, &pool};
 
   // Attributes the LP work of one scheme stage to its per-scheme counters.
   const auto attributed = [&row](int i, const auto& stage) {

@@ -10,9 +10,9 @@
 // augmented DAGs*. Evaluation is over a finite pool of corner/hotspot
 // matrices of the uncertainty box (see tm::cornerPool); the same pool
 // drives COYOTE's optimizer, and the exact slave-LP oracle can be enabled
-// on small networks. Shapes (who wins, by what factor, where crossovers
-// fall), not absolute values, are the reproduction target; see
-// EXPERIMENTS.md.
+// on small networks (SweepOptions::coyote.oracle_rounds). Shapes (who
+// wins, by what factor, where crossovers fall), not absolute values, are
+// the reproduction target; see EXPERIMENTS.md.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +51,10 @@ struct SchemeRow {
 struct SweepOptions {
   /// Corner-pool shape for the per-margin evaluation/optimization pool.
   tm::PoolOptions pool;
+  /// Every scheme's optimizer options, passed through unchanged: a
+  /// positive `coyote.oracle_rounds` runs COYOTE-pk's slave-LP cutting
+  /// planes (affordable on small networks).
   core::CoyoteOptions coyote;
-  bool exact_oracle = false;  ///< add slave-LP cutting planes (small nets)
   /// Evaluate the schemes with the exact slave-LP adversary over the
   /// whole box (one LP per edge per scheme) instead of the corner pool.
   /// This is what exposes how quickly the base-optimal routing degrades
@@ -73,12 +75,12 @@ struct SweepOptions {
 };
 
 /// Margin-sweep harness for one network, generic over a scheme list.
-/// Margin-independent schemes are computed once (in list order) and
-/// re-evaluated under every margin's pool; margin-dependent ones
-/// (COYOTE-pk) are re-optimized per margin. All heavy stages (pool
-/// normalization, PERF evaluation, the optimizer's forward pass, the slave
-/// LPs) run on the shared util::ThreadPool; results are bit-identical for
-/// any thread count.
+/// Margin-independent schemes are computed once (in list order, sharing
+/// one normalized oblivious pool) and re-evaluated under every margin's
+/// pool; margin-dependent ones (COYOTE-pk) are re-optimized per margin.
+/// All heavy stages (pool normalization, PERF evaluation, the optimizer's
+/// forward pass, the slave LPs) run on the shared util::ThreadPool;
+/// results are bit-identical for any thread count.
 ///
 /// One routing::OptuEngine is shared by every margin point's evaluator:
 /// the OPTU constraint matrix is built once per (graph, DAG-set,

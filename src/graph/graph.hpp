@@ -99,11 +99,6 @@ class Graph {
     return nodes_[checkNode(v)];
   }
 
-  /// Renames a node (parser convenience).
-  void setNodeName(NodeId v, std::string name) {
-    nodes_[checkNode(v)] = std::move(name);
-  }
-
   /// Finds a node by name; returns std::nullopt if absent. O(|V|).
   [[nodiscard]] std::optional<NodeId> findNode(const std::string& name) const;
 
@@ -136,14 +131,6 @@ class Graph {
   [[nodiscard]] const std::vector<EdgeId>& outIds() const {
     ensureCsr();
     return out_ids_;
-  }
-  [[nodiscard]] const std::vector<std::int32_t>& inOffsets() const {
-    ensureCsr();
-    return in_off_;
-  }
-  [[nodiscard]] const std::vector<EdgeId>& inIds() const {
-    ensureCsr();
-    return in_ids_;
   }
 
   /// First edge src->dst, if any. O(out-degree).

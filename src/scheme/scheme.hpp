@@ -54,8 +54,8 @@ struct SchemeContext {
   const tm::TrafficMatrix& base_tm;
   /// Optimizer options, final: schemes use them as-is (in particular
   /// `oracle_rounds` -- the caller decides whether the exact slave-LP
-  /// cutting-plane oracle runs; NetworkSweep derives it from its
-  /// exact_oracle flag, failure::IntactSchemes requires 0).
+  /// cutting-plane oracle runs; NetworkSweep passes its
+  /// SweepOptions::coyote through, failure::IntactSchemes requires 0).
   core::CoyoteOptions coyote;
   const tm::DemandBounds* box = nullptr;            ///< margin-dependent only
   routing::PerformanceEvaluator* pool = nullptr;    ///< margin-dependent only

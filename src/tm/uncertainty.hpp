@@ -50,6 +50,8 @@ struct PoolOptions {
   /// controls the number of normalization LPs on large networks.
   int max_hotspots = 0;
   std::uint64_t seed = 1;
+
+  friend bool operator==(const PoolOptions&, const PoolOptions&) = default;
 };
 
 /// Finite pool of candidate worst-case matrices inside the box: the all-hi

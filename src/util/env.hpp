@@ -1,9 +1,11 @@
 // Environment-variable parsing, shared by tools and tests.
 //
-// The repo reads a small set of COYOTE_* variables: COYOTE_FULL and
-// COYOTE_EXACT in tools/ and tests, and COYOTE_THREADS in the thread pool
-// (the one read inside the library). These helpers are the single parsing
-// point so the semantics ("set and not '0'") cannot drift between binaries.
+// The repo reads two COYOTE_* variables: COYOTE_FULL in the test suites
+// (their full-corpus sweeps; the tools take --full instead), and
+// COYOTE_THREADS in the thread pool (the one read inside the library, and
+// the one thread-count switch of every binary). These helpers are the
+// single parsing point so the semantics ("set and not '0'") cannot drift
+// between binaries.
 #pragma once
 
 #include <cstdlib>

@@ -367,7 +367,7 @@ TEST(Coyote, PartialKnowledgeNoWorseThanOblivious) {
 
   CoyoteOptions opt;
   opt.splitting.iterations = 250;
-  const CoyoteResult pk = coyoteWithBounds(g, dags, box, opt);
+  const CoyoteResult pk = coyoteWithBounds(g, dags, box, {}, opt);
   const CoyoteResult obl = coyoteOblivious(g, dags, opt);
 
   // Evaluate both on the same margin-2 corner pool: knowing the bounds can

@@ -32,7 +32,8 @@ TEST(Pipeline, BoundsToVerifiedLies) {
 
   core::CoyoteOptions copt;
   copt.splitting.iterations = 250;
-  const core::CoyoteResult res = core::coyoteWithBounds(g, dags, box, copt);
+  const core::CoyoteResult res =
+      core::coyoteWithBounds(g, dags, box, {}, copt);
 
   constexpr int kBudget = 5;
   const routing::RoutingConfig wire = fib::quantizeConfig(g, res.routing, kBudget);
@@ -223,7 +224,8 @@ TEST(FullSweep, BoundsToVerifiedLiesAcrossCorpus) {
         tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0);
     core::CoyoteOptions copt;
     copt.splitting.iterations = 60;
-    const core::CoyoteResult res = core::coyoteWithBounds(g, dags, box, copt);
+    const core::CoyoteResult res =
+        core::coyoteWithBounds(g, dags, box, {}, copt);
     constexpr int kBudget = 5;
     const routing::RoutingConfig wire =
         fib::quantizeConfig(g, res.routing, kBudget);

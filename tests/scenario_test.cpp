@@ -10,6 +10,8 @@
 #include "core/dag_builder.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
+#include "failure/evaluate.hpp"
+#include "serve/service.hpp"
 #include "tm/uncertainty.hpp"
 #include "topo/zoo.hpp"
 
@@ -121,6 +123,29 @@ TEST(ScenarioRegistry, ServeScenariosAreRegistered) {
   EXPECT_FALSE(geant->hasTag("smoke"));
 
   EXPECT_STREQ(kindName(ScenarioKind::kServe), "serve");
+}
+
+// Serve and failure scenarios start from their evaluators' own defaults:
+// the scenario's pool and patience are the ones the runner hands over.
+TEST(ScenarioRegistry, ServeAndFailureScenariosUseTheirEvaluatorsDefaults) {
+  const serve::ServeOptions daemon;
+  const failure::FailureEvalOptions failures;
+  int serve_seen = 0;
+  int failure_seen = 0;
+  for (const Scenario& s : reg().all()) {
+    if (s.kind == ScenarioKind::kServe) {
+      ++serve_seen;
+      EXPECT_TRUE(s.sweep.pool == daemon.pool) << s.id;
+      EXPECT_EQ(s.sweep.coyote.splitting.patience,
+                daemon.coyote.splitting.patience)
+          << s.id;
+    } else if (s.kind == ScenarioKind::kFailure) {
+      ++failure_seen;
+      EXPECT_TRUE(s.sweep.pool == failures.pool) << s.id;
+    }
+  }
+  EXPECT_EQ(serve_seen, 2);
+  EXPECT_GT(failure_seen, 0);
 }
 
 TEST(ScenarioRegistry, ScalingScenariosAreRegistered) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -336,6 +337,26 @@ TEST(Schemes, NetworkSweepRespectsTheSchemeListOrder) {
   // intactRouting serves margin-independent schemes only.
   EXPECT_NO_THROW((void)sweep.intactRouting(1));
   EXPECT_THROW((void)sweep.intactRouting(0), std::logic_error);
+}
+
+// The sweep passes SweepOptions::coyote through unchanged: positive
+// oracle rounds run COYOTE-pk's slave-LP cutting planes, which cost LPs a
+// pool-only sweep never solves.
+TEST(Schemes, NetworkSweepRunsTheOracleRoundsItIsGiven) {
+  const Graph g = topo::runningExample();
+  const auto dags = core::augmentedDagsShared(g);
+  const tm::TrafficMatrix base = tm::uniformMatrix(g, 1.0);
+  const auto schemes = SchemeRegistry::builtin().parseList("partial");
+
+  std::vector<std::int64_t> solves;
+  for (const int rounds : {0, 2}) {
+    exp::SweepOptions opt;
+    opt.coyote.splitting.iterations = 120;
+    opt.coyote.oracle_rounds = rounds;
+    const exp::NetworkSweep sweep(g, dags, base, opt, schemes);
+    solves.push_back(sweep.run(2.0).scheme_lp_solves.at(0));
+  }
+  EXPECT_GT(solves[1], solves[0]);
 }
 
 TEST(Schemes, FailureEvaluatorSweepsCustomListsWithKeyedStats) {

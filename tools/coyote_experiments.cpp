@@ -12,7 +12,6 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "scheme/registry.hpp"
-#include "util/env.hpp"
 
 namespace {
 
@@ -44,11 +43,9 @@ int usage(const char* argv0, int code) {
                "keys are an error)\n"
                "  --list-schemes     list the registered TE schemes and "
                "exit\n"
-               "  --quick | --full   thinned vs full margin grids/corpora\n"
-               "                     (default quick; COYOTE_FULL=1 implies "
-               "--full)\n"
-               "  --exact            exact slave-LP oracle/evaluation "
-               "(COYOTE_EXACT)\n"
+               "  --quick | --full   thinned vs full margin grids/corpora "
+               "(default quick)\n"
+               "  --exact            exact slave-LP oracle/evaluation\n"
                "  --quiet            suppress the per-row text output\n",
                argv0);
   return code;
@@ -91,8 +88,6 @@ int main(int argc, char** argv) {
   const exp::ScenarioRegistry& registry = exp::ScenarioRegistry::global();
 
   exp::RunOptions opt;
-  opt.full = util::envFlag("COYOTE_FULL");
-  opt.exact = util::envFlag("COYOTE_EXACT");
   bool list = false;
   bool all = false;
   std::vector<std::string> filters;

@@ -54,9 +54,6 @@ int usage(const char* argv0, int code) {
                "paper's four)\n"
                "  --margin <x>       initial uncertainty margin (default "
                "2.0)\n"
-               "  --threads <n>      private thread-pool size; 0 (default) "
-               "uses the\n"
-               "                     process pool (COYOTE_THREADS)\n"
                "\n"
                "Modes (default: stdin/stdout daemon):\n"
                "  --replay <file>    replay a trace file, one response line "
@@ -109,7 +106,6 @@ int main(int argc, char** argv) {
   exp::DemandSpec demand;
   std::string schemes_csv;
   double margin = 2.0;
-  unsigned threads = 0;
   std::string replay_file;
   int generate = -1;
   std::uint64_t seed = 1;
@@ -145,10 +141,6 @@ int main(int argc, char** argv) {
       schemes_csv = next();
     } else if (arg == "--margin") {
       margin = flagValue<double>(arg, next());
-    } else if (arg == "--threads") {
-      // Checked before any pool exists: -1 must not wrap to a pool of
-      // 2^32 - 1 workers.
-      threads = flagValue<unsigned>(arg, next());
     } else if (arg == "--replay") {
       replay_file = next();
     } else if (arg == "--generate") {
@@ -185,7 +177,6 @@ int main(int argc, char** argv) {
 
     serve::ServeOptions opt;
     opt.margin = margin;
-    opt.threads = threads;
     opt.schemes = te::SchemeRegistry::builtin().parseList(schemes_csv);
 
     serve::TeService service(g, base, opt);
